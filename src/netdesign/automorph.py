@@ -11,8 +11,11 @@ consistency with the mapped prefix is enforced with bitmask comparisons.
 
 Designs related by an automorphism have equal optimality-criterion values, so
 a search only needs the orbit's lexicographically smallest member; this
-module provides that test (`is_canonical`) plus a brute-force orbit counter
-used as a test oracle.
+module provides that test (`is_canonical`), a test on design prefixes that
+proves every completion non-canonical (`prefix_has_smaller_image`, which
+lets exhaustive search skip whole subtrees), the orbit's smallest member
+(`canonical_representative`), plus a brute-force orbit counter used as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ import numpy as np
 
 from .network import Network
 
-_CHUNK = 2048
+# the value of a design position not yet assigned: above every treatment label
+_UNASSIGNED = np.iinfo(np.int64).max
+# elements in play from which the lex-min narrowing leaves numpy for Python
+_TAIL = 16
 
 
 class GroupSizeLimitError(RuntimeError):
@@ -71,7 +77,7 @@ class AutomorphismGroup:
     def __init__(self, elements: Iterable[Sequence[int]], network: Network):
         self.elements = tuple(sorted(tuple(int(v) for v in p) for p in elements))
         self.network = network
-        self._inv_maps: np.ndarray | None = None
+        self._columns: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -83,23 +89,37 @@ class AutomorphismGroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def _inverse_position_maps(self) -> np.ndarray:
-        """(z, d) index matrix M with M[k, q] = p meaning: under element k the
+    def _position_columns(self) -> np.ndarray:
+        """(d, z) index matrix C with C[q, k] = p meaning: under element k the
         design at position p lands at position q, so the permuted design is
-        x[M[k]].  Positions index design nodes in ascending node order."""
-        if self._inv_maps is None:
+        x[C[:, k]].  Positions index design nodes in ascending node order.
+        Row q lists every element's source for image column q, which is what
+        the column-by-column lex-min kernel reads."""
+        if self._columns is None:
             design = self.network.design_nodes
             pos = {node: p for p, node in enumerate(design)}
             z, d = len(self.elements), len(design)
             fwd = np.empty((z, d), dtype=np.int64)
             for k, perm in enumerate(self.elements):
                 fwd[k] = [pos[perm[node]] for node in design]
-            inv = np.empty_like(fwd)
-            rows = np.arange(z)[:, None]
-            inv[rows, fwd] = np.arange(d)[None, :]
-            inv.setflags(write=False)
-            self._inv_maps = inv
-        return self._inv_maps
+            cols = np.empty((d, z), dtype=np.int64)
+            cols[fwd, np.arange(z)[:, None]] = np.arange(d)[None, :]
+            cols.setflags(write=False)
+            self._columns = cols
+        return self._columns
+
+    def _inverse_position_maps(self) -> np.ndarray:
+        """(z, d) view of the position columns: the permuted design under
+        element k is x[M[k]]."""
+        return self._position_columns().T
+
+    def _design_list(self, x: Sequence[int]) -> list[int]:
+        xs = list(map(int, x))
+        d = self.network.n_design
+        if len(xs) != d:
+            raise ValueError(f"design length {len(xs)} does not match "
+                             f"{d} design nodes")
+        return xs
 
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
@@ -108,44 +128,67 @@ class AutomorphismGroup:
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
-        element maps it to a strictly smaller design vector.
+        element maps it to a strictly smaller design vector."""
+        xs = self._design_list(x)
+        return not self._has_smaller_image(xs, len(xs))
 
-        Elements are scanned in geometrically growing chunks: for most
-        non-canonical designs some early element already produces a smaller
-        image, so the scan rarely touches the whole group."""
-        maps = self._inverse_position_maps()
-        x_arr = np.asarray(x, dtype=np.int64)
-        if x_arr.shape != (maps.shape[1],):
-            raise ValueError(f"design length {x_arr.shape} does not match "
-                             f"{maps.shape[1]} design nodes")
-        z = maps.shape[0]
-        lo = 0
-        size = 128
-        while lo < z:
-            y = x_arr[maps[lo:lo + size]]
-            neq = y != x_arr
-            hit = neq.any(axis=1)
-            if hit.any():
-                rows = np.nonzero(hit)[0]
-                first = neq[rows].argmax(axis=1)
-                if (y[rows, first] < x_arr[first]).any():
-                    return False
-            lo += size
-            size = min(size * 8, _CHUNK * 8)
-        return True
+    def _narrow(self, xs: list[int], length: int,
+                stop_below: bool) -> tuple[list[int], list[list[int]]]:
+        """Lex-min narrowing of the images of xs over columns 0..length-1:
+        column by column, only the elements whose image reaches the smallest
+        entries so far stay in play.  Once at most _TAIL elements are left,
+        plain Python is cheaper than a numpy call per column, so this stops
+        at some column q and returns (head, rows): head holds the first q
+        entries of the smallest image, and rows the position lists, over
+        columns q..length-1, of the elements still in play.  With stop_below
+        it also stops, with no rows, as soon as head drops below xs."""
+        cols = self._position_columns()
+        alive = None  # every element
+        x_arr = None
+        head: list[int] = []
+        for q in range(length):
+            if (cols.shape[1] if alive is None else len(alive)) <= _TAIL:
+                break
+            if x_arr is None:
+                x_arr = np.array(xs, dtype=np.int64)
+            v = x_arr[cols[q]] if alive is None else x_arr[cols[q, alive]]
+            low = int(v.min())
+            head.append(low)
+            if stop_below and low < xs[q]:
+                return head, []
+            keep = v == low
+            if not keep.all():  # on designs with few labels, often all stay
+                alive = keep.nonzero()[0] if alive is None else alive[keep]
+        rest = cols[len(head):length]
+        return head, (rest if alive is None else rest[:, alive]).T.tolist()
+
+    def _has_smaller_image(self, xs: list[int], length: int) -> bool:
+        head, rows = self._narrow(xs, length, stop_below=True)
+        if head != xs[:len(head)]:  # the identity keeps head <= xs
+            return True
+        own = xs[len(head):length]
+        return any([xs[p] for p in row] < own for row in rows)
+
+    def prefix_has_smaller_image(self, x: Sequence[int], length: int) -> bool:
+        """True iff some group element maps the prefix x[:length] to a
+        lexicographically smaller vector whatever the remaining positions
+        hold: positions from `length` on read as larger than any treatment,
+        so an image entry drawn from them never counts as smaller.  A True
+        answer therefore holds for every completion of the prefix, none of
+        which is canonical; at length d this is the exact non-canonicity
+        test.  x must have one entry per design node; entries from `length`
+        on are ignored."""
+        xs = self._design_list(x)
+        if not 0 <= length <= len(xs):
+            raise ValueError(f"prefix length {length} outside 0..{len(xs)}")
+        xs[length:] = [_UNASSIGNED] * (len(xs) - length)
+        return self._has_smaller_image(xs, length)
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
-        maps = self._inverse_position_maps()
-        x_arr = np.asarray(x, dtype=np.int64)
-        best: tuple[int, ...] | None = None
-        for lo in range(0, maps.shape[0], _CHUNK):
-            y = x_arr[maps[lo:lo + _CHUNK]]
-            idx = np.lexsort(y.T[::-1])
-            cand = tuple(int(v) for v in y[idx[0]])
-            if best is None or cand < best:
-                best = cand
-        return best
+        xs = self._design_list(x)
+        head, rows = self._narrow(xs, len(xs), stop_below=False)
+        return tuple(head + min([xs[p] for p in row] for row in rows))
 
 
 def _search_order(net: Network, colors: list[int]) -> list[int]:

@@ -6,7 +6,12 @@ orbit, then let a `next` rule pick the following candidate until a `stop`
 rule fires.  Two instantiations ship here: exhaustive lexicographic search
 (optionally restricted to label-canonical designs, where the first occurrence
 of treatment j precedes the first occurrence of j+1) and cyclic coordinate
-descent with seeded random restarts.  Coordinate descent never skips
+descent with seeded random restarts.  When the automorphism group is
+non-trivial, exhaustive search walks its stream depth first and tests each
+prefix: a prefix that some automorphism maps to a smaller one has no
+canonical completion, so its whole subtree is counted as considered and
+skipped without being enumerated.  The counters therefore equal those of
+gating every design one by one.  Coordinate descent never skips
 candidates; instead the evaluation cache is keyed by orbit representative so
 equivalent designs are computed once.
 
@@ -72,6 +77,9 @@ class SearchReport:
     num_invalid + num_cache_hits (with count_invalid_as_eval, the invalid
     count is folded into num_eval and drops out of the identity).  Exhaustive
     runs never produce cache hits; coordinate descent never skips.
+    num_skipped_noncanonical includes the designs of subtrees that exhaustive
+    search proved non-canonical from their prefix: they are counted (in
+    num_considered too) but never enumerated.
     """
 
     algorithm: str
@@ -100,6 +108,13 @@ class SearchReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
+def _check_stream_shape(n_design_nodes: int, m: int) -> None:
+    if m < 2:
+        raise ValueError("need at least two treatments")
+    if n_design_nodes < 1:
+        raise ValueError("need at least one design node")
+
+
 def enumerate_designs(n_design_nodes: int, m: int,
                       use_label_symmetry: bool = True) -> Iterator[Design]:
     """All designs on `n_design_nodes` nodes in lexicographic order.
@@ -109,10 +124,7 @@ def enumerate_designs(n_design_nodes: int, m: int,
     treatment 1 and the stream has sum_k S2(n, k) members (k = 1..m) instead
     of m^n.
     """
-    if m < 2:
-        raise ValueError("need at least two treatments")
-    if n_design_nodes < 1:
-        raise ValueError("need at least one design node")
+    _check_stream_shape(n_design_nodes, m)
     if not use_label_symmetry:
         yield from itertools.product(range(1, m + 1), repeat=n_design_nodes)
         return
@@ -184,23 +196,82 @@ def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-def _budgeted(stream: Iterable[Design], budget: int | None,
-              holder: dict) -> Iterator[Design]:
-    count = 0
-    for x in stream:
-        if budget is not None and count >= budget:
-            holder["partial"] = True
-            return
-        count += 1
-        yield x
+def _subtree_sizes(n: int, m: int, use_label_symmetry: bool) -> list[list[int]]:
+    """sizes[r][k]: the number of stream designs that complete a prefix with
+    r positions left to fill and largest label k so far.  Label-canonical
+    completions follow N(r, k) = k N(r-1, k) + N(r-1, k+1), with no label
+    past m; without label symmetry every prefix has m^r completions."""
+    sizes = [[1] * (m + 1)]
+    for r in range(1, n + 1):
+        prev = sizes[-1]
+        if use_label_symmetry:
+            sizes.append([k * prev[k] + (prev[k + 1] if k < m else 0)
+                          for k in range(m + 1)])
+        else:
+            sizes.append([m ** r] * (m + 1))
+    return sizes
+
+
+def _pruned_segments(group: AutomorphismGroup, n: int, m: int,
+                     use_label_symmetry: bool) -> Iterator[tuple[int, Design | None]]:
+    """The `enumerate_designs` stream, in order, walked depth first as
+    segments (size, design): (1, x) for a canonical design x, or (size, None)
+    for `size` consecutive designs none of which is canonical.  A prefix that
+    some group element maps to a smaller one closes its whole subtree
+    unvisited; full designs get the same test, which is exact at length n."""
+    _check_stream_shape(n, m)
+    sizes = _subtree_sizes(n, m, use_label_symmetry)
+    x = [1] * n
+
+    def walk(depth: int, top: int) -> Iterator[tuple[int, Design | None]]:
+        # top: the largest label in x[:depth]
+        last = min(top + 1, m) if use_label_symmetry else m
+        for label in range(1, last + 1):
+            x[depth] = label
+            new_top = max(top, label)
+            if group.prefix_has_smaller_image(x, depth + 1):
+                yield sizes[n - depth - 1][new_top], None
+            elif depth + 1 == n:
+                yield 1, tuple(x)
+            else:
+                yield from walk(depth + 1, new_top)
+
+    return walk(0, 0)
+
+
+class _Stream:
+    """The design stream cut after `budget` designs.  Iterating yields the
+    canonical designs, to evaluate; the designs of dead segments are only
+    counted, in `dead`.  `partial` is set once the budget cut designs off."""
+
+    def __init__(self, segments: Iterable[tuple[int, Design | None]],
+                 budget: int | None):
+        self.segments = segments
+        self.budget = budget
+        self.dead = 0
+        self.partial = False
+
+    def __iter__(self) -> Iterator[Design]:
+        seen = 0
+        for size, x in self.segments:
+            if self.budget is not None and seen + size > self.budget:
+                self.partial = True
+                if x is None:
+                    self.dead += self.budget - seen
+                return
+            seen += size
+            if x is None:
+                self.dead += size
+            else:
+                yield x
 
 
 def _process_design(x: Design, ev: DesignEvaluator,
-                    group: AutomorphismGroup | None, counters: _Counters,
-                    best: list) -> float | None:
-    """Shared step: canonicity gate, evaluation, counter and best updates.
-    `best` is [value, order_index, design].  Returns the criterion value when
-    the design was evaluated and estimable, else None."""
+                    group: AutomorphismGroup | None,
+                    counters: _Counters) -> float | None:
+    """Shared step: canonicity gate, evaluation and counter updates.  Returns
+    the criterion value when the design was evaluated and estimable, else
+    None."""
     counters.considered += 1
     if group is not None and not group.is_canonical(x):
         counters.skipped += 1
@@ -210,40 +281,32 @@ def _process_design(x: Design, ev: DesignEvaluator,
         counters.invalid += 1
         return None
     counters.evals += 1
-    if best[0] is None or value < best[0]:
-        best[0] = value
-        best[1] = counters.considered
-        best[2] = x
     return value
 
 
-def _exhaustive_serial(stream: Iterable[Design], ev: DesignEvaluator,
-                       group: AutomorphismGroup | None,
-                       counters: _Counters) -> tuple[float | None, Design | None]:
-    best: list = [None, None, None]
-    for x in stream:
-        _process_design(x, ev, group, counters, best)
-    return best[0], best[2]
+def _scan(designs: Iterable[Design], ev: DesignEvaluator,
+          counters: _Counters) -> tuple[float | None, Design | None]:
+    """Evaluate canonical designs in order; the best value goes to the
+    earliest design reaching it."""
+    best_value = best_design = None
+    for x in designs:
+        value = _process_design(x, ev, None, counters)
+        if _better(value, best_value):
+            best_value, best_design = value, x
+    return best_value, best_design
 
 
 _worker_state: dict = {}
 
 
-def _exhaustive_worker_init(net, spec, group):
+def _exhaustive_worker_init(net, spec):
     _worker_state["ev"] = DesignEvaluator(net, spec)
-    _worker_state["group"] = group
-    if group is not None:
-        group._inverse_position_maps()
 
 
 def _exhaustive_worker_chunk(designs: list[Design]):
-    ev = _worker_state["ev"]
-    group = _worker_state["group"]
     counters = _Counters()
-    best: list = [None, None, None]
-    for x in designs:
-        _process_design(x, ev, group, counters, best)
-    return counters, best[0], best[1], best[2]
+    value, design = _scan(designs, _worker_state["ev"], counters)
+    return counters, value, design
 
 
 def _chunked(stream: Iterator[Design], size: int) -> Iterator[list[Design]]:
@@ -254,28 +317,24 @@ def _chunked(stream: Iterator[Design], size: int) -> Iterator[list[Design]]:
         yield chunk
 
 
-def _exhaustive_parallel(stream: Iterator[Design], net: Network,
-                         spec: ModelSpec, group: AutomorphismGroup | None,
-                         counters: _Counters, workers: int) -> tuple[float | None, Design | None]:
+def _exhaustive_parallel(stream: Iterable[Design], net: Network,
+                         spec: ModelSpec, counters: _Counters,
+                         workers: int) -> tuple[float | None, Design | None]:
+    """Chunks of the stream go to a fork pool; results come back in chunk
+    order, so keeping the first strict improvement gives the serial tie-break."""
     best_value = None
-    best_order = None
     best_design = None
-    base = 0
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_exhaustive_worker_init,
-                  initargs=(net, spec, group)) as pool:
-        for chunk_counters, value, order, design in pool.imap(
-                _exhaustive_worker_chunk, _chunked(stream, _CHUNK_DESIGNS)):
-            if value is not None:
-                global_order = base + order
-                if best_value is None or value < best_value or (
-                        value == best_value and global_order < best_order):
-                    best_value, best_order, best_design = value, global_order, design
+                  initargs=(net, spec)) as pool:
+        for chunk_counters, value, design in pool.imap(
+                _exhaustive_worker_chunk, _chunked(iter(stream), _CHUNK_DESIGNS)):
+            if _better(value, best_value):
+                best_value, best_design = value, design
             counters.considered += chunk_counters.considered
             counters.evals += chunk_counters.evals
             counters.skipped += chunk_counters.skipped
             counters.invalid += chunk_counters.invalid
-            base += chunk_counters.considered
     return best_value, best_design
 
 
@@ -284,23 +343,33 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     """Evaluate the whole (optionally label-canonical) design stream in
     lexicographic order, skipping designs that are not first in their
     automorphism orbit.  Ties go to the earlier design.  If max_designs cuts
-    the stream short, the report is flagged partial."""
+    the stream short, the report is flagged partial.
+
+    With a non-trivial group the stream is walked depth first and a prefix
+    that some automorphism maps to a smaller one closes its whole subtree:
+    those designs are counted as considered and skipped but never
+    enumerated, so every counter equals that of gating each design."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config)
-    holder = {"partial": False}
-    stream = _budgeted(
-        enumerate_designs(net.n_design, spec.m, config.use_label_symmetry),
-        config.max_designs, holder)
-    ev = DesignEvaluator(net, spec)
+    n, m = net.n_design, spec.m
+    if group is not None and group.size > 1:
+        segments = _pruned_segments(group, n, m, config.use_label_symmetry)
+    else:  # under a trivial group every design is canonical
+        segments = ((1, x) for x in
+                    enumerate_designs(n, m, config.use_label_symmetry))
+    stream = _Stream(segments, config.max_designs)
     counters = _Counters()
     if config.workers > 1:
         best_value, best_design = _exhaustive_parallel(
-            stream, net, spec, group, counters, config.workers)
+            stream, net, spec, counters, config.workers)
     else:
-        best_value, best_design = _exhaustive_serial(stream, ev, group, counters)
+        best_value, best_design = _scan(stream, DesignEvaluator(net, spec),
+                                        counters)
+    counters.considered += stream.dead
+    counters.skipped += stream.dead
     return _make_report("exhaustive", config, counters, best_design, best_value,
-                        time.perf_counter() - t0, partial=holder["partial"])
+                        time.perf_counter() - t0, partial=stream.partial)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +515,16 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     group = _group_for(net, config)
     ev = DesignEvaluator(net, spec)
     counters = _Counters()
-    best: list = [None, None, None]
+    best_value = best_design = None
     budget = config.max_designs if config.max_designs is not None else _SAFETY_BUDGET
     xs: list[Design] = []
     ds: list[float | None] = []
     partial = False
     x = next_fn(xs, ds)
     while x is not None:
-        value = _process_design(x, ev, group, counters, best)
+        value = _process_design(x, ev, group, counters)
+        if _better(value, best_value):
+            best_value, best_design = value, x
         xs.append(x)
         ds.append(value)
         if stop_fn is not None and stop_fn(xs, ds, counters.evals):
@@ -462,7 +533,7 @@ def run_with_plugins(net: Network, spec: ModelSpec,
             partial = True
             break
         x = next_fn(xs, ds)
-    return _make_report("plugin", config, counters, best[2], best[0],
+    return _make_report("plugin", config, counters, best_design, best_value,
                         time.perf_counter() - t0, partial=partial)
 
 

@@ -1,7 +1,10 @@
 """Independent oracles used by the tests: these deliberately avoid the
-library's eigendecomposition / canonicity code paths."""
+library's canonicity code paths, and its eigendecomposition except where a
+value must match the library's bit for bit."""
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,3 +66,74 @@ def burnside_orbit_count(group: nd.AutomorphismGroup, m: int) -> int:
         total += m ** cycles
     assert total % group.size == 0
     return total // group.size
+
+
+def _position_getters(group: nd.AutomorphismGroup) -> list:
+    """One callable per distinct design-position map of the group: it returns
+    the image of a design tuple under that element, built from the node
+    permutations in group.elements alone."""
+    design = group.network.design_nodes
+    pos = {node: p for p, node in enumerate(design)}
+    maps = set()
+    for perm in group.elements:
+        src = [0] * len(design)
+        for p, node in enumerate(design):
+            src[pos[perm[node]]] = p
+        maps.add(tuple(src))
+    if len(design) == 1:
+        return [lambda x: (x[0],)]
+    return [itemgetter(*src) for src in sorted(maps)]
+
+
+def oracle_orbit_minima(group: nd.AutomorphismGroup, designs) -> list[tuple]:
+    """Per design, its smallest image over every group element, in pure
+    Python."""
+    images = _position_getters(group)
+    return [min(image(tuple(x)) for image in images) for x in designs]
+
+
+def oracle_outcomes(net: nd.Network, m: int, use_label_symmetry: bool) -> list:
+    """The reference exhaustive loop, sharing no canonicity code with the
+    library: every design of the plain `enumerate_designs` stream, in order,
+    as (design, value), where value is "skipped" when some element of
+    group.elements maps the design to a smaller one (applied in pure
+    Python), else `criterion_for_design` (None when not estimable)."""
+    group = nd.find_automorphisms(net)
+    spec = nd.ModelSpec.for_network(net, m)
+    images = _position_getters(group)
+    out = []
+    for x in nd.enumerate_designs(net.n_design, m, use_label_symmetry):
+        if any(image(x) < x for image in images):
+            out.append((x, "skipped"))
+        else:
+            out.append((x, nd.criterion_for_design(net, x, spec)))
+    return out
+
+
+def oracle_report(outcomes: list, max_designs: int | None = None) -> dict:
+    """The report fields of an exhaustive search over `outcomes` cut after
+    max_designs designs; the first strict minimum wins."""
+    cut = outcomes if max_designs is None else outcomes[:max_designs]
+    best_value = best_design = None
+    counts = {"skipped": 0, "invalid": 0, "eval": 0}
+    for x, value in cut:
+        if value == "skipped":
+            counts["skipped"] += 1
+        elif value is None:
+            counts["invalid"] += 1
+        else:
+            counts["eval"] += 1
+            if best_value is None or value < best_value:
+                best_value, best_design = value, x
+    return {"num_considered": len(cut),
+            "num_skipped_noncanonical": counts["skipped"],
+            "num_invalid": counts["invalid"], "num_eval": counts["eval"],
+            "num_cache_hits": 0, "best_value": best_value,
+            "best_design": best_design, "partial": len(cut) < len(outcomes)}
+
+
+def report_fields(report: nd.SearchReport) -> dict:
+    """The fields of a report that oracle_report reproduces."""
+    return {key: getattr(report, key) for key in (
+        "num_considered", "num_skipped_noncanonical", "num_invalid",
+        "num_eval", "num_cache_hits", "best_value", "best_design", "partial")}

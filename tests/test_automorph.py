@@ -9,7 +9,7 @@ import pytest
 import netdesign as nd
 from netdesign.automorph import GroupSizeLimitError, cycle_notation
 
-from helpers import burnside_orbit_count
+from helpers import burnside_orbit_count, oracle_orbit_minima
 
 
 def test_path_group(path312):
@@ -127,6 +127,28 @@ def test_is_canonical_rejects_wrong_length(path312):
     group = nd.find_automorphisms(path312)
     with pytest.raises(ValueError):
         group.is_canonical((1, 2))
+
+
+@pytest.mark.parametrize("design", [(1, 1, 1, 1, 1, 2, 1, 2), (1, 2, 1)])
+def test_canonical_representative_rejects_wrong_length(design):
+    group = nd.find_automorphisms(nd.augment_blocks([3, 3], 2))  # 6 design nodes
+    with pytest.raises(ValueError):
+        group.canonical_representative(design)
+    with pytest.raises(ValueError):
+        group.prefix_has_smaller_image(design, 2)
+
+
+@pytest.mark.parametrize("net,m", [
+    (nd.augment_row_column(3, 3, 3), 3),
+    (nd.augment_blocks([3, 3, 3, 3], 3), 3),
+])
+def test_canonical_representative_matches_pure_python_orbit_min(net, m):
+    group = nd.find_automorphisms(net)
+    rng = np.random.default_rng(11)
+    designs = [tuple(int(v) for v in row)
+               for row in rng.integers(1, m + 1, size=(200, net.n_design))]
+    assert [group.canonical_representative(x) for x in designs] == \
+        oracle_orbit_minima(group, designs)
 
 
 def test_canonical_representative_is_orbit_min(path312, examples):

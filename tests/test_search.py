@@ -6,12 +6,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
+from netdesign import search
 from netdesign.lnem import DesignEvaluator, ModelSpec
 from netdesign.search import SearchConfig, _start_design
 
-from helpers import stirling2
+from helpers import oracle_outcomes, oracle_report, report_fields, stirling2
 
 
 def cfg(**kw) -> SearchConfig:
@@ -156,6 +158,100 @@ def test_workers_bit_identical_with_budget(examples):
     r2 = nd.exhaustive_search(examples[1], spec, cfg(workers=3, max_designs=100))
     assert r1.to_json(exclude_wall_time=True) == r2.to_json(exclude_wall_time=True)
     assert r1.partial
+
+
+@pytest.mark.parametrize("key,m,budgets", [
+    (("blocks", (3, 3, 3), 3), 3, (None, 500)),
+    # two canonical designs tie at the optimum, 296 stream places apart
+    (("ex", 1), 3, (None,)),
+])
+def test_workers_bit_identical_nontrivial_group(report_cache, monkeypatch,
+                                                key, m, budgets):
+    net = report_cache.network(key)
+    spec = ModelSpec.for_network(net, m)
+    # small chunks make the pool merge many of them
+    monkeypatch.setattr(search, "_CHUNK_DESIGNS", 16)
+    for budget in budgets:
+        blobs = {nd.exhaustive_search(net, spec, cfg(workers=w, max_designs=budget))
+                 .to_json(exclude_wall_time=True) for w in (1, 2, 3)}
+        assert len(blobs) == 1
+
+
+# ------------------------------------------- pruned walk vs an independent loop
+
+@pytest.mark.parametrize("key,m", [
+    (("blocks", (3, 3, 3), 3), 3), (("rowcol", 3, 3, 3), 3),
+    (("ex", 1), 2), (("ex", 4), 2),
+])
+def test_pruned_search_matches_oracle(report_cache, key, m):
+    expected = oracle_report(oracle_outcomes(report_cache.network(key), m, True))
+    assert report_fields(report_cache.exhaustive(key, m, True)) == expected
+
+
+def test_pruned_search_matches_oracle_without_label_symmetry(path312):
+    spec = ModelSpec.for_network(path312, 2)
+    report = nd.exhaustive_search(path312, spec, cfg(use_label_symmetry=False))
+    assert report_fields(report) == oracle_report(
+        oracle_outcomes(path312, 2, False))
+
+
+def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
+    # budgets 1..3281 cover every cut point of the stream, including cuts
+    # inside subtrees closed by a prefix test.  The group, its prefix test
+    # and the criterion are memoized across the runs; the unbudgeted
+    # comparison above checks their answers against the oracle.
+    key = ("blocks", (3, 3, 3), 3)
+    net = report_cache.network(key)
+    spec = ModelSpec.for_network(net, 3)
+    outcomes = oracle_outcomes(net, 3, True)
+    group = nd.find_automorphisms(net)
+    prefix_test = group.prefix_has_smaller_image
+    evaluate = DesignEvaluator.value
+    tested: dict = {}
+    values: dict = {}
+
+    def memo_prefix_test(x, length):
+        key = tuple(x[:length])
+        if key not in tested:
+            tested[key] = prefix_test(x, length)
+        return tested[key]
+
+    def memo_value(self, x):
+        if x not in values:
+            values[x] = evaluate(self, x)
+        return values[x]
+
+    group.prefix_has_smaller_image = memo_prefix_test
+    monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
+    monkeypatch.setattr(DesignEvaluator, "value", memo_value)
+    for budget in range(1, len(outcomes) + 1):
+        report = nd.exhaustive_search(net, spec, cfg(max_designs=budget))
+        assert report_fields(report) == oracle_report(outcomes, budget), budget
+
+
+@st.composite
+def small_networks(draw):
+    """(network, m): a one-way block layout or a graph on at most 6 nodes."""
+    m = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return nd.augment_blocks(sizes, m), m
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return nd.parse_edge_list(", ".join(f"{i}-{j}" for i, j in edges), n), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_networks(), st.booleans(), st.integers(1, 300) | st.none())
+def test_pruned_search_matches_oracle_on_random_networks(case, symmetry, budget):
+    net, m = case
+    spec = ModelSpec.for_network(net, m)
+    report = nd.exhaustive_search(net, spec, cfg(use_label_symmetry=symmetry,
+                                                 max_designs=budget))
+    assert report_fields(report) == oracle_report(
+        oracle_outcomes(net, m, symmetry), budget)
+    assert_counter_identity(report)
 
 
 # ---------------------------------------------------------- coordinate descent
