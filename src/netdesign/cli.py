@@ -163,27 +163,46 @@ def cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_t1(args, writer) -> None:
-    writer.writerow(["example", "n", "m", "automorphisms",
-                     "evals_without", "evals_with", "invalid_without",
-                     "time_without", "time_with",
-                     "ref_automorphisms", "ref_evals_without", "ref_evals_with",
-                     "delta_evals_without", "delta_evals_with"])
-    for k in args.examples:
-        net = example_network(k)
-        m = _T1_TREATMENTS[k]
+def _reproduce_pruning(args, writer, rows, first_column: str,
+                       with_invalid: bool) -> None:
+    """Tables t1 and t4: per network, exhaustive search without and with
+    automorphism pruning against the reference (z, evals_without,
+    evals_with); t1 also reports the invalid count of the unpruned run."""
+    writer.writerow([first_column, "n", "m", "automorphisms",
+                     "evals_without", "evals_with"]
+                    + ["invalid_without"] * with_invalid
+                    + ["time_without", "time_with",
+                       "ref_automorphisms", "ref_evals_without", "ref_evals_with",
+                       "delta_evals_without", "delta_evals_with"])
+    for label, net, m, (ref_z, ref_wo, ref_w) in rows:
         spec = ModelSpec.for_network(net, m)
         group = find_automorphisms(net)
         base = SearchConfig(seed=args.seed, workers=args.workers)
-        without = run_search(net, spec, _replace(base, use_automorphisms=False))
+        without = run_search(net, spec, dataclasses.replace(
+            base, use_automorphisms=False))
         with_ = run_search(net, spec, base)
-        _, _, ref_wo, ref_w, _, _ = _T1_REFERENCE[k]
-        ref_n, ref_z = _T1_REFERENCE[k][0], _T1_REFERENCE[k][1]
-        writer.writerow([k, net.n_total, m, group.size,
-                         without.num_eval, with_.num_eval, without.num_invalid,
-                         round(without.wall_time, 3), round(with_.wall_time, 3),
-                         ref_z, ref_wo, ref_w,
-                         without.num_eval - ref_wo, with_.num_eval - ref_w])
+        writer.writerow([label, net.n_total, m, group.size,
+                         without.num_eval, with_.num_eval]
+                        + [without.num_invalid] * with_invalid
+                        + [round(without.wall_time, 3), round(with_.wall_time, 3),
+                           ref_z, ref_wo, ref_w,
+                           without.num_eval - ref_wo, with_.num_eval - ref_w])
+
+
+def _t1_rows(args):
+    for k in args.examples:
+        _, ref_z, ref_wo, ref_w, _, _ = _T1_REFERENCE[k]
+        yield k, example_network(k), _T1_TREATMENTS[k], (ref_z, ref_wo, ref_w)
+
+
+def _t4_rows(args):
+    for label, (kind, dims), m, ref, slow in _T4_ROWS:
+        if slow and not args.all:
+            continue
+        if kind == "blocks":
+            yield label, augment_blocks(list(dims), m), m, ref
+        else:
+            yield label, augment_row_column(dims[0], dims[1], m), m, ref
 
 
 def _reproduce_t2(args, writer) -> None:
@@ -210,36 +229,6 @@ def _reproduce_t2(args, writer) -> None:
                          None if eff is None else round(eff - ref, 6)])
 
 
-def _reproduce_t4(args, writer) -> None:
-    writer.writerow(["structure", "n", "m", "automorphisms",
-                     "evals_without", "evals_with",
-                     "time_without", "time_with",
-                     "ref_automorphisms", "ref_evals_without", "ref_evals_with",
-                     "delta_evals_without", "delta_evals_with"])
-    for label, (kind, dims), m, ref, slow in _T4_ROWS:
-        if slow and not args.all:
-            continue
-        if kind == "blocks":
-            net = augment_blocks(list(dims), m)
-        else:
-            net = augment_row_column(dims[0], dims[1], m)
-        spec = ModelSpec.for_network(net, m)
-        group = find_automorphisms(net)
-        base = SearchConfig(seed=args.seed, workers=args.workers)
-        without = run_search(net, spec, _replace(base, use_automorphisms=False))
-        with_ = run_search(net, spec, base)
-        ref_z, ref_wo, ref_w = ref
-        writer.writerow([label, net.n_total, m, group.size,
-                         without.num_eval, with_.num_eval,
-                         round(without.wall_time, 3), round(with_.wall_time, 3),
-                         ref_z, ref_wo, ref_w,
-                         without.num_eval - ref_wo, with_.num_eval - ref_w])
-
-
-def _replace(config: SearchConfig, **kw) -> SearchConfig:
-    return dataclasses.replace(config, **kw)
-
-
 def cmd_reproduce(args) -> int:
     if args.examples is None:
         args.examples = [1, 2, 3, 4, 5, 6]
@@ -247,11 +236,11 @@ def cmd_reproduce(args) -> int:
         args.examples = [int(s) for s in args.examples.split(",") if s]
     writer = csv.writer(sys.stdout)
     if args.table == "t1":
-        _reproduce_t1(args, writer)
+        _reproduce_pruning(args, writer, _t1_rows(args), "example", True)
     elif args.table == "t2":
         _reproduce_t2(args, writer)
     else:
-        _reproduce_t4(args, writer)
+        _reproduce_pruning(args, writer, _t4_rows(args), "structure", False)
     return EXIT_OK
 
 

@@ -11,6 +11,13 @@ The default criterion is the average variance of all pairwise treatment
 effect differences, computed from a generalized inverse of F'F.  Designs for
 which some pairwise contrast is not estimable evaluate to INVALID, returned
 as None; lower values are better.
+
+There is one criterion kernel: it takes a stack of information matrices,
+runs one batched eigendecomposition and evaluates the whole stack with
+stacked array operations.  `DesignEvaluator.values` feeds it a chunk of
+designs (exhaustive search's batch); `DesignEvaluator.value` and
+`evaluate_criterion` are its one-matrix calls, with the same result bit for
+bit.
 """
 
 from __future__ import annotations
@@ -75,9 +82,10 @@ class ModelSpec:
 
 
 @lru_cache(maxsize=128)
-def _pair_contrasts(m: int, p: int) -> np.ndarray:
+def _pair_contrasts(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows c for every treatment difference j < l (effect l == m is the
-    pinned zero, so that column is absent)."""
+    pinned zero, so that column is absent), and per row the estimability
+    tolerance RANK_TOL * |c| on the residual norm."""
     rows = []
     for j in range(1, m):
         for l in range(j + 1, m + 1):
@@ -87,8 +95,10 @@ def _pair_contrasts(m: int, p: int) -> np.ndarray:
                 c[l] = -1.0
             rows.append(c)
     out = np.array(rows)
+    tol = RANK_TOL * np.linalg.norm(out, axis=1)
     out.setflags(write=False)
-    return out
+    tol.setflags(write=False)
+    return out, tol
 
 
 def _canonicalize_nuisance(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
@@ -138,9 +148,11 @@ def _rank_keys(keys: dict) -> dict:
 class DesignEvaluator:
     """Reusable criterion evaluator for one (network, spec) pair.
 
-    Precomputes the measurable-row slice of the adjacency matrix and the
-    fixed block pseudo-treatments so that evaluating one design is a handful
-    of small dense operations.
+    Precomputes the design-node columns of the measurable rows of the
+    adjacency matrix and the network-effect counts contributed by the fixed
+    block pseudo-treatments.  `values` evaluates a whole chunk of designs
+    with one batched eigendecomposition; `value` is its one-design case, and
+    both give bit-identical results for the same design.
     """
 
     def __init__(self, net: Network, spec: ModelSpec):
@@ -149,34 +161,49 @@ class DesignEvaluator:
                              f"block treatments, network has {net.n_blocks}")
         self.net = net
         self.spec = spec
-        meas = np.array(net.design_nodes, dtype=np.int64)
-        self._meas = meas
-        self._a_meas = net.adjacency[meas, :].astype(np.float64)
-        t = np.zeros(net.n_total, dtype=np.int64)
-        for b in net.block_nodes:
-            t[b] = net.roles[b].fixed_treatment
-        self._t_template = t
+        a_meas = net.adjacency[list(net.design_nodes), :].astype(np.float64)
+        self._onehot_rows = np.eye(spec.total_treatments)
+        self._a_design = a_meas[:, list(net.design_nodes)]
+        fixed = [net.roles[b].fixed_treatment - 1 for b in net.block_nodes]
+        self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
+                              @ self._onehot_rows[fixed])
+
+    def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
+        """Model matrices of the (B, d) designs `xs`, shape (B, d, p): one
+        one-hot gather and one broadcast matmul for the whole batch."""
+        m = self.spec.m
+        onehot = self._onehot_rows[xs - 1]
+        f = np.empty((len(xs), xs.shape[1], self.spec.n_params))
+        f[:, :, 0] = 1.0
+        f[:, :, 1:m] = onehot[:, :, :m - 1]
+        np.matmul(self._a_design, onehot, out=f[:, :, m:])
+        f[:, :, m:] += self._gamma_blocks
+        return f
 
     def model_matrix(self, x: Sequence[int]) -> np.ndarray:
         """Rows: measurable nodes in ascending node order.  Columns:
         intercept, treatment indicators 1..m-1, then network-effect counts
         for every treatment 1..total_treatments."""
-        spec = self.spec
-        n = self.net.n_total
-        t = self._t_template.copy()
-        t[self._meas] = np.asarray(x, dtype=np.int64)
-        onehot = np.zeros((n, spec.total_treatments))
-        onehot[np.arange(n), t - 1] = 1.0
-        gamma = self._a_meas @ onehot
-        f = np.empty((len(self._meas), spec.n_params))
-        f[:, 0] = 1.0
-        f[:, 1:spec.m] = onehot[self._meas, :spec.m - 1]
-        f[:, spec.m:] = gamma
-        return f
+        return self._model_matrices(np.asarray(x, dtype=np.int64)[None, :])[0]
 
     def value(self, x: Sequence[int]) -> float | None:
         f = self.model_matrix(x)
         return evaluate_criterion(f.T @ f, self.spec)
+
+    def values(self, designs: Sequence[Sequence[int]]) -> list[float | None]:
+        """Criterion values of a chunk of designs (one per row of a (B, d)
+        batch), each equal bit for bit to `value` of that design alone."""
+        xs = np.asarray(designs, dtype=np.int64)
+        xs = xs.reshape(len(designs), self.net.n_design)
+        return _criterion_values(self._information_matrices(xs), self.spec)
+
+    def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
+        """F'F of each design of the batch, nuisance coordinates canonical."""
+        f = self._model_matrices(xs)
+        info = f.transpose(0, 2, 1) @ f
+        if self.spec.block_classes:
+            info = np.stack([_canonicalize_nuisance(a, self.spec) for a in info])
+        return info
 
 
 def build_model_matrix(net: Network, x: Sequence[int], spec: ModelSpec) -> np.ndarray:
@@ -207,27 +234,47 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
         raise ValueError(f"information matrix shape {info.shape}, expected {(p, p)}")
     if spec.block_classes:
         info = _canonicalize_nuisance(info, spec)
+    return _criterion_values(info[None, :, :], spec)[0]
+
+
+def _criterion_values(info: np.ndarray, spec: ModelSpec) -> list[float | None]:
+    """`evaluate_criterion` of each matrix of a (B, p, p) stack whose
+    nuisance coordinates are already canonical, with one batched eigh.
+    Eigenvalues come back ascending, so the kept eigenvectors of a matrix
+    are a suffix v[:, k:]; matrices are grouped by k and each group's
+    estimability test and criterion run as stacked operations.  Every
+    matrix gets the same floating-point operations whatever else is in the
+    stack, so its value does not depend on the chunk it came in."""
     w, v = np.linalg.eigh(info)
-    wmax = w[-1]
-    if wmax <= 0:
-        return None
-    keep = w > RANK_TOL * wmax
-    vr = v[:, keep]
-    contrasts = _pair_contrasts(spec.m, p)
-    cv = contrasts @ vr
-    resid = contrasts - cv @ vr.T
-    bad = (np.linalg.norm(resid, axis=1)
-           > RANK_TOL * np.linalg.norm(contrasts, axis=1))
-    if bad.any():
-        return None
-    if spec.criterion == "As":
-        variances = (cv * cv / w[keep]).sum(axis=1)
-        return float(variances.mean() * spec.sigma2)
-    basis = np.zeros((spec.m - 1, p))
-    basis[np.arange(spec.m - 1), np.arange(1, spec.m)] = 1.0
-    bv = basis @ vr
-    cov = (bv / w[keep]) @ bv.T
-    return float(np.linalg.det(cov) * spec.sigma2 ** (spec.m - 1))
+    contrasts, tol = _pair_contrasts(spec.m, spec.n_params)
+    # k: the eigenvalues at or below RANK_TOL times the largest; all p of
+    # them (INVALID) exactly when the largest is not positive
+    ks = (w <= RANK_TOL * w[:, -1:]).sum(axis=1)
+    out: list[float | None] = [None] * len(ks)
+    distinct = set(ks.tolist())
+    for k in distinct - {spec.n_params}:
+        # a single k (always so for one matrix) takes every row without a
+        # gather; vr is made contiguous either way, so that the BLAS calls
+        # see one memory layout
+        rows = slice(None) if len(distinct) == 1 else (ks == k).nonzero()[0]
+        vr = np.ascontiguousarray(v[rows, :, k:])
+        wr = w[rows, None, k:]
+        cv = contrasts @ vr
+        resid = contrasts - cv @ vr.transpose(0, 2, 1)
+        bad = np.sqrt(np.add.reduce(resid * resid, axis=2)) > tol
+        if spec.criterion == "As":
+            variances = np.add.reduce(cv * cv / wr, axis=2)
+            vals = np.add.reduce(variances, axis=1) / len(contrasts) * spec.sigma2
+        else:
+            bv = vr[:, 1:spec.m, :]
+            vals = (np.linalg.det((bv / wr) @ bv.transpose(0, 2, 1))
+                    * spec.sigma2 ** (spec.m - 1))
+        index = range(len(ks)) if len(distinct) == 1 else rows.tolist()
+        for row, is_bad, val in zip(index, bad.any(axis=1).tolist(),
+                                    vals.tolist()):
+            if not is_bad:
+                out[row] = val
+    return out
 
 
 def criterion_for_design(net: Network, x: Sequence[int],

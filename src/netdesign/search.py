@@ -15,6 +15,10 @@ gating every design one by one.  Coordinate descent never skips
 candidates; instead the evaluation cache is keyed by orbit representative so
 equivalent designs are computed once.
 
+Exhaustive search evaluates its canonical designs in chunks of
+_CHUNK_DESIGNS, one batched criterion call (`DesignEvaluator.values`) per
+chunk, in one chunk loop: the serial path runs it over the whole stream and
+each pool worker runs it over the chunks it is sent, so serial = worker.
 All searches are deterministic given the seed, including under the
 multi-process mode (`workers > 1`), which partitions work but merges
 counters and ties in a fixed order.
@@ -36,7 +40,8 @@ from .lnem import Design, DesignEvaluator, ModelSpec
 from .network import Network
 
 _SAFETY_BUDGET = 10_000_000
-_CHUNK_DESIGNS = 4096
+# designs per batched evaluation, and per task sent to a pool worker
+_CHUNK_DESIGNS = 256
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -266,33 +271,29 @@ class _Stream:
                 yield x
 
 
-def _process_design(x: Design, ev: DesignEvaluator,
-                    group: AutomorphismGroup | None,
-                    counters: _Counters) -> float | None:
-    """Shared step: canonicity gate, evaluation and counter updates.  Returns
-    the criterion value when the design was evaluated and estimable, else
-    None."""
-    counters.considered += 1
-    if group is not None and not group.is_canonical(x):
-        counters.skipped += 1
-        return None
-    value = ev.value(x)
-    if value is None:
-        counters.invalid += 1
-        return None
-    counters.evals += 1
-    return value
+def _chunked(stream: Iterator[Design], size: int) -> Iterator[list[Design]]:
+    while True:
+        chunk = list(itertools.islice(stream, size))
+        if not chunk:
+            return
+        yield chunk
 
 
 def _scan(designs: Iterable[Design], ev: DesignEvaluator,
           counters: _Counters) -> tuple[float | None, Design | None]:
-    """Evaluate canonical designs in order; the best value goes to the
-    earliest design reaching it."""
+    """Evaluate canonical designs in order, _CHUNK_DESIGNS per batched
+    kernel call; the best value goes to the earliest design reaching it.
+    The serial path and every pool worker run this same loop."""
     best_value = best_design = None
-    for x in designs:
-        value = _process_design(x, ev, None, counters)
-        if _better(value, best_value):
-            best_value, best_design = value, x
+    for chunk in _chunked(iter(designs), _CHUNK_DESIGNS):
+        values = ev.values(chunk)
+        counters.considered += len(chunk)
+        invalid = values.count(None)
+        counters.invalid += invalid
+        counters.evals += len(chunk) - invalid
+        for x, value in zip(chunk, values):
+            if _better(value, best_value):
+                best_value, best_design = value, x
     return best_value, best_design
 
 
@@ -307,14 +308,6 @@ def _exhaustive_worker_chunk(designs: list[Design]):
     counters = _Counters()
     value, design = _scan(designs, _worker_state["ev"], counters)
     return counters, value, design
-
-
-def _chunked(stream: Iterator[Design], size: int) -> Iterator[list[Design]]:
-    while True:
-        chunk = list(itertools.islice(stream, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 def _exhaustive_parallel(stream: Iterable[Design], net: Network,
@@ -333,7 +326,6 @@ def _exhaustive_parallel(stream: Iterable[Design], net: Network,
                 best_value, best_design = value, design
             counters.considered += chunk_counters.considered
             counters.evals += chunk_counters.evals
-            counters.skipped += chunk_counters.skipped
             counters.invalid += chunk_counters.invalid
     return best_value, best_design
 
@@ -522,7 +514,14 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     partial = False
     x = next_fn(xs, ds)
     while x is not None:
-        value = _process_design(x, ev, group, counters)
+        counters.considered += 1
+        if group is not None and not group.is_canonical(x):
+            counters.skipped += 1
+            value = None
+        else:
+            value = ev.value(x)
+            counters.invalid += value is None
+            counters.evals += value is not None
         if _better(value, best_value):
             best_value, best_design = value, x
         xs.append(x)

@@ -4,11 +4,13 @@ value must match the library's bit for bit."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
 
 import netdesign as nd
+from netdesign.lnem import _canonicalize_nuisance
 
 
 def oracle_value(net: nd.Network, x, m: int) -> float | None:
@@ -137,3 +139,108 @@ def report_fields(report: nd.SearchReport) -> dict:
     return {key: getattr(report, key) for key in (
         "num_considered", "num_skipped_noncanonical", "num_invalid",
         "num_eval", "num_cache_hits", "best_value", "best_design", "partial")}
+
+
+def oracle_model_matrix(net: nd.Network, x, m: int) -> np.ndarray:
+    """The model matrix rebuilt from the network's adjacency and block roles
+    without `netdesign.lnem`.  Rows: design nodes in ascending order.
+    Columns: intercept, own treatment indicators 1..m-1, then per treatment
+    1..T (block pseudo-treatments included) the number of linked nodes
+    carrying it.  Every entry is a small integer."""
+    n_treat = m + len(net.block_nodes)
+    treat = np.zeros(net.n_total, dtype=np.int64)
+    treat[list(net.design_nodes)] = x
+    for b in net.block_nodes:
+        treat[b] = net.roles[b].fixed_treatment
+    carries = np.zeros((net.n_total, n_treat))
+    carries[np.arange(net.n_total), treat - 1] = 1.0
+    rows = list(net.design_nodes)
+    return np.hstack([np.ones((len(rows), 1)), carries[rows, :m - 1],
+                      np.asarray(net.adjacency, dtype=np.float64)[rows] @ carries])
+
+
+def frozen_criterion(info: np.ndarray, spec: nd.ModelSpec) -> float | None:
+    """Regression reference, not an oracle: the per-design criterion as it
+    was computed before evaluation was batched (one eigh per matrix, norms
+    recomputed per call).  Batched evaluation must reproduce it bit for
+    bit, so it keeps the exact sequence of floating-point operations."""
+    info = np.asarray(info, dtype=np.float64)
+    p = spec.n_params
+    if spec.block_classes:
+        info = _canonicalize_nuisance(info, spec)
+    w, v = np.linalg.eigh(info)
+    wmax = w[-1]
+    if wmax <= 0:
+        return None
+    keep = w > nd.RANK_TOL * wmax
+    vr = v[:, keep]
+    rows = []
+    for j in range(1, spec.m):
+        for l in range(j + 1, spec.m + 1):
+            c = np.zeros(p)
+            c[j] = 1.0
+            if l < spec.m:
+                c[l] = -1.0
+            rows.append(c)
+    contrasts = np.array(rows)
+    cv = contrasts @ vr
+    resid = contrasts - cv @ vr.T
+    bad = (np.linalg.norm(resid, axis=1)
+           > nd.RANK_TOL * np.linalg.norm(contrasts, axis=1))
+    if bad.any():
+        return None
+    if spec.criterion == "As":
+        variances = (cv * cv / w[keep]).sum(axis=1)
+        return float(variances.mean() * spec.sigma2)
+    basis = np.zeros((spec.m - 1, p))
+    basis[np.arange(spec.m - 1), np.arange(1, spec.m)] = 1.0
+    bv = basis @ vr
+    cov = (bv / w[keep]) @ bv.T
+    return float(np.linalg.det(cov) * spec.sigma2 ** (spec.m - 1))
+
+
+def _echelon(rows) -> list[tuple[int, list[tuple[int, Fraction]]]]:
+    """Row echelon form of integer rows by Gaussian elimination over
+    `fractions.Fraction`: per nonzero row, its pivot column and its nonzero
+    entries (column, value), scaled so that the pivot is 1."""
+    basis: list[tuple[int, list[tuple[int, Fraction]]]] = []
+    for row in rows:
+        r = _reduce([Fraction(int(v)) for v in row], basis)
+        pivot = next((j for j, v in enumerate(r) if v), None)
+        if pivot is not None:
+            basis.append((pivot, [(j, v / r[pivot]) for j, v in enumerate(r)
+                                  if v]))
+    return basis
+
+
+def _reduce(row: list[Fraction], basis) -> list[Fraction]:
+    """The row minus its components along the echelon rows: zero exactly
+    when the row lies in their span."""
+    row = list(row)
+    for pivot, entries in basis:
+        factor = row[pivot]
+        if factor:
+            for j, v in entries:
+                row[j] -= factor * v
+    return row
+
+
+def exact_estimable(net: nd.Network, x, m: int) -> bool:
+    """Whether every pairwise treatment contrast is estimable under design
+    x, decided in exact arithmetic on the integer F'F: c is estimable iff
+    rank([F'F; c]) equals rank(F'F), that is iff c reduces to zero against
+    the echelon form of F'F.  Uses neither the library's model matrix nor
+    any floating-point tolerance."""
+    f = oracle_model_matrix(net, x, m)
+    info = np.rint(f.T @ f).astype(np.int64)
+    basis = _echelon(info.tolist())
+    p = info.shape[0]
+    for j in range(1, m):
+        for l in range(j + 1, m + 1):
+            c = [Fraction(0)] * p
+            c[j] = Fraction(1)
+            if l < m:
+                c[l] = Fraction(-1)
+            if any(_reduce(c, basis)):
+                return False
+    return True

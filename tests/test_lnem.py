@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 import netdesign as nd
 from netdesign.lnem import DesignEvaluator, ModelSpec, _canonicalize_nuisance
 
-from helpers import oracle_value
+from helpers import (exact_estimable, frozen_criterion, oracle_model_matrix,
+                     oracle_value)
 
 
 def test_model_matrix_path_worked_example(path312):
@@ -281,3 +282,70 @@ def test_model_spec_validation(path312):
         nd.criterion_for_design(path312, (1, 2), spec)
     with pytest.raises(ValueError):
         nd.criterion_for_design(path312, (1, 2, 5), spec)
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize("key,m,criterion", [
+    (("ex", 2), 4, "As"),
+    (("blocks", (3, 3, 3), 3), 3, "As"),
+    (("rowcol", 3, 3, 3), 3, "As"),
+    (("ex", 1), 3, "Ds"),
+])
+def test_batched_values_match_frozen_per_design_path(report_cache, key, m,
+                                                     criterion):
+    # every label-canonical design gets the frozen per-design value bit for
+    # bit, alone, in chunks of 7 and in shuffled chunks of 256
+    net = report_cache.network(key)
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    ev = DesignEvaluator(net, spec)
+    designs = list(nd.enumerate_designs(net.n_design, m))
+    infos = []
+    ranks = []
+    for x in designs:
+        f = oracle_model_matrix(net, x, m)
+        infos.append(f.T @ f)
+        ranks.append(np.linalg.matrix_rank(f))
+    expected = [_bits(frozen_criterion(info, spec)) for info in infos]
+    assert [_bits(ev.value(x)) for x in designs] == expected
+    sevens = [range(i, min(i + 7, len(designs)))
+              for i in range(0, len(designs), 7)]
+    order = np.random.default_rng(53).permutation(len(designs)).tolist()
+    shuffled = [order[i:i + 256] for i in range(0, len(designs), 256)]
+    for chunks in (sevens, shuffled):
+        got = [None] * len(designs)
+        mixed = 0
+        for chunk in chunks:
+            for i, value in zip(chunk, ev.values([designs[i] for i in chunk])):
+                got[i] = _bits(value)
+            mixed += (len({ranks[i] for i in chunk}) > 1
+                      and any(expected[i] is None for i in chunk))
+        assert got == expected
+        # chunks holding designs of several ranks, some of them invalid, so
+        # the kernel's grouping by rank is exercised
+        assert mixed > 0
+
+
+@pytest.mark.parametrize("key,m", [
+    ("path312", 2), (("ex", 1), 2), (("blocks", (3, 3, 3), 3), 3),
+    (("rowcol", 3, 3, 3), 3),
+])
+def test_kernel_invalid_exactly_when_not_estimable(report_cache, path312,
+                                                   key, m):
+    # audits every RANK_TOL decision against exact rational arithmetic
+    net = path312 if key == "path312" else report_cache.network(key)
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
+    designs = nd.enumerate_designs(net.n_design, m)
+    invalid = 0
+    while chunk := list(islice(designs, 256)):
+        for x, value in zip(chunk, ev.values(chunk)):
+            assert (value is None) == (not exact_estimable(net, x, m)), x
+            invalid += value is None
+    assert invalid > 0
+
+
+def test_values_of_an_empty_chunk(path312):
+    ev = DesignEvaluator(path312, ModelSpec.for_network(path312, 2))
+    assert ev.values([]) == []
