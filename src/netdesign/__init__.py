@@ -26,7 +26,6 @@ from .automorph import (
     count_orbits_bruteforce,
     cycle_notation,
     find_automorphisms,
-    is_canonical,
 )
 from .lnem import (
     Design,
@@ -36,7 +35,6 @@ from .lnem import (
     build_model_matrix,
     criterion_for_design,
     evaluate_criterion,
-    information_matrix,
 )
 from .search import (
     SearchConfig,
@@ -80,8 +78,6 @@ __all__ = [
     "find_automorphisms",
     "fixture_dir",
     "format_edge_list",
-    "information_matrix",
-    "is_canonical",
     "load_network_file",
     "parse_edge_list",
     "parse_network",

@@ -108,11 +108,6 @@ class AutomorphismGroup:
             self._columns = cols
         return self._columns
 
-    def _inverse_position_maps(self) -> np.ndarray:
-        """(z, d) view of the position columns: the permuted design under
-        element k is x[M[k]]."""
-        return self._position_columns().T
-
     def _design_list(self, x: Sequence[int]) -> list[int]:
         xs = list(map(int, x))
         d = self.network.n_design
@@ -124,7 +119,7 @@ class AutomorphismGroup:
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
         x_arr = np.asarray(x, dtype=np.int64)
-        return x_arr[self._inverse_position_maps()]
+        return x_arr[self._position_columns().T]
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
@@ -267,10 +262,6 @@ def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> Automor
     return AutomorphismGroup(found, net)
 
 
-def is_canonical(x: Sequence[int], group: AutomorphismGroup) -> bool:
-    return group.is_canonical(x)
-
-
 def count_orbits_bruteforce(net: Network, m: int,
                             group: AutomorphismGroup | None = None,
                             max_space: int = 10_000_000) -> int:
@@ -283,7 +274,7 @@ def count_orbits_bruteforce(net: Network, m: int,
     space = m ** d
     if space > max_space:
         raise ValueError(f"design space {m}^{d} exceeds {max_space}")
-    maps = group._inverse_position_maps()
+    maps = group._position_columns().T
     powers = (m ** np.arange(d - 1, -1, -1)).astype(np.int64)
     seen = bytearray(space)
     count = 0

@@ -201,7 +201,7 @@ class DesignEvaluator:
         """F'F of each design of the batch, nuisance coordinates canonical."""
         f = self._model_matrices(xs)
         info = f.transpose(0, 2, 1) @ f
-        if self.spec.block_classes:
+        if self.spec.block_classes and len(info):
             info = np.stack([_canonicalize_nuisance(a, self.spec) for a in info])
         return info
 
@@ -209,13 +209,6 @@ class DesignEvaluator:
 def build_model_matrix(net: Network, x: Sequence[int], spec: ModelSpec) -> np.ndarray:
     _validate_design(net, x, spec)
     return DesignEvaluator(net, spec).model_matrix(x)
-
-
-def information_matrix(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.size == 0:
-        raise ValueError("model matrix is empty")
-    return f.T @ f
 
 
 def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:

@@ -6,32 +6,30 @@ orbit, then let a `next` rule pick the following candidate until a `stop`
 rule fires.  Two instantiations ship here: exhaustive lexicographic search
 (optionally restricted to label-canonical designs, where the first occurrence
 of treatment j precedes the first occurrence of j+1) and cyclic coordinate
-descent with seeded random restarts.  When the automorphism group is
-non-trivial, exhaustive search walks its stream depth first and tests each
-prefix: a prefix that some automorphism maps to a smaller one has no
-canonical completion, so its whole subtree is counted as considered and
-skipped without being enumerated.  The counters therefore equal those of
-gating every design one by one.  Coordinate descent never skips
-candidates; instead the evaluation cache is keyed by orbit representative so
-equivalent designs are computed once.
+descent with seeded random restarts.
 
-Exhaustive search evaluates its canonical designs in chunks of
-_CHUNK_DESIGNS, one batched criterion call (`DesignEvaluator.values`) per
-chunk, in one chunk loop: the serial path runs it over the whole stream and
-each pool worker runs it over the chunks it is sent, so serial = worker.
-All searches are deterministic given the seed, including under the
-multi-process mode (`workers > 1`), which partitions work but merges
-counters and ties in a fixed order.
+Exhaustive search walks its stream with one odometer (`_segments`) that,
+under a non-trivial group, closes the subtree of any prefix that some
+automorphism maps to a smaller one: those designs are counted as considered
+and skipped, so every counter equals that of gating each design.  Coordinate
+descent never skips; its cache is keyed by orbit representative instead.
+Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
+evaluated _CHUNK_DESIGNS per batched `DesignEvaluator.values` call, or
+restarts.  One worker runs them in this process, more run the same code on a
+fork pool, and results merge in task order, so reports do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, asdict
-from typing import Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass, fields
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,8 +38,11 @@ from .lnem import Design, DesignEvaluator, ModelSpec
 from .network import Network
 
 _SAFETY_BUDGET = 10_000_000
-# designs per batched evaluation, and per task sent to a pool worker
+# designs per batched criterion call
 _CHUNK_DESIGNS = 256
+# exhaustive subtree tasks planned per pool worker, so that uneven subtrees
+# even out across the pool
+_TASKS_PER_WORKER = 8
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -72,6 +73,10 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.max_designs is not None and self.max_designs < 1:
+            raise ValueError("max_designs must be at least 1")
+        if self.max_group_size < 1:
+            raise ValueError("max_group_size must be at least 1")
 
 
 @dataclass
@@ -113,11 +118,66 @@ class SearchReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def _check_stream_shape(n_design_nodes: int, m: int) -> None:
-    if m < 2:
-        raise ValueError("need at least two treatments")
-    if n_design_nodes < 1:
-        raise ValueError("need at least one design node")
+def _subtree_sizes(n: int, m: int, use_label_symmetry: bool) -> list[list[int]]:
+    """sizes[r][k]: the number of stream designs that complete a prefix with
+    r positions left to fill and largest label k so far.  Label-canonical
+    completions follow N(r, k) = k N(r-1, k) + N(r-1, k+1), with no label
+    past m; without label symmetry every prefix has m^r completions."""
+    sizes = [[1] * (m + 1)]
+    for r in range(1, n + 1):
+        prev = sizes[-1]
+        if use_label_symmetry:
+            sizes.append([k * prev[k] + (prev[k + 1] if k < m else 0)
+                          for k in range(m + 1)])
+        else:
+            sizes.append([m ** r] * (m + 1))
+    return sizes
+
+
+def _segments(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
+              m: int, use_label_symmetry: bool
+              ) -> Iterator[tuple[int, Design | None]]:
+    """The stream designs that start with `prefix`, in lexicographic order,
+    as segments (size, design): (1, x) for a design to evaluate, or
+    (size, None) for `size` consecutive designs none of which is canonical.
+    With a non-trivial group the odometer tests each prefix it reaches, the
+    given one first; a prefix that some element maps to a smaller one closes
+    its subtree unvisited.  At length n the test is exact."""
+    if m < 2 or n < 1:
+        raise ValueError("need at least two treatments and one design node")
+    test = group is not None and group.size > 1
+    sizes = _subtree_sizes(n, m, use_label_symmetry) if test else None
+    start, last, free = len(prefix), n - 1, not use_label_symmetry
+    x = list(prefix) + [1] * (n - start)
+    top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
+    fresh = max(start - 1, 0)  # from here on, prefixes are untested
+    while True:
+        q = last  # the position to advance next
+        if test:
+            for q in range(fresh, n):
+                if group.prefix_has_smaller_image(x, q + 1):
+                    yield sizes[last - q][top[q + 1]], None
+                    break
+            else:
+                yield 1, tuple(x)
+        else:
+            yield 1, tuple(x)
+        # advance the deepest position at or above q that can still grow
+        while q >= start:
+            v = x[q]
+            if v < m and (free or v <= top[q]):
+                break
+            q -= 1
+        else:
+            return
+        v = x[q] = x[q] + 1
+        t = top[q] if top[q] > v else v
+        top[q + 1] = t
+        if q < last:
+            for i in range(q + 1, n):
+                x[i] = 1
+                top[i + 1] = t
+        fresh = q
 
 
 def enumerate_designs(n_design_nodes: int, m: int,
@@ -127,30 +187,10 @@ def enumerate_designs(n_design_nodes: int, m: int,
     With label symmetry only label-canonical designs are produced: treatment
     labels appear in first-occurrence order, so node 1 always receives
     treatment 1 and the stream has sum_k S2(n, k) members (k = 1..m) instead
-    of m^n.
+    of m^n.  This is the group-free walk of `_segments`.
     """
-    _check_stream_shape(n_design_nodes, m)
-    if not use_label_symmetry:
-        yield from itertools.product(range(1, m + 1), repeat=n_design_nodes)
-        return
-    n = n_design_nodes
-    x = [1] * n
-    prefix_max = [1] * n
-    while True:
-        yield tuple(x)
-        i = n - 1
-        while i >= 1:
-            cap = prefix_max[i - 1] + 1 if prefix_max[i - 1] < m else m
-            if x[i] < cap:
-                x[i] += 1
-                prefix_max[i] = x[i] if x[i] > prefix_max[i - 1] else prefix_max[i - 1]
-                for j in range(i + 1, n):
-                    x[j] = 1
-                    prefix_max[j] = prefix_max[j - 1]
-                break
-            i -= 1
-        else:
-            return
+    return map(itemgetter(1), _segments(None, (), n_design_nodes, m,
+                                         use_label_symmetry))
 
 
 def _better(a: float | None, b: float | None) -> bool:
@@ -165,6 +205,11 @@ class _Counters:
     skipped: int = 0
     invalid: int = 0
     hits: int = 0
+
+    def add(self, other: _Counters) -> None:
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
 
 
 def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
@@ -199,93 +244,111 @@ def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
 
 
 # ---------------------------------------------------------------------------
+# the task runner
+
+_pool_state = None  # a pool worker's, built once by its initializer
+
+
+def _pool_init(init: Callable, initargs: tuple) -> None:
+    global _pool_state
+    _pool_state = init(*initargs)
+
+
+def _pool_call(fn: Callable, task):
+    return fn(_pool_state, task)
+
+
+def _task_state(net: Network, spec: ModelSpec, *rest) -> tuple:
+    """The state of a search's tasks: an evaluator, then `rest`."""
+    return (DesignEvaluator(net, spec), *rest)
+
+
+def _run_tasks(init: Callable, initargs: tuple, fn: Callable,
+               tasks: Sequence, workers: int) -> Iterator:
+    """fn(state, task) of every task, yielded in task order.  With one
+    worker (or one task) they run in this process on state = init(*initargs);
+    otherwise on a fork pool of at most `workers` processes, each of which
+    builds its own state the same way."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        state = init(*initargs)
+        for task in tasks:
+            yield fn(state, task)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_pool_init,
+                  initargs=(init, initargs)) as pool:
+        yield from pool.imap(functools.partial(_pool_call, fn), tasks)
+
+
+# ---------------------------------------------------------------------------
 # exhaustive search
 
-def _subtree_sizes(n: int, m: int, use_label_symmetry: bool) -> list[list[int]]:
-    """sizes[r][k]: the number of stream designs that complete a prefix with
-    r positions left to fill and largest label k so far.  Label-canonical
-    completions follow N(r, k) = k N(r-1, k) + N(r-1, k+1), with no label
-    past m; without label symmetry every prefix has m^r completions."""
-    sizes = [[1] * (m + 1)]
-    for r in range(1, n + 1):
-        prev = sizes[-1]
-        if use_label_symmetry:
-            sizes.append([k * prev[k] + (prev[k + 1] if k < m else 0)
-                          for k in range(m + 1)])
-        else:
-            sizes.append([m ** r] * (m + 1))
-    return sizes
-
-
-def _pruned_segments(group: AutomorphismGroup, n: int, m: int,
-                     use_label_symmetry: bool) -> Iterator[tuple[int, Design | None]]:
-    """The `enumerate_designs` stream, in order, walked depth first as
-    segments (size, design): (1, x) for a canonical design x, or (size, None)
-    for `size` consecutive designs none of which is canonical.  A prefix that
-    some group element maps to a smaller one closes its whole subtree
-    unvisited; full designs get the same test, which is exact at length n."""
-    _check_stream_shape(n, m)
+def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
+          budget: int | None) -> tuple[list[tuple[Design, int | None]], bool]:
+    """Subtree tasks (prefix, local budget) in stream order, and whether the
+    budget cuts the stream short.  One worker gets the root alone; for a
+    pool, the subtree with the most designs within the budget is split until
+    each worker has _TASKS_PER_WORKER tasks or only full designs are left.
+    The budget is the local budget of the task it cuts (None elsewhere), and
+    the tasks after that one are dropped."""
     sizes = _subtree_sizes(n, m, use_label_symmetry)
-    x = [1] * n
 
-    def walk(depth: int, top: int) -> Iterator[tuple[int, Design | None]]:
-        # top: the largest label in x[:depth]
-        last = min(top + 1, m) if use_label_symmetry else m
-        for label in range(1, last + 1):
-            x[depth] = label
-            new_top = max(top, label)
-            if group.prefix_has_smaller_image(x, depth + 1):
-                yield sizes[n - depth - 1][new_top], None
-            elif depth + 1 == n:
-                yield 1, tuple(x)
-            else:
-                yield from walk(depth + 1, new_top)
+    def size(prefix: Design) -> int:
+        return sizes[n - len(prefix)][max(prefix, default=0)]
 
-    return walk(0, 0)
+    def cut(prefixes: list[Design], left: int | None):
+        tasks = []
+        for prefix in prefixes:
+            if left is not None and left < size(prefix):
+                return tasks + ([(prefix, left)] if left else [])
+            tasks.append((prefix, None))
+            left = None if left is None else left - size(prefix)
+        return tasks
 
-
-class _Stream:
-    """The design stream cut after `budget` designs.  Iterating yields the
-    canonical designs, to evaluate; the designs of dead segments are only
-    counted, in `dead`.  `partial` is set once the budget cut designs off."""
-
-    def __init__(self, segments: Iterable[tuple[int, Design | None]],
-                 budget: int | None):
-        self.segments = segments
-        self.budget = budget
-        self.dead = 0
-        self.partial = False
-
-    def __iter__(self) -> Iterator[Design]:
-        seen = 0
-        for size, x in self.segments:
-            if self.budget is not None and seen + size > self.budget:
-                self.partial = True
-                if x is None:
-                    self.dead += self.budget - seen
-                return
-            seen += size
-            if x is None:
-                self.dead += size
-            else:
-                yield x
+    tasks = cut([()], budget)
+    while workers > 1 and len(tasks) < _TASKS_PER_WORKER * workers:
+        open_ = [i for i, (prefix, _) in enumerate(tasks) if len(prefix) < n]
+        if not open_:
+            break
+        i = max(open_, key=lambda i: tasks[i][1] or size(tasks[i][0]))
+        prefix, local = tasks[i]
+        last = min(max(prefix, default=0) + 1, m) if use_label_symmetry else m
+        tasks[i:i + 1] = cut([prefix + (label,) for label in range(1, last + 1)],
+                             local)
+    return tasks, budget is not None and budget < size(())
 
 
-def _chunked(stream: Iterator[Design], size: int) -> Iterator[list[Design]]:
-    while True:
-        chunk = list(itertools.islice(stream, size))
-        if not chunk:
+def _live(segments: Iterable[tuple[int, Design | None]], budget: int | None,
+          counters: _Counters) -> Iterator[Design]:
+    """Yield the designs to evaluate among the first `budget` (all if None)
+    of the segments' designs; count the rest as considered and skipped."""
+    left = budget
+    for size, x in segments:
+        if left is not None:
+            size = min(size, left)
+            left -= size
+        if x is None:
+            counters.considered += size
+            counters.skipped += size
+        else:
+            yield x
+        if left == 0:
             return
-        yield chunk
 
 
-def _scan(designs: Iterable[Design], ev: DesignEvaluator,
-          counters: _Counters) -> tuple[float | None, Design | None]:
-    """Evaluate canonical designs in order, _CHUNK_DESIGNS per batched
-    kernel call; the best value goes to the earliest design reaching it.
-    The serial path and every pool worker run this same loop."""
+def _subtree_task(state, task: tuple[Design, int | None]):
+    """Walk, prune and evaluate one subtree task, _CHUNK_DESIGNS canonical
+    designs per batched kernel call; returns its counters and its best
+    (value, design), the earliest design that reaches the best value.  The
+    serial path and every pool worker run this same loop."""
+    ev, group, use_label_symmetry = state
+    prefix, budget = task
+    counters = _Counters()
+    designs = _live(_segments(group, prefix, ev.net.n_design, ev.spec.m,
+                              use_label_symmetry), budget, counters)
     best_value = best_design = None
-    for chunk in _chunked(iter(designs), _CHUNK_DESIGNS):
+    while chunk := list(itertools.islice(designs, _CHUNK_DESIGNS)):
         values = ev.values(chunk)
         counters.considered += len(chunk)
         invalid = values.count(None)
@@ -294,40 +357,7 @@ def _scan(designs: Iterable[Design], ev: DesignEvaluator,
         for x, value in zip(chunk, values):
             if _better(value, best_value):
                 best_value, best_design = value, x
-    return best_value, best_design
-
-
-_worker_state: dict = {}
-
-
-def _exhaustive_worker_init(net, spec):
-    _worker_state["ev"] = DesignEvaluator(net, spec)
-
-
-def _exhaustive_worker_chunk(designs: list[Design]):
-    counters = _Counters()
-    value, design = _scan(designs, _worker_state["ev"], counters)
-    return counters, value, design
-
-
-def _exhaustive_parallel(stream: Iterable[Design], net: Network,
-                         spec: ModelSpec, counters: _Counters,
-                         workers: int) -> tuple[float | None, Design | None]:
-    """Chunks of the stream go to a fork pool; results come back in chunk
-    order, so keeping the first strict improvement gives the serial tie-break."""
-    best_value = None
-    best_design = None
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_exhaustive_worker_init,
-                  initargs=(net, spec)) as pool:
-        for chunk_counters, value, design in pool.imap(
-                _exhaustive_worker_chunk, _chunked(iter(stream), _CHUNK_DESIGNS)):
-            if _better(value, best_value):
-                best_value, best_design = value, design
-            counters.considered += chunk_counters.considered
-            counters.evals += chunk_counters.evals
-            counters.invalid += chunk_counters.invalid
-    return best_value, best_design
+    return counters, (best_value, best_design)
 
 
 def exhaustive_search(net: Network, spec: ModelSpec,
@@ -335,33 +365,25 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     """Evaluate the whole (optionally label-canonical) design stream in
     lexicographic order, skipping designs that are not first in their
     automorphism orbit.  Ties go to the earlier design.  If max_designs cuts
-    the stream short, the report is flagged partial.
-
-    With a non-trivial group the stream is walked depth first and a prefix
-    that some automorphism maps to a smaller one closes its whole subtree:
-    those designs are counted as considered and skipped but never
-    enumerated, so every counter equals that of gating each design."""
+    the stream short, the report is flagged partial.  The stream runs as the
+    subtree tasks of `_plan`."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config)
-    n, m = net.n_design, spec.m
-    if group is not None and group.size > 1:
-        segments = _pruned_segments(group, n, m, config.use_label_symmetry)
-    else:  # under a trivial group every design is canonical
-        segments = ((1, x) for x in
-                    enumerate_designs(n, m, config.use_label_symmetry))
-    stream = _Stream(segments, config.max_designs)
+    tasks, partial = _plan(net.n_design, spec.m, config.use_label_symmetry,
+                           config.workers, config.max_designs)
     counters = _Counters()
-    if config.workers > 1:
-        best_value, best_design = _exhaustive_parallel(
-            stream, net, spec, counters, config.workers)
-    else:
-        best_value, best_design = _scan(stream, DesignEvaluator(net, spec),
-                                        counters)
-    counters.considered += stream.dead
-    counters.skipped += stream.dead
+    best_value = best_design = None
+    # tasks come back in stream order, so keeping the first strict
+    # improvement gives the earliest best design
+    for task_counters, (value, design) in _run_tasks(
+            _task_state, (net, spec, group, config.use_label_symmetry),
+            _subtree_task, tasks, config.workers):
+        counters.add(task_counters)
+        if _better(value, best_value):
+            best_value, best_design = value, design
     return _make_report("exhaustive", config, counters, best_design, best_value,
-                        time.perf_counter() - t0, partial=stream.partial)
+                        time.perf_counter() - t0, partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +445,16 @@ class _CachedCall:
         return value, key
 
 
-def _cd_worker_init(net, spec, group, seed, m):
-    _worker_state["ev"] = DesignEvaluator(net, spec)
-    _worker_state["group"] = group
-    _worker_state["seed"] = seed
-    _worker_state["m"] = m
-    _worker_state["n"] = net.n_design
-    if group is not None:
-        group._inverse_position_maps()
-
-
-def _cd_worker_restart(restart: int):
-    call = _CachedCall(_worker_state["ev"], _worker_state["group"])
-    n, m = _worker_state["n"], _worker_state["m"]
-    start = _start_design(_worker_state["seed"], restart, n, m)
-    value, design = _descend(start, call, n, m)
-    return call.cache, call.considered, value, design
+def _restart_task(state, restart: int):
+    """One descent on the cache that the process keeps across restarts;
+    returns the entries it added, the candidates it considered and its
+    final (value, design)."""
+    ev, group, seed, cache = state
+    n, m, known = ev.net.n_design, ev.spec.m, len(cache)
+    call = _CachedCall(ev, group, cache)
+    value, design = _descend(_start_design(seed, restart, n, m), call, n, m)
+    added = dict(itertools.islice(cache.items(), known, None))
+    return added, call.considered, value, design
 
 
 def coordinate_descent(net: Network, spec: ModelSpec,
@@ -452,36 +468,19 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     config = config or SearchConfig(algorithm="coordinate_descent")
     t0 = time.perf_counter()
     group = _group_for(net, config)
-    n, m = net.n_design, spec.m
-    best_value: float | None = None
-    best_design: Design | None = None
-    considered = 0
+    best_value = best_design = None
     merged: dict[Design, float | None] = {}
-
-    if config.workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(config.workers, initializer=_cd_worker_init,
-                      initargs=(net, spec, group, config.seed, m)) as pool:
-            results = pool.map(_cd_worker_restart, range(config.restarts))
-        for cache, was_considered, value, design in results:
-            merged.update(cache)
-            considered += was_considered
-            if _better(value, best_value):
-                best_value, best_design = value, design
-    else:
-        ev = DesignEvaluator(net, spec)
-        call = _CachedCall(ev, group, cache=merged)
-        for restart in range(config.restarts):
-            start = _start_design(config.seed, restart, n, m)
-            value, design = _descend(start, call, n, m)
-            if _better(value, best_value):
-                best_value, best_design = value, design
-        considered = call.considered
-
-    counters = _Counters(considered=considered)
+    counters = _Counters()
+    for added, considered, value, design in _run_tasks(
+            _task_state, (net, spec, group, config.seed, {}), _restart_task,
+            range(config.restarts), config.workers):
+        merged.update(added)
+        counters.considered += considered
+        if _better(value, best_value):
+            best_value, best_design = value, design
     counters.evals = sum(1 for v in merged.values() if v is not None)
-    counters.invalid = sum(1 for v in merged.values() if v is None)
-    counters.hits = considered - counters.evals - counters.invalid
+    counters.invalid = len(merged) - counters.evals
+    counters.hits = counters.considered - len(merged)
     return _make_report("coordinate_descent", config, counters, best_design,
                         best_value, time.perf_counter() - t0)
 

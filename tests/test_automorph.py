@@ -109,8 +109,8 @@ def test_role_preservation_on_augmented_networks():
 
 def test_is_canonical_path_walkthrough(path312):
     group = nd.find_automorphisms(path312)
-    assert nd.is_canonical((1, 1, 2), group)
-    assert not nd.is_canonical((1, 2, 1), group)
+    assert group.is_canonical((1, 1, 2))
+    assert not group.is_canonical((1, 2, 1))
     canonical = [x for x in product((1, 2), repeat=3) if group.is_canonical(x)]
     assert len(canonical) == 6
     assert (1, 2, 1) not in canonical and (2, 2, 1) not in canonical

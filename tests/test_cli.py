@@ -3,8 +3,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,12 @@ def test_budget_exit_code(capsys):
     assert json.loads(out)["partial"] is True
 
 
+def test_budget_below_one_is_invalid():
+    for budget in ("0", "-5"):
+        assert main(["search", "--example", "1", "-m", "2", "--max-designs",
+                     budget, "--workers", "1"]) == 2
+
+
 def test_exactly_one_source_required(capsys):
     code = main(["search", "-m", "2"])
     assert code == 2
@@ -222,8 +230,14 @@ def test_reproduce_t4_default_rows(capsys):
 
 
 def test_console_entry_point():
+    # the subprocess imports netdesign from where this process found it
+    src = str(Path(nd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "netdesign", "autos",
-                          "--example", "6"], capture_output=True, text=True)
+                          "--example", "6"], capture_output=True, text=True,
+                         env=env)
     assert out.returncode == 0
     assert "automorphisms: 6" in out.stdout
 

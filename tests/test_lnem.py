@@ -21,7 +21,7 @@ def test_model_matrix_path_worked_example(path312):
         [1, 0, 1, 0],
     ], dtype=float)
     assert np.array_equal(f, expected)
-    info = nd.information_matrix(f)
+    info = f.T @ f
     assert info[0, 0] == 3 and info[3, 3] == 4
     assert np.array_equal(info, info.T)
     assert np.array_equal(info, info.astype(int))
@@ -46,12 +46,6 @@ def test_block_rows_excluded_from_model_matrix():
     # every unit sees exactly its own block's pseudo-treatment effect
     assert np.array_equal(f[:, 4], np.array([1, 1, 0, 0.]))
     assert np.array_equal(f[:, 5], np.array([0, 0, 1, 1.]))
-
-
-def test_information_matrix_trivial():
-    assert nd.information_matrix(np.ones((2, 1))) == np.array([[2.0]])
-    with pytest.raises(ValueError):
-        nd.information_matrix(np.empty((0, 0)))
 
 
 def test_single_treatment_design_invalid(examples):
@@ -165,7 +159,8 @@ def test_information_matrix_psd(examples):
         ev = DesignEvaluator(net, spec)
         for _ in range(50):
             x = tuple(int(v) for v in rng.integers(1, m + 1, size=net.n_design))
-            info = nd.information_matrix(ev.model_matrix(x))
+            f = ev.model_matrix(x)
+            info = f.T @ f
             w = np.linalg.eigvalsh(info)
             assert w.min() >= -1e-9 * max(w.max(), 1.0)
 
@@ -180,7 +175,8 @@ def test_generalized_inverse_matches_plain_inverse(examples):
     checked = 0
     while checked < 50:
         x = tuple(int(v) for v in rng.integers(1, 3, size=10))
-        info = nd.information_matrix(ev.model_matrix(x))
+        f = ev.model_matrix(x)
+        info = f.T @ f
         if np.linalg.cond(info) > 1e8:
             continue
         inv = np.linalg.inv(info)
@@ -228,9 +224,8 @@ def test_ds_criterion(path312):
     # m=2: determinant of a 1x1 covariance = the contrast variance itself
     as_value = nd.evaluate_criterion(info, ModelSpec.for_network(path312, 2))
     assert abs(value - as_value) <= 1e-12
-    assert nd.evaluate_criterion(
-        nd.information_matrix(nd.build_model_matrix(path312, (1, 1, 1), spec)),
-        spec) is None
+    f = nd.build_model_matrix(path312, (1, 1, 1), spec)
+    assert nd.evaluate_criterion(f.T @ f, spec) is None
 
 
 def test_ds_criterion_m3_matches_pinv_determinant(examples):
@@ -244,7 +239,8 @@ def test_ds_criterion_m3_matches_pinv_determinant(examples):
         value = ev.value(x)
         if value is None:
             continue
-        info = nd.information_matrix(ev.model_matrix(x))
+        f = ev.model_matrix(x)
+        info = f.T @ f
         cov = np.linalg.pinv(info)[1:3, 1:3]
         assert abs(value - np.linalg.det(cov)) <= 1e-9 * abs(value)
         checked += 1
@@ -346,6 +342,11 @@ def test_kernel_invalid_exactly_when_not_estimable(report_cache, path312,
     assert invalid > 0
 
 
-def test_values_of_an_empty_chunk(path312):
-    ev = DesignEvaluator(path312, ModelSpec.for_network(path312, 2))
+@pytest.mark.parametrize("net", [
+    nd.parse_edge_list("1-2, 1-3", 3),
+    nd.augment_blocks([3, 3], 2),
+    nd.augment_row_column(3, 3, 2),
+], ids=["path312", "blocks33", "rc3x3"])
+def test_values_of_an_empty_chunk(net):
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, 2))
     assert ev.values([]) == []

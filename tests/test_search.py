@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
+from bisect import bisect_left
 from itertools import product
 
 import numpy as np
@@ -169,12 +171,65 @@ def test_workers_bit_identical_nontrivial_group(report_cache, monkeypatch,
                                                 key, m, budgets):
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m)
-    # small chunks make the pool merge many of them
-    monkeypatch.setattr(search, "_CHUNK_DESIGNS", 16)
+    # many small subtree tasks make the pool merge many results
+    monkeypatch.setattr(search, "_TASKS_PER_WORKER", 64)
     for budget in budgets:
         blobs = {nd.exhaustive_search(net, spec, cfg(workers=w, max_designs=budget))
                  .to_json(exclude_wall_time=True) for w in (1, 2, 3)}
         assert len(blobs) == 1
+
+
+def _sleep_then_echo(state, task):
+    time.sleep(task)
+    return task
+
+
+def test_run_tasks_yields_in_task_order():
+    # on the pool the later, shorter tasks finish first
+    tasks = [0.3, 0.0, 0.1, 0.0]
+    for workers in (1, 3):
+        assert list(search._run_tasks(dict, (), _sleep_then_echo, tasks,
+                                      workers)) == tasks
+
+
+def _label_canonical(x) -> bool:
+    top = 0
+    for t in x:
+        if t > top + 1:
+            return False
+        top = max(top, t)
+    return True
+
+
+@pytest.mark.parametrize("n,m,symmetry", [(9, 3, True), (3, 2, False)],
+                         ids=["blocks333-m3", "path312-no-label-symmetry"])
+def test_plan_covers_the_first_budget_designs(n, m, symmetry):
+    # the stream of blocks [3,3,3] at m=3 (9 design nodes) and of path312
+    # without label symmetry, rebuilt from itertools.product
+    designs = [x for x in product(range(1, m + 1), repeat=n)
+               if not symmetry or _label_canonical(x)]
+    for workers in (1, 2, 3, 4):
+        for budget in (None, *range(1, len(designs) + 1)):
+            tasks, partial = search._plan(n, m, symmetry, workers, budget)
+            # the tasks' designs, concatenated, are designs[:budget]: each
+            # subtree is a non-empty run of the sorted stream that starts
+            # where the one before ended, and only the last one is cut
+            end = 0
+            for i, (prefix, local) in enumerate(tasks):
+                lo = bisect_left(designs, prefix)
+                hi = bisect_left(designs, prefix + (m + 1,))
+                assert lo == end < hi
+                if local is not None:
+                    assert i == len(tasks) - 1 and 0 < local < hi - lo
+                    hi = lo + local
+                end = hi
+            assert end == (len(designs) if budget is None else budget)
+            assert partial == (budget is not None and budget < len(designs))
+            if workers == 1:
+                assert [prefix for prefix, _ in tasks] == [()]
+            else:
+                assert (len(tasks) >= search._TASKS_PER_WORKER * workers
+                        or all(len(prefix) == n for prefix, _ in tasks))
 
 
 # ------------------------------------------- pruned walk vs an independent loop
@@ -197,16 +252,19 @@ def test_pruned_search_matches_oracle_without_label_symmetry(path312):
 
 def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     # budgets 1..3281 cover every cut point of the stream, including cuts
-    # inside subtrees closed by a prefix test.  The group, its prefix test
-    # and the criterion are memoized across the runs; the unbudgeted
-    # comparison above checks their answers against the oracle.
+    # inside subtrees closed by a prefix test, once as the one root task and
+    # once as the subtree tasks planned for 4 workers (run in this process).
+    # The group, its prefix test and the criterion of each design are
+    # memoized across the runs; the unbudgeted comparison above checks their
+    # answers against the oracle.
     key = ("blocks", (3, 3, 3), 3)
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
     prefix_test = group.prefix_has_smaller_image
-    evaluate = DesignEvaluator.value
+    evaluate = DesignEvaluator.values
+    run_tasks = search._run_tasks
     tested: dict = {}
     values: dict = {}
 
@@ -216,17 +274,25 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
             tested[key] = prefix_test(x, length)
         return tested[key]
 
-    def memo_value(self, x):
-        if x not in values:
-            values[x] = evaluate(self, x)
-        return values[x]
+    def memo_values(self, designs):
+        missing = [x for x in designs if x not in values]
+        if missing:
+            values.update(zip(missing, evaluate(self, missing)))
+        return [values[x] for x in designs]
+
+    def in_process(init, initargs, fn, tasks, workers):
+        return run_tasks(init, initargs, fn, tasks, 1)
 
     group.prefix_has_smaller_image = memo_prefix_test
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
-    monkeypatch.setattr(DesignEvaluator, "value", memo_value)
+    monkeypatch.setattr(DesignEvaluator, "values", memo_values)
+    monkeypatch.setattr(search, "_run_tasks", in_process)
     for budget in range(1, len(outcomes) + 1):
-        report = nd.exhaustive_search(net, spec, cfg(max_designs=budget))
-        assert report_fields(report) == oracle_report(outcomes, budget), budget
+        expected = oracle_report(outcomes, budget)
+        for workers in (1, 4):
+            report = nd.exhaustive_search(net, spec, cfg(max_designs=budget,
+                                                         workers=workers))
+            assert report_fields(report) == expected, (budget, workers)
 
 
 @st.composite
@@ -285,11 +351,16 @@ def test_cd_deterministic_same_seed(examples):
     assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
 
 
-def test_cd_workers_bit_identical(examples):
-    spec = ModelSpec.for_network(examples[4], 2)
-    a = nd.coordinate_descent(examples[4], spec, cfg(seed=7, restarts=9, workers=1))
-    b = nd.coordinate_descent(examples[4], spec, cfg(seed=7, restarts=9, workers=3))
-    assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
+def test_cd_workers_bit_identical(examples, report_cache):
+    # with 3 or more restarts per worker, the workers' caches carry entries
+    # from one restart to the next
+    for net, m, restarts in [(examples[4], 2, 9),
+                             (report_cache.network(("rowcol", 3, 3, 3)), 3, 12)]:
+        spec = ModelSpec.for_network(net, m)
+        a, b = (nd.coordinate_descent(net, spec, cfg(seed=7, restarts=restarts,
+                                                     workers=w))
+                for w in (1, 3))
+        assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
 
 
 def test_cd_reports_canonical_representative(examples):
@@ -453,7 +524,9 @@ def test_run_search_dispatch(examples):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(workers=0)
+    for bad in ({"restarts": 0}, {"workers": 0}, {"max_designs": 0},
+                {"max_designs": -3}, {"max_group_size": 0},
+                {"max_group_size": -1}):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
+    SearchConfig(max_designs=1, max_group_size=1)
