@@ -20,7 +20,8 @@ test oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from array import array
+from typing import Sequence
 
 import numpy as np
 
@@ -67,46 +68,49 @@ def _refined_colors(net: Network) -> list[int]:
 
 
 class AutomorphismGroup:
-    """The full automorphism group of a network, as an explicit element list.
+    """The full automorphism group of a network, as one array of elements.
 
-    Elements are node permutations in one-line notation (tuple p with
-    p[i] = image of node i), sorted lexicographically; the identity is always
-    present.  Instances are immutable and safe to share.
+    Elements are node permutations in one-line notation (p[i] = image of
+    node i), kept as the rows of a read-only (z, n) array sorted
+    lexicographically; the identity is always present.  `elements` and
+    iteration give them as tuples.  Instances are immutable and safe to
+    share.
     """
 
-    def __init__(self, elements: Iterable[Sequence[int]], network: Network):
-        self.elements = tuple(sorted(tuple(int(v) for v in p) for p in elements))
+    def __init__(self, elements: Sequence[Sequence[int]], network: Network):
+        perms = np.asarray(elements, dtype=np.int32).reshape(-1, network.n_total)
+        perms = perms[np.lexsort(perms.T[::-1])]
+        perms.setflags(write=False)
+        self._perms = perms
         self.network = network
-        self._columns: np.ndarray | None = None
+        # the (d, z) position map C: C[q, k] = p when element k takes design
+        # position p to q, so x's image is x[C[:, k]]; rows are what the
+        # lex-min kernel reads.  Filled per position: no (z, d) temporary.
+        design, blocks = network.design_nodes, list(network.block_nodes)
+        pos = np.full(network.n_total, -1, dtype=np.int64)
+        pos[list(design)] = np.arange(len(design))
+        if (pos[perms[:, blocks]] >= 0).any():
+            raise ValueError("an element maps a block node to a design node")
+        cols = np.empty((len(design), len(perms)), dtype=np.int64)
+        every = np.arange(len(perms))
+        for p, node in enumerate(design):
+            cols[pos[perms[:, node]], every] = p
+        cols.setflags(write=False)
+        self._positions = cols
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._perms.tolist()))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._perms)
 
     def __iter__(self):
-        return iter(self.elements)
+        return map(tuple, self._perms.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.elements)
-
-    def _position_columns(self) -> np.ndarray:
-        """(d, z) index matrix C with C[q, k] = p meaning: under element k the
-        design at position p lands at position q, so the permuted design is
-        x[C[:, k]].  Positions index design nodes in ascending node order.
-        Row q lists every element's source for image column q, which is what
-        the column-by-column lex-min kernel reads."""
-        if self._columns is None:
-            design = self.network.design_nodes
-            pos = {node: p for p, node in enumerate(design)}
-            z, d = len(self.elements), len(design)
-            fwd = np.empty((z, d), dtype=np.int64)
-            for k, perm in enumerate(self.elements):
-                fwd[k] = [pos[perm[node]] for node in design]
-            cols = np.empty((d, z), dtype=np.int64)
-            cols[fwd, np.arange(z)[:, None]] = np.arange(d)[None, :]
-            cols.setflags(write=False)
-            self._columns = cols
-        return self._columns
+        return len(self._perms)
 
     def _design_list(self, x: Sequence[int]) -> list[int]:
         xs = list(map(int, x))
@@ -119,7 +123,7 @@ class AutomorphismGroup:
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
         x_arr = np.asarray(x, dtype=np.int64)
-        return x_arr[self._position_columns().T]
+        return x_arr[self._positions.T]
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
@@ -137,7 +141,7 @@ class AutomorphismGroup:
         entries of the smallest image, and rows the position lists, over
         columns q..length-1, of the elements still in play.  With stop_below
         it also stops, with no rows, as soon as head drops below xs."""
-        cols = self._position_columns()
+        cols = self._positions
         alive = None  # every element
         x_arr = None
         head: list[int] = []
@@ -228,16 +232,15 @@ def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> Automor
     below_out = [[s for s in range(t) if a[order[t], order[s]]] for t in range(n)]
     below_in = [[s for s in range(t) if a[order[s], order[t]]] for t in range(n)]
 
-    found: list[tuple[int, ...]] = []
+    # each automorphism's images in search order, back to back
+    leaves = array("i")
+    cap = max_group_size * n
     image = [0] * n
 
     def extend(t: int, used: int) -> None:
         if t == n:
-            perm = [0] * n
-            for pos, src in enumerate(order):
-                perm[src] = image[pos]
-            found.append(tuple(perm))
-            if len(found) > max_group_size:
+            leaves.extend(image)
+            if len(leaves) > cap:
                 raise GroupSizeLimitError(
                     f"automorphism group exceeds cap {max_group_size}")
             return
@@ -259,7 +262,9 @@ def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> Automor
             extend(t + 1, used | bit)
 
     extend(0, 0)
-    return AutomorphismGroup(found, net)
+    perms = np.empty((len(leaves) // n, n), dtype=np.int32)
+    perms[:, order] = np.frombuffer(leaves, dtype=np.intc).reshape(-1, n)
+    return AutomorphismGroup(perms, net)
 
 
 def count_orbits_bruteforce(net: Network, m: int,
@@ -274,7 +279,7 @@ def count_orbits_bruteforce(net: Network, m: int,
     space = m ** d
     if space > max_space:
         raise ValueError(f"design space {m}^{d} exceeds {max_space}")
-    maps = group._position_columns().T
+    maps = group._positions.T
     powers = (m ** np.arange(d - 1, -1, -1)).astype(np.int64)
     seen = bytearray(space)
     count = 0

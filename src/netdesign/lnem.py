@@ -170,10 +170,16 @@ class DesignEvaluator:
 
     def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
         """Model matrices of the (B, d) designs `xs`, shape (B, d, p): one
-        one-hot gather and one broadcast matmul for the whole batch."""
-        m = self.spec.m
+        one-hot gather and one broadcast matmul for the whole batch.  A
+        design of the wrong length or with labels outside 1..m is an error."""
+        m, d = self.spec.m, self.net.n_design
+        if xs.shape[1] != d:
+            raise ValueError(f"design length {xs.shape[1]} does not match "
+                             f"{d} design nodes")
+        if xs.min() < 1 or xs.max() > m:
+            raise ValueError(f"treatments must lie in 1..{m}")
         onehot = self._onehot_rows[xs - 1]
-        f = np.empty((len(xs), xs.shape[1], self.spec.n_params))
+        f = np.empty((len(xs), d, self.spec.n_params))
         f[:, :, 0] = 1.0
         f[:, :, 1:m] = onehot[:, :, :m - 1]
         np.matmul(self._a_design, onehot, out=f[:, :, m:])
@@ -193,21 +199,21 @@ class DesignEvaluator:
     def values(self, designs: Sequence[Sequence[int]]) -> list[float | None]:
         """Criterion values of a chunk of designs (one per row of a (B, d)
         batch), each equal bit for bit to `value` of that design alone."""
+        if not len(designs):
+            return []
         xs = np.asarray(designs, dtype=np.int64)
-        xs = xs.reshape(len(designs), self.net.n_design)
         return _criterion_values(self._information_matrices(xs), self.spec)
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
         """F'F of each design of the batch, nuisance coordinates canonical."""
         f = self._model_matrices(xs)
         info = f.transpose(0, 2, 1) @ f
-        if self.spec.block_classes and len(info):
+        if self.spec.block_classes:
             info = np.stack([_canonicalize_nuisance(a, self.spec) for a in info])
         return info
 
 
 def build_model_matrix(net: Network, x: Sequence[int], spec: ModelSpec) -> np.ndarray:
-    _validate_design(net, x, spec)
     return DesignEvaluator(net, spec).model_matrix(x)
 
 
@@ -273,13 +279,4 @@ def _criterion_values(info: np.ndarray, spec: ModelSpec) -> list[float | None]:
 def criterion_for_design(net: Network, x: Sequence[int],
                          spec: ModelSpec) -> float | None:
     """Criterion value of design x on `net`; None when not estimable."""
-    _validate_design(net, x, spec)
     return DesignEvaluator(net, spec).value(x)
-
-
-def _validate_design(net: Network, x: Sequence[int], spec: ModelSpec) -> None:
-    if len(x) != net.n_design:
-        raise ValueError(f"design length {len(x)} does not match "
-                         f"{net.n_design} design nodes")
-    if any(not 1 <= t <= spec.m for t in x):
-        raise ValueError(f"treatments must lie in 1..{spec.m}")

@@ -16,8 +16,8 @@ descent never skips; its cache is keyed by orbit representative instead.
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 evaluated _CHUNK_DESIGNS per batched `DesignEvaluator.values` call, or
 restarts.  One worker runs them in this process, more run the same code on a
-fork pool, and results merge in task order, so reports do not depend on the
-worker count.
+process pool, and results merge in task order, so reports do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -246,38 +246,34 @@ def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
 # ---------------------------------------------------------------------------
 # the task runner
 
-_pool_state = None  # a pool worker's, built once by its initializer
+# the pool's start method: fork where the platform offers it, since workers
+# then inherit the caller's state instead of unpickling it
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else "spawn")
+_pool_state = None  # a pool worker's copy of the caller's state
 
 
-def _pool_init(init: Callable, initargs: tuple) -> None:
+def _pool_init(state) -> None:
     global _pool_state
-    _pool_state = init(*initargs)
+    _pool_state = state
 
 
 def _pool_call(fn: Callable, task):
     return fn(_pool_state, task)
 
 
-def _task_state(net: Network, spec: ModelSpec, *rest) -> tuple:
-    """The state of a search's tasks: an evaluator, then `rest`."""
-    return (DesignEvaluator(net, spec), *rest)
-
-
-def _run_tasks(init: Callable, initargs: tuple, fn: Callable,
-               tasks: Sequence, workers: int) -> Iterator:
+def _run_tasks(state, fn: Callable, tasks: Sequence, workers: int) -> Iterator:
     """fn(state, task) of every task, yielded in task order.  With one
-    worker (or one task) they run in this process on state = init(*initargs);
-    otherwise on a fork pool of at most `workers` processes, each of which
-    builds its own state the same way."""
+    worker (or one task) they run in this process on the caller's state;
+    otherwise on a pool of at most `workers` processes, each of which gets
+    a copy of it."""
     workers = min(workers, len(tasks))
     if workers <= 1:
-        state = init(*initargs)
         for task in tasks:
             yield fn(state, task)
         return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init,
-                  initargs=(init, initargs)) as pool:
+    ctx = multiprocessing.get_context(_START_METHOD)
+    with ctx.Pool(workers, initializer=_pool_init, initargs=(state,)) as pool:
         yield from pool.imap(functools.partial(_pool_call, fn), tasks)
 
 
@@ -372,13 +368,13 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     group = _group_for(net, config)
     tasks, partial = _plan(net.n_design, spec.m, config.use_label_symmetry,
                            config.workers, config.max_designs)
+    state = (DesignEvaluator(net, spec), group, config.use_label_symmetry)
     counters = _Counters()
     best_value = best_design = None
     # tasks come back in stream order, so keeping the first strict
     # improvement gives the earliest best design
     for task_counters, (value, design) in _run_tasks(
-            _task_state, (net, spec, group, config.use_label_symmetry),
-            _subtree_task, tasks, config.workers):
+            state, _subtree_task, tasks, config.workers):
         counters.add(task_counters)
         if _better(value, best_value):
             best_value, best_design = value, design
@@ -471,9 +467,9 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     best_value = best_design = None
     merged: dict[Design, float | None] = {}
     counters = _Counters()
+    state = (DesignEvaluator(net, spec), group, config.seed, {})
     for added, considered, value, design in _run_tasks(
-            _task_state, (net, spec, group, config.seed, {}), _restart_task,
-            range(config.restarts), config.workers):
+            state, _restart_task, range(config.restarts), config.workers):
         merged.update(added)
         counters.considered += considered
         if _better(value, best_value):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 from math import factorial
 
@@ -219,3 +220,35 @@ def test_cycle_notation():
     assert cycle_notation((0, 2, 1)) == "(2 3)"
     assert cycle_notation((1, 2, 0)) == "(1 2 3)"
     assert cycle_notation((1, 0, 3, 2)) == "(1 2)(3 4)"
+
+
+@pytest.mark.parametrize("net", [
+    nd.augment_row_column(3, 3, 3),
+    nd.augment_blocks([3, 3, 3], 3),
+    nd.example_network(4),
+    nd.augment_crossover(3, 3, 2, period_blocks=True),
+], ids=["rc3x3", "blocks333", "ex4", "crossover3x3-period-blocks"])
+def test_group_array_and_position_map(net):
+    group = nd.find_automorphisms(net)
+    elements = group.elements
+    assert list(elements) == sorted(set(elements))
+    design = net.design_nodes
+    x = tuple(range(1, net.n_design + 1))
+    images = group.design_images(x).tolist()
+    for perm, image in zip(elements, images):
+        # the design on node design[p] moves to node perm[design[p]]
+        moved = dict(zip((perm[node] for node in design), x))
+        assert image == [moved[node] for node in design]
+    shuffled = list(elements)
+    random.Random(0).shuffle(shuffled)
+    rebuilt = nd.AutomorphismGroup(shuffled, net)
+    assert rebuilt.elements == elements
+    assert rebuilt.design_images(x).tolist() == images
+
+
+def test_group_rejects_an_element_that_leaves_the_design_nodes():
+    net = nd.augment_blocks([3, 3], 2)  # design nodes 0-5, block nodes 6-7
+    swap = list(range(net.n_total))
+    swap[0], swap[6] = 6, 0
+    with pytest.raises(ValueError, match="maps a block node to a design node"):
+        nd.AutomorphismGroup([tuple(range(net.n_total)), tuple(swap)], net)

@@ -188,8 +188,21 @@ def test_run_tasks_yields_in_task_order():
     # on the pool the later, shorter tasks finish first
     tasks = [0.3, 0.0, 0.1, 0.0]
     for workers in (1, 3):
-        assert list(search._run_tasks(dict, (), _sleep_then_echo, tasks,
+        assert list(search._run_tasks({}, _sleep_then_echo, tasks,
                                       workers)) == tasks
+
+
+def test_spawn_pool_matches_one_worker(report_cache, monkeypatch):
+    # a spawned worker gets the caller's state by pickling, not by fork
+    monkeypatch.setattr(search, "_START_METHOD", "spawn")
+    blocks = report_cache.network(("blocks", (3, 3, 3), 3))
+    rc = report_cache.network(("rowcol", 3, 3, 3))
+    for net, extra in [(blocks, {}),
+                       (rc, {"algorithm": "coordinate_descent", "restarts": 6})]:
+        spec = ModelSpec.for_network(net, 3)
+        a, b = (nd.run_search(net, spec, cfg(workers=w, **extra))
+                for w in (1, 2))
+        assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
 
 
 def _label_canonical(x) -> bool:
@@ -280,8 +293,8 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
             values.update(zip(missing, evaluate(self, missing)))
         return [values[x] for x in designs]
 
-    def in_process(init, initargs, fn, tasks, workers):
-        return run_tasks(init, initargs, fn, tasks, 1)
+    def in_process(state, fn, tasks, workers):
+        return run_tasks(state, fn, tasks, 1)
 
     group.prefix_has_smaller_image = memo_prefix_test
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
