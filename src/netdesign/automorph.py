@@ -10,12 +10,15 @@ equitable refinement of the initial (role, degree) coloring, and adjacency
 consistency with the mapped prefix is enforced with bitmask comparisons.
 
 Designs related by an automorphism have equal optimality-criterion values, so
-a search only needs the orbit's lexicographically smallest member; this
-module provides that test (`is_canonical`), a test on design prefixes that
-proves every completion non-canonical (`prefix_has_smaller_image`, which
-lets exhaustive search skip whole subtrees), the orbit's smallest member
-(`canonical_representative`), plus a brute-force orbit counter used as a
-test oracle.
+a search only needs the orbit's lexicographically smallest member.  Every
+canonicity question here is integer arithmetic on packed image keys: the
+group's weight matrix W packs each element's image of a design x into one
+integer, the base-B number whose digits are the image's entries, so x @ W
+holds one key per element and lexicographic order of images is integer
+order of keys.  This module provides the test (`is_canonical`), the orbit's
+smallest member (`canonical_representative`), the weights that let
+exhaustive search test design prefixes (`weights_for`), plus a brute-force
+orbit counter used as a test oracle.
 """
 
 from __future__ import annotations
@@ -26,11 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .network import Network
-
-# the value of a design position not yet assigned: above every treatment label
-_UNASSIGNED = np.iinfo(np.int64).max
-# elements in play from which the lex-min narrowing leaves numpy for Python
-_TAIL = 16
 
 
 class GroupSizeLimitError(RuntimeError):
@@ -67,36 +65,64 @@ def _refined_colors(net: Network) -> list[int]:
         colors = new
 
 
+def _base(d: int) -> int:
+    """The largest base B >= 2 with B^d < 2^63 (2 if none): keys of d
+    base-B digits then fit in int64."""
+    b = int(2 ** (63 / max(d, 1))) + 1  # one above the float estimate
+    while b > 2 and b ** d >= 2 ** 63:
+        b -= 1
+    return b
+
+
 class AutomorphismGroup:
     """The full automorphism group of a network, as one array of elements.
 
     Elements are node permutations in one-line notation (p[i] = image of
     node i), kept as the rows of a read-only (z, n) array sorted
-    lexicographically; the identity is always present.  `elements` and
-    iteration give them as tuples.  Instances are immutable and safe to
-    share.
+    lexicographically, so the identity, which is always present, is row 0.
+    `elements` and iteration give them as tuples.  `weights` is the
+    read-only (d, z) matrix W with W[p, k] = base^(d-1-q) when element k
+    takes design position p to column q: key k of x @ W packs x's image
+    under element k, and smaller keys are lexicographically smaller images.
+    `base`, the largest with base^d < 2^63, depends on d alone.  Instances
+    are immutable and safe to share.
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
         perms = np.asarray(elements, dtype=np.int32).reshape(-1, network.n_total)
         perms = perms[np.lexsort(perms.T[::-1])]
         perms.setflags(write=False)
+        if not np.array_equal(perms[0], np.arange(network.n_total)):
+            raise ValueError("the elements do not include the identity")
         self._perms = perms
         self.network = network
-        # the (d, z) position map C: C[q, k] = p when element k takes design
-        # position p to q, so x's image is x[C[:, k]]; rows are what the
-        # lex-min kernel reads.  Filled per position: no (z, d) temporary.
         design, blocks = network.design_nodes, list(network.block_nodes)
-        pos = np.full(network.n_total, -1, dtype=np.int64)
-        pos[list(design)] = np.arange(len(design))
-        if (pos[perms[:, blocks]] >= 0).any():
+        # each node's design column, -1 for block nodes
+        self._column = np.full(network.n_total, -1, dtype=np.int64)
+        self._column[list(design)] = np.arange(len(design))
+        if (self._column[perms[:, blocks]] >= 0).any():
             raise ValueError("an element maps a block node to a design node")
-        cols = np.empty((len(design), len(perms)), dtype=np.int64)
-        every = np.arange(len(perms))
-        for p, node in enumerate(design):
-            cols[pos[perms[:, node]], every] = p
-        cols.setflags(write=False)
-        self._positions = cols
+        self.base = _base(len(design))
+        self.weights = self._weights_in(self.base)
+        self.weights.setflags(write=False)
+
+    def _weights_in(self, base: int) -> np.ndarray:
+        """W in the given base: int64 where base^d < 2^63, else Python
+        integers.  Filled per design position: no (z, d) temporary."""
+        d = self.network.n_design
+        dtype = np.int64 if base ** d < 2 ** 63 else object
+        place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
+        w = np.empty((d, len(self._perms)), dtype=dtype)
+        for p, node in enumerate(self.network.design_nodes):
+            w[p] = place[self._column[self._perms[:, node]]]
+        return w
+
+    def weights_for(self, top: int) -> tuple[np.ndarray, int]:
+        """(W, base) for digits 0..top: `weights` when top < `base`, else
+        W on Python integers in base top + 1, so that keys stay exact."""
+        if top < self.base:
+            return self.weights, self.base
+        return self._weights_in(top + 1), top + 1
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -112,82 +138,36 @@ class AutomorphismGroup:
     def size(self) -> int:
         return len(self._perms)
 
-    def _design_list(self, x: Sequence[int]) -> list[int]:
-        xs = list(map(int, x))
+    def _keys(self, x: Sequence[int]) -> tuple[np.ndarray, int, int]:
+        """(keys, base, low): x's images packed from the digits x - low."""
         d = self.network.n_design
-        if len(xs) != d:
-            raise ValueError(f"design length {len(xs)} does not match "
+        if len(x) != d:
+            raise ValueError(f"design length {len(x)} does not match "
                              f"{d} design nodes")
-        return xs
+        low = int(min(x))
+        w, base = self.weights_for(int(max(x)) - low)
+        return np.subtract(x, low, dtype=np.int64) @ w, base, low
+
+    def _digits(self, keys: np.ndarray, base: int) -> np.ndarray:
+        """The d base-`base` digits of each key, most significant first."""
+        powers = [base ** e for e in range(self.network.n_design - 1, -1, -1)]
+        return keys[..., None] // np.array(powers, dtype=keys.dtype) % base
 
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
-        x_arr = np.asarray(x, dtype=np.int64)
-        return x_arr[self._positions.T]
+        keys, base, low = self._keys(x)
+        return np.asarray(self._digits(keys, base) + low, dtype=np.int64)
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
         element maps it to a strictly smaller design vector."""
-        xs = self._design_list(x)
-        return not self._has_smaller_image(xs, len(xs))
-
-    def _narrow(self, xs: list[int], length: int,
-                stop_below: bool) -> tuple[list[int], list[list[int]]]:
-        """Lex-min narrowing of the images of xs over columns 0..length-1:
-        column by column, only the elements whose image reaches the smallest
-        entries so far stay in play.  Once at most _TAIL elements are left,
-        plain Python is cheaper than a numpy call per column, so this stops
-        at some column q and returns (head, rows): head holds the first q
-        entries of the smallest image, and rows the position lists, over
-        columns q..length-1, of the elements still in play.  With stop_below
-        it also stops, with no rows, as soon as head drops below xs."""
-        cols = self._positions
-        alive = None  # every element
-        x_arr = None
-        head: list[int] = []
-        for q in range(length):
-            if (cols.shape[1] if alive is None else len(alive)) <= _TAIL:
-                break
-            if x_arr is None:
-                x_arr = np.array(xs, dtype=np.int64)
-            v = x_arr[cols[q]] if alive is None else x_arr[cols[q, alive]]
-            low = int(v.min())
-            head.append(low)
-            if stop_below and low < xs[q]:
-                return head, []
-            keep = v == low
-            if not keep.all():  # on designs with few labels, often all stay
-                alive = keep.nonzero()[0] if alive is None else alive[keep]
-        rest = cols[len(head):length]
-        return head, (rest if alive is None else rest[:, alive]).T.tolist()
-
-    def _has_smaller_image(self, xs: list[int], length: int) -> bool:
-        head, rows = self._narrow(xs, length, stop_below=True)
-        if head != xs[:len(head)]:  # the identity keeps head <= xs
-            return True
-        own = xs[len(head):length]
-        return any([xs[p] for p in row] < own for row in rows)
-
-    def prefix_has_smaller_image(self, x: Sequence[int], length: int) -> bool:
-        """True iff some group element maps the prefix x[:length] to a
-        lexicographically smaller vector whatever the remaining positions
-        hold: positions from `length` on read as larger than any treatment,
-        so an image entry drawn from them never counts as smaller.  A True
-        answer therefore holds for every completion of the prefix, none of
-        which is canonical; at length d this is the exact non-canonicity
-        test.  x must have one entry per design node; entries from `length`
-        on are ignored."""
-        xs = self._design_list(x)
-        if not 0 <= length <= len(xs):
-            raise ValueError(f"prefix length {length} outside 0..{len(xs)}")
-        xs[length:] = [_UNASSIGNED] * (len(xs) - length)
-        return self._has_smaller_image(xs, length)
+        return not self._keys(x)[0].argmin()  # the identity's key is least
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
-        xs = self._design_list(x)
-        head, rows = self._narrow(xs, len(xs), stop_below=False)
-        return tuple(head + min([xs[p] for p in row] for row in rows))
+        keys, base, low = self._keys(x)
+        least = self._digits(keys[keys.argmin(), None], base)[0]
+        return tuple((least + low).tolist())
 
 
 def _search_order(net: Network, colors: list[int]) -> list[int]:
@@ -279,8 +259,7 @@ def count_orbits_bruteforce(net: Network, m: int,
     space = m ** d
     if space > max_space:
         raise ValueError(f"design space {m}^{d} exceeds {max_space}")
-    maps = group._positions.T
-    powers = (m ** np.arange(d - 1, -1, -1)).astype(np.int64)
+    to_codes = group._weights_in(m)  # digits @ to_codes: each image's code
     seen = bytearray(space)
     count = 0
     shape = (m,) * d
@@ -289,8 +268,7 @@ def count_orbits_bruteforce(net: Network, m: int,
             continue
         count += 1
         digits = np.array(np.unravel_index(code, shape), dtype=np.int64)
-        orbit_codes = digits[maps] @ powers
-        for c in orbit_codes.tolist():
+        for c in (digits @ to_codes).tolist():
             seen[c] = 1
     return count
 

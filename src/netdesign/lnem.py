@@ -173,9 +173,7 @@ class DesignEvaluator:
         one-hot gather and one broadcast matmul for the whole batch.  A
         design of the wrong length or with labels outside 1..m is an error."""
         m, d = self.spec.m, self.net.n_design
-        if xs.shape[1] != d:
-            raise ValueError(f"design length {xs.shape[1]} does not match "
-                             f"{d} design nodes")
+        self._check_length(xs.shape[1])
         if xs.min() < 1 or xs.max() > m:
             raise ValueError(f"treatments must lie in 1..{m}")
         onehot = self._onehot_rows[xs - 1]
@@ -185,6 +183,11 @@ class DesignEvaluator:
         np.matmul(self._a_design, onehot, out=f[:, :, m:])
         f[:, :, m:] += self._gamma_blocks
         return f
+
+    def _check_length(self, length: int) -> None:
+        if length != self.net.n_design:
+            raise ValueError(f"design length {length} does not match "
+                             f"{self.net.n_design} design nodes")
 
     def model_matrix(self, x: Sequence[int]) -> np.ndarray:
         """Rows: measurable nodes in ascending node order.  Columns:
@@ -201,6 +204,8 @@ class DesignEvaluator:
         batch), each equal bit for bit to `value` of that design alone."""
         if not len(designs):
             return []
+        for x in designs:  # before stacking, which fails on a ragged chunk
+            self._check_length(len(x))
         xs = np.asarray(designs, dtype=np.int64)
         return _criterion_values(self._information_matrices(xs), self.spec)
 

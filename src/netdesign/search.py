@@ -11,9 +11,10 @@ descent with seeded random restarts.
 Exhaustive search walks its stream with one odometer (`_segments`) that,
 under a non-trivial group, closes the subtree of any prefix that some
 automorphism maps to a smaller one: those designs are counted as considered
-and skipped, so every counter equals that of gating each design.  Coordinate
-descent never skips; its cache is keyed by orbit representative instead.
-Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
+and skipped, so every counter equals that of gating each design.  The test
+reads the group's packed image keys, kept per depth, so each prefix costs one
+update of the z keys and one minimum.  Coordinate descent never skips; its
+cache is keyed by orbit representative instead.  Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 evaluated _CHUNK_DESIGNS per batched `DesignEvaluator.values` call, or
 restarts.  One worker runs them in this process, more run the same code on a
 process pool, and results merge in task order, so reports do not depend on
@@ -142,20 +143,32 @@ def _segments(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     (size, None) for `size` consecutive designs none of which is canonical.
     With a non-trivial group the odometer tests each prefix it reaches, the
     given one first; a prefix that some element maps to a smaller one closes
-    its subtree unvisited.  At length n the test is exact."""
+    its subtree unvisited.  keys[i] packs each element's image of x[:i],
+    unassigned positions read as base - 1 (above every label): the prefix
+    has a smaller image iff the first least key is not the identity's, key
+    0.  An image that ties the prefix draws on its positions alone, so it
+    ties the unassigned rest too, and the answer holds for every completion."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     test = group is not None and group.size > 1
-    sizes = _subtree_sizes(n, m, use_label_symmetry) if test else None
     start, last, free = len(prefix), n - 1, not use_label_symmetry
     x = list(prefix) + [1] * (n - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
     fresh = max(start - 1, 0)  # from here on, prefixes are untested
+    if test:
+        sizes = _subtree_sizes(n, m, use_label_symmetry)
+        w, base = group.weights_for(m + 1)
+        unset = base - 1
+        keys = np.empty((n + 1, group.size), dtype=w.dtype)
+        keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh)) @ w
     while True:
         q = last  # the position to advance next
         if test:
             for q in range(fresh, n):
-                if group.prefix_has_smaller_image(x, q + 1):
+                row = keys[q + 1]
+                np.multiply(w[q], x[q] - unset, out=row)
+                row += keys[q]
+                if row.argmin():
                     yield sizes[last - q][top[q + 1]], None
                     break
             else:

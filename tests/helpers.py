@@ -5,12 +5,19 @@ value must match the library's bit for bit."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
 import netdesign as nd
 from netdesign.lnem import _canonicalize_nuisance
+
+
+def cycle_network(n: int) -> nd.Network:
+    """The undirected cycle on n nodes, all of them design nodes."""
+    return nd.parse_edge_list(
+        ", ".join(f"{i}-{i % n + 1}" for i in range(1, n + 1)), n)
 
 
 def oracle_value(net: nd.Network, x, m: int) -> float | None:
@@ -94,17 +101,20 @@ def oracle_orbit_minima(group: nd.AutomorphismGroup, designs) -> list[tuple]:
     return [min(image(tuple(x)) for image in images) for x in designs]
 
 
-def oracle_outcomes(net: nd.Network, m: int, use_label_symmetry: bool) -> list:
+def oracle_outcomes(net: nd.Network, m: int, use_label_symmetry: bool,
+                    limit: int | None = None) -> list:
     """The reference exhaustive loop, sharing no canonicity code with the
-    library: every design of the plain `enumerate_designs` stream, in order,
-    as (design, value), where value is "skipped" when some element of
-    group.elements maps the design to a smaller one (applied in pure
-    Python), else `criterion_for_design` (None when not estimable)."""
+    library: every design of the plain `enumerate_designs` stream (the
+    first `limit` if given), in order, as (design, value), where value is
+    "skipped" when some element of group.elements maps the design to a
+    smaller one (applied in pure Python), else `criterion_for_design` (None
+    when not estimable)."""
     group = nd.find_automorphisms(net)
     spec = nd.ModelSpec.for_network(net, m)
     images = _position_getters(group)
     out = []
-    for x in nd.enumerate_designs(net.n_design, m, use_label_symmetry):
+    for x in islice(nd.enumerate_designs(net.n_design, m, use_label_symmetry),
+                    limit):
         if any(image(x) < x for image in images):
             out.append((x, "skipped"))
         else:

@@ -10,7 +10,7 @@ import pytest
 import netdesign as nd
 from netdesign.automorph import GroupSizeLimitError, cycle_notation
 
-from helpers import burnside_orbit_count, oracle_orbit_minima
+from helpers import burnside_orbit_count, cycle_network, oracle_orbit_minima
 
 
 def test_path_group(path312):
@@ -135,8 +135,6 @@ def test_canonical_representative_rejects_wrong_length(design):
     group = nd.find_automorphisms(nd.augment_blocks([3, 3], 2))  # 6 design nodes
     with pytest.raises(ValueError):
         group.canonical_representative(design)
-    with pytest.raises(ValueError):
-        group.prefix_has_smaller_image(design, 2)
 
 
 @pytest.mark.parametrize("net,m", [
@@ -150,6 +148,29 @@ def test_canonical_representative_matches_pure_python_orbit_min(net, m):
                for row in rng.integers(1, m + 1, size=(200, net.n_design))]
     assert [group.canonical_representative(x) for x in designs] == \
         oracle_orbit_minima(group, designs)
+
+
+@pytest.mark.parametrize("n,labels,base", [
+    (24, 6, 6),  # digits 0..5: keys reach 6^24 - 1, just below 2^63
+    (24, 7, 6),  # one label more than base 6 holds: Python-integer keys
+    (40, 2, 2),
+    (40, 4, 2),  # past base 2: Python-integer keys
+    (64, 3, 2),  # no base fits int64 at d = 64: Python-integer weights
+])
+def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
+    group = nd.find_automorphisms(cycle_network(n))
+    assert group.size == 2 * n and group.base == base
+    assert group.weights.dtype == (object if n == 64 else np.int64)
+    rng = np.random.default_rng(n + labels)
+    designs = [tuple(int(v) for v in row)
+               for row in rng.integers(1, labels + 1, size=(60, n))]
+    designs += [(labels,) * n, (labels,) * (n - 1) + (1,),
+                (1,) + (labels,) * (n - 1)]
+    minima = oracle_orbit_minima(group, designs)
+    assert [group.canonical_representative(x) for x in designs] == minima
+    assert [group.is_canonical(x) for x in designs] == \
+        [x == low for x, low in zip(designs, minima)]
+    assert all(group.is_canonical(low) for low in minima)
 
 
 def test_canonical_representative_is_orbit_min(path312, examples):
@@ -252,3 +273,10 @@ def test_group_rejects_an_element_that_leaves_the_design_nodes():
     swap[0], swap[6] = 6, 0
     with pytest.raises(ValueError, match="maps a block node to a design node"):
         nd.AutomorphismGroup([tuple(range(net.n_total)), tuple(swap)], net)
+
+
+def test_group_rejects_elements_without_the_identity():
+    # every key test reads the identity's key as key 0
+    net = nd.parse_edge_list("1-2, 1-3", 3)
+    with pytest.raises(ValueError, match="do not include the identity"):
+        nd.AutomorphismGroup([(0, 2, 1)], net)

@@ -352,19 +352,23 @@ def test_values_of_an_empty_chunk(net):
     assert ev.values([]) == []
 
 
-@pytest.mark.parametrize("x,message", [
-    ((0, 2, 1, 2, 1, 2), "treatments must lie in 1..2"),
-    ((1, 2, 1, 2, 1, 3), "treatments must lie in 1..2"),
-    ((1, 2, 1, 2, 1), "design length 5 does not match 6 design nodes"),
-], ids=["label0", "label-m-plus-1", "short"])
+@pytest.mark.parametrize("x,message,lead", [
+    ((0, 2, 1, 2, 1, 2), "treatments must lie in 1..2", [(1, 2, 1, 2, 1, 2)]),
+    ((1, 2, 1, 2, 1, 3), "treatments must lie in 1..2", [(1, 2, 1, 2, 1, 2)]),
+    ((1, 2, 1, 2, 1), "design length 5 does not match 6 design nodes", []),
+    ((1, 2, 1), "design length 3 does not match 6 design nodes",
+     [(1, 2, 1, 2, 1, 2)]),
+], ids=["label0", "label-m-plus-1", "short", "ragged"])
 @pytest.mark.parametrize("call", ["value", "values", "model_matrix"])
-def test_evaluator_rejects_malformed_designs(x, message, call):
+def test_evaluator_rejects_malformed_designs(x, message, lead, call):
     # on a block network, label 0 would wrap to the last block
-    # pseudo-treatment and label m+1 would be the first one
+    # pseudo-treatment and label m+1 would be the first one; `lead` are the
+    # designs before x in the chunk given to values, so a valid first design
+    # makes the "ragged" chunk one that numpy cannot stack
     net = nd.augment_blocks([3, 3], 2)
     ev = DesignEvaluator(net, ModelSpec.for_network(net, 2))
     with pytest.raises(ValueError, match=message):
         if call == "values":
-            ev.values([(1, 2, 1, 2, 1, 2), x] if len(x) == 6 else [x])
+            ev.values(lead + [x])
         else:
             getattr(ev, call)(x)

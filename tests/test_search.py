@@ -15,7 +15,8 @@ from netdesign import search
 from netdesign.lnem import DesignEvaluator, ModelSpec
 from netdesign.search import SearchConfig, _start_design
 
-from helpers import oracle_outcomes, oracle_report, report_fields, stirling2
+from helpers import (cycle_network, oracle_outcomes, oracle_report,
+                     report_fields, stirling2)
 
 
 def cfg(**kw) -> SearchConfig:
@@ -267,25 +268,17 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     # budgets 1..3281 cover every cut point of the stream, including cuts
     # inside subtrees closed by a prefix test, once as the one root task and
     # once as the subtree tasks planned for 4 workers (run in this process).
-    # The group, its prefix test and the criterion of each design are
-    # memoized across the runs; the unbudgeted comparison above checks their
-    # answers against the oracle.
+    # The group and the criterion of each design are memoized across the
+    # runs; the unbudgeted comparison above checks their answers against the
+    # oracle.
     key = ("blocks", (3, 3, 3), 3)
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
-    prefix_test = group.prefix_has_smaller_image
     evaluate = DesignEvaluator.values
     run_tasks = search._run_tasks
-    tested: dict = {}
     values: dict = {}
-
-    def memo_prefix_test(x, length):
-        key = tuple(x[:length])
-        if key not in tested:
-            tested[key] = prefix_test(x, length)
-        return tested[key]
 
     def memo_values(self, designs):
         missing = [x for x in designs if x not in values]
@@ -296,7 +289,6 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     def in_process(state, fn, tasks, workers):
         return run_tasks(state, fn, tasks, 1)
 
-    group.prefix_has_smaller_image = memo_prefix_test
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
     monkeypatch.setattr(DesignEvaluator, "values", memo_values)
     monkeypatch.setattr(search, "_run_tasks", in_process)
@@ -306,6 +298,20 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
             report = nd.exhaustive_search(net, spec, cfg(max_designs=budget,
                                                          workers=workers))
             assert report_fields(report) == expected, (budget, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_search_past_the_int64_keys_matches_oracle(workers):
+    # at d = 40 the int64 keys hold base 2 only, too few digits for labels
+    # 1..2 and the unassigned value, so the walk packs Python integers
+    net = cycle_network(40)
+    assert nd.find_automorphisms(net).base == 2
+    expected = oracle_report(oracle_outcomes(net, 2, True, limit=2000))
+    expected["partial"] = True
+    report = nd.exhaustive_search(net, ModelSpec.for_network(net, 2),
+                                  cfg(max_designs=2000, workers=workers))
+    assert report_fields(report) == expected
+    assert report.num_skipped_noncanonical > 0
 
 
 @st.composite
