@@ -16,7 +16,8 @@ group's weight matrix W packs each element's image of a design x into one
 integer, the base-B number whose digits are the image's entries, so x @ W
 holds one key per element and lexicographic order of images is integer
 order of keys.  This module provides the test (`is_canonical`), the orbit's
-smallest member (`canonical_representative`), the weights that let
+smallest member (`canonical_representative`, or
+`canonical_representatives` for a batch), the weights that let
 exhaustive search test design prefixes (`weights_for`), plus a brute-force
 orbit counter used as a test oracle.
 """
@@ -165,9 +166,28 @@ class AutomorphismGroup:
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
-        keys, base, low = self._keys(x)
-        least = self._digits(keys[keys.argmin(), None], base)[0]
-        return tuple((least + low).tolist())
+        return tuple(self.canonical_representatives([x])[0].tolist())
+
+    def canonical_representatives(self, xs) -> np.ndarray:
+        """The lexicographically smallest design in the orbit of each row of
+        the (B, d) batch `xs`, as a (B, d) int64 array.  All rows pack their
+        digits xs - low in one base, low the batch's least label; keys are
+        made d rows at a time, so that they never take more room than W."""
+        xs = np.asarray(xs, dtype=np.int64)
+        d = self.network.n_design
+        if xs.ndim != 2 or xs.shape[1] != d:
+            raise ValueError(f"design length {xs.shape[-1]} does not match "
+                             f"{d} design nodes")
+        if not len(xs):
+            return xs
+        low = int(xs.min())
+        w, base = self.weights_for(int(xs.max()) - low)
+        out = np.empty_like(xs)
+        for start in range(0, len(xs), d):
+            keys = (xs[start:start + d] - low) @ w
+            least = keys[np.arange(len(keys)), keys.argmin(axis=1)]
+            out[start:start + d] = self._digits(least, base) + low
+        return out
 
 
 def _search_order(net: Network, colors: list[int]) -> list[int]:

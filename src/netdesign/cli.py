@@ -11,7 +11,7 @@ import sys
 
 from .automorph import (GroupSizeLimitError, count_orbits_bruteforce,
                         cycle_notation, find_automorphisms)
-from .examples import example_network
+from .examples import check_example_id, example_network
 from .lnem import ModelSpec
 from .network import (Network, NetworkError, augment_blocks,
                       augment_crossover, augment_row_column, parse_network)
@@ -234,6 +234,8 @@ def cmd_reproduce(args) -> int:
         args.examples = [1, 2, 3, 4, 5, 6]
     else:
         args.examples = [int(s) for s in args.examples.split(",") if s]
+    for k in args.examples:  # before any row is written
+        check_example_id(k)
     writer = csv.writer(sys.stdout)
     if args.table == "t1":
         _reproduce_pruning(args, writer, _t1_rows(args), "example", True)

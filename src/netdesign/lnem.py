@@ -15,9 +15,11 @@ as None; lower values are better.
 There is one criterion kernel: it takes a stack of information matrices,
 runs one batched eigendecomposition and evaluates the whole stack with
 stacked array operations.  `DesignEvaluator.values` feeds it a chunk of
-designs (exhaustive search's batch); `DesignEvaluator.value` and
-`evaluate_criterion` are its one-matrix calls, with the same result bit for
-bit.
+designs (exhaustive search's batch, or one lockstep step of coordinate
+descent); `DesignEvaluator.value` and `evaluate_criterion` are its
+one-matrix calls, with the same result bit for bit.  The nuisance
+coordinates of the whole stack are put in canonical order first, also as
+stacked array operations.
 """
 
 from __future__ import annotations
@@ -102,47 +104,65 @@ def _pair_contrasts(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonicalize_nuisance(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """Reorder the block pseudo-treatment coordinates of `info` into a
-    canonical order.
+    """Reorder the block pseudo-treatment coordinates of each matrix of the
+    (B, p, p) stack `info` into a canonical order.
 
     The criterion only involves treatment-effect contrasts, so symmetric
     permutations of these nuisance coordinates leave it unchanged
     mathematically; sorting them makes designs that are equivalent under a
     network automorphism produce bit-identical matrices, hence bit-identical
     floating-point values.  Coordinates are keyed by (class, row against the
-    non-block coordinates, diagonal) and the key is refined by neighbor keys
-    within the block coordinates until stable.
+    non-block coordinates, diagonal) and the key is refined by the sorted
+    (neighbor key, weight) pairs within the block coordinates until no
+    matrix's classes split (colour refinement); ties keep index order.
+    Keys are compared as floats, so any matrix is accepted.
     """
-    m = spec.m
-    fixed_cols = list(range(2 * m))
-    block_cols = list(range(2 * m, spec.n_params))
-    if len(block_cols) < 2:
+    fixed, nb = 2 * spec.m, spec.n_params - 2 * spec.m
+    if nb < 2:
         return info
-    keys = {
-        c: (spec.block_classes[i], tuple(info[c, fixed_cols]), info[c, c])
-        for i, c in enumerate(block_cols)
-    }
-    ranks = _rank_keys(keys)
-    for _ in range(len(block_cols)):
-        refined = {
-            c: (ranks[c], tuple(sorted((ranks[o], info[c, o])
-                                       for o in block_cols if o != c)))
-            for c in block_cols
-        }
-        new_ranks = _rank_keys(refined)
-        if new_ranks == ranks:
+    cols = np.arange(fixed, spec.n_params)
+    rows = info[:, fixed:, :]  # (B, nb, p): each block coordinate's row
+    classes = np.broadcast_to(np.asarray(spec.block_classes), rows.shape[:2])
+    ranks = _dense_ranks([classes, *np.moveaxis(rows[:, :, :fixed], 2, 0),
+                          info[:, cols, cols]])
+    # each coordinate's weights to the other block coordinates
+    others = np.array([[o for o in range(nb) if o != c] for c in range(nb)])
+    weights = rows[:, np.arange(nb)[:, None], fixed + others]
+    for _ in range(nb):
+        neighbors = ranks[:, others]
+        pairs = np.lexsort((weights, neighbors), axis=-1)
+        neighbors = np.take_along_axis(neighbors, pairs, axis=-1)
+        paired = np.take_along_axis(weights, pairs, axis=-1)
+        refined = _dense_ranks([ranks, *(column for j in range(nb - 1) for column
+                                         in (neighbors[..., j], paired[..., j]))])
+        # refinement only splits classes, so an unchanged count means no
+        # matrix changed
+        if refined.max() == ranks.max():
             break
-        ranks = new_ranks
-    order = sorted(block_cols, key=lambda c: (ranks[c], c))
-    if order == block_cols:
-        return info
-    perm = np.array(fixed_cols + order)
-    return info[np.ix_(perm, perm)]
+        ranks = refined
+    order = np.argsort(ranks, axis=1, kind="stable")
+    perm = np.concatenate([np.broadcast_to(np.arange(fixed), (len(info), fixed)),
+                           fixed + order], axis=1)
+    info = np.take_along_axis(info, perm[:, :, None], axis=1)
+    return np.take_along_axis(info, perm[:, None, :], axis=2)
 
 
-def _rank_keys(keys: dict) -> dict:
-    ordered = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    return {c: ordered[k] for c, k in keys.items()}
+def _dense_ranks(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense ranks of the (B, n) items keyed by `keys` (arrays of shape
+    (B, n), most significant first), with the batch index ahead of every
+    key: items of one matrix get equal ranks iff all their keys are equal,
+    and ranks follow the keys' lexicographic order."""
+    batch, n = keys[0].shape
+    flat = [np.repeat(np.arange(batch), n)] + [k.ravel() for k in keys]
+    order = np.lexsort(flat[::-1])
+    step = np.zeros(batch * n, dtype=bool)
+    step[0] = True
+    for key in flat:
+        ordered = key[order]
+        step[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(batch * n, dtype=np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks.reshape(batch, n)
 
 
 class DesignEvaluator:
@@ -214,7 +234,7 @@ class DesignEvaluator:
         f = self._model_matrices(xs)
         info = f.transpose(0, 2, 1) @ f
         if self.spec.block_classes:
-            info = np.stack([_canonicalize_nuisance(a, self.spec) for a in info])
+            info = _canonicalize_nuisance(info, self.spec)
         return info
 
 
@@ -236,9 +256,10 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
     p = spec.n_params
     if info.shape != (p, p):
         raise ValueError(f"information matrix shape {info.shape}, expected {(p, p)}")
+    info = info[None, :, :]
     if spec.block_classes:
         info = _canonicalize_nuisance(info, spec)
-    return _criterion_values(info[None, :, :], spec)[0]
+    return _criterion_values(info, spec)[0]
 
 
 def _criterion_values(info: np.ndarray, spec: ModelSpec) -> list[float | None]:

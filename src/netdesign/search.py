@@ -13,12 +13,21 @@ under a non-trivial group, closes the subtree of any prefix that some
 automorphism maps to a smaller one: those designs are counted as considered
 and skipped, so every counter equals that of gating each design.  The test
 reads the group's packed image keys, kept per depth, so each prefix costs one
-update of the z keys and one minimum.  Coordinate descent never skips; its
-cache is keyed by orbit representative instead.  Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
+update of the z keys and one minimum.
+
+Coordinate descent never skips; its cache is keyed by orbit representative
+instead.  Its restarts run in lockstep: each descent is a generator that
+yields one candidate at a time, and each step finds the representatives of
+all live descents' candidates in one call and evaluates the uncached ones
+in batched calls of at most _CHUNK_DESIGNS.  Trajectories depend only on values, which are pure
+functions of the key, so the counters equal those of running the restarts
+one after another.
+
+Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 evaluated _CHUNK_DESIGNS per batched `DesignEvaluator.values` call, or
-restarts.  One worker runs them in this process, more run the same code on a
-process pool, and results merge in task order, so reports do not depend on
-the worker count.
+contiguous blocks of restarts, one per worker.  One worker runs them in this
+process, more run the same code on a process pool, and results merge in
+task order, so reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -403,67 +412,65 @@ def _start_design(seed: int, restart: int, n: int, m: int) -> Design:
     return tuple(int(v) for v in rng.integers(1, m + 1, size=n))
 
 
-def _descend(start: Design, call: Callable, n: int, m: int):
-    """One descent: sweep nodes in index order trying every other treatment;
-    adopt the first strict improvement and restart the sweep from node 1;
-    stop after a full improvement-free sweep.  Returns the final (value,
-    orbit-representative design)."""
+def _descend(start: Design, n: int, m: int):
+    """One descent, as a generator that yields each candidate and is sent
+    back its (value, orbit-representative design): sweep nodes in index
+    order trying every other treatment; adopt the first strict improvement
+    and restart the sweep from node 1; stop after a full improvement-free
+    sweep.  Returns the final (value, representative)."""
     x = list(start)
-    vx, kx = call(tuple(x))
+    vx, kx = yield tuple(x)
     while True:
-        improved = False
         for node in range(n):
             current = x[node]
             for t in range(1, m + 1):
                 if t == current:
                     continue
                 x[node] = t
-                cand = tuple(x)
-                x[node] = current
-                vy, ky = call(cand)
+                vy, ky = yield tuple(x)
                 if _better(vy, vx):
-                    x[node] = t
                     vx, kx = vy, ky
-                    improved = True
                     break
-            if improved:
-                break
-        if not improved:
+                x[node] = current
+            else:
+                continue
+            break  # improved: sweep again from node 1
+        else:
             return vx, kx
 
 
-class _CachedCall:
-    """Criterion evaluation memoized by orbit representative (or by the raw
-    design when no group is in play).  The representative itself is what gets
-    evaluated, so a cached value is a pure function of the key."""
-
-    def __init__(self, ev: DesignEvaluator, group: AutomorphismGroup | None,
-                 cache: dict | None = None):
-        self.ev = ev
-        self.group = group
-        self.cache: dict[Design, float | None] = cache if cache is not None else {}
-        self.considered = 0
-
-    def __call__(self, x: Design):
-        self.considered += 1
-        key = self.group.canonical_representative(x) if self.group is not None else x
-        if key in self.cache:
-            return self.cache[key], key
-        value = self.ev.value(key)
-        self.cache[key] = value
-        return value, key
-
-
-def _restart_task(state, restart: int):
-    """One descent on the cache that the process keeps across restarts;
-    returns the entries it added, the candidates it considered and its
-    final (value, design)."""
-    ev, group, seed, cache = state
-    n, m, known = ev.net.n_design, ev.spec.m, len(cache)
-    call = _CachedCall(ev, group, cache)
-    value, design = _descend(_start_design(seed, restart, n, m), call, n, m)
-    added = dict(itertools.islice(cache.items(), known, None))
-    return added, call.considered, value, design
+def _restart_task(state, starts: Sequence[Design]):
+    """The descents from a block of start designs, run in lockstep on one
+    cache keyed by orbit representative.  Each step takes the live
+    descents' pending candidates, their orbit representatives in one call,
+    and the values of the representatives not yet cached in batched
+    `DesignEvaluator.values` calls of at most _CHUNK_DESIGNS (one call for
+    up to that many live descents), then sends each descent its result.
+    Returns the cache, the candidates the task considered and each
+    descent's final (value, design)."""
+    ev, group = state
+    cache: dict[Design, float | None] = {}
+    walks = [_descend(x, ev.net.n_design, ev.spec.m) for x in starts]
+    live = [(i, walk, next(walk)) for i, walk in enumerate(walks)]
+    finals: list = [None] * len(walks)
+    considered = 0
+    while live:
+        keys = [x for _, _, x in live]
+        if group is not None:
+            keys = list(map(tuple, group.canonical_representatives(keys).tolist()))
+        new = list(dict.fromkeys(key for key in keys if key not in cache))
+        for i in range(0, len(new), _CHUNK_DESIGNS):
+            chunk = new[i:i + _CHUNK_DESIGNS]
+            cache.update(zip(chunk, ev.values(chunk)))
+        considered += len(live)
+        still = []
+        for (i, walk, _), key in zip(live, keys):
+            try:
+                still.append((i, walk, walk.send((cache[key], key))))
+            except StopIteration as done:
+                finals[i] = done.value
+        live = still
+    return cache, considered, finals
 
 
 def coordinate_descent(net: Network, spec: ModelSpec,
@@ -471,22 +478,28 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     """Cyclic coordinate descent from `restarts` seeded random starting
     designs, pooling the best result.  num_eval counts distinct evaluations
     (orbit representatives when automorphisms are on); the reported best
-    design is the evaluated representative.  Per-restart trajectories depend
-    only on (seed, restart index), so results are identical for any worker
-    count."""
+    design is the evaluated representative.  The restarts run as one
+    contiguous block per worker; a trajectory depends only on (seed,
+    restart index), so results are identical for any worker count."""
     config = config or SearchConfig(algorithm="coordinate_descent")
     t0 = time.perf_counter()
     group = _group_for(net, config)
+    starts = [_start_design(config.seed, r, net.n_design, spec.m)
+              for r in range(config.restarts)]
+    blocks = min(config.workers, config.restarts)
+    tasks = [starts[len(starts) * i // blocks:len(starts) * (i + 1) // blocks]
+             for i in range(blocks)]
     best_value = best_design = None
     merged: dict[Design, float | None] = {}
     counters = _Counters()
-    state = (DesignEvaluator(net, spec), group, config.seed, {})
-    for added, considered, value, design in _run_tasks(
-            state, _restart_task, range(config.restarts), config.workers):
-        merged.update(added)
+    state = (DesignEvaluator(net, spec), group)
+    for cache, considered, finals in _run_tasks(state, _restart_task, tasks,
+                                                config.workers):
+        merged.update(cache)
         counters.considered += considered
-        if _better(value, best_value):
-            best_value, best_design = value, design
+        for value, design in finals:
+            if _better(value, best_value):
+                best_value, best_design = value, design
     counters.evals = sum(1 for v in merged.values() if v is not None)
     counters.invalid = len(merged) - counters.evals
     counters.hits = counters.considered - len(merged)

@@ -11,7 +11,7 @@ from operator import itemgetter
 import numpy as np
 
 import netdesign as nd
-from netdesign.lnem import _canonicalize_nuisance
+from netdesign.search import _start_design
 
 
 def cycle_network(n: int) -> nd.Network:
@@ -169,6 +169,45 @@ def oracle_model_matrix(net: nd.Network, x, m: int) -> np.ndarray:
                       np.asarray(net.adjacency, dtype=np.float64)[rows] @ carries])
 
 
+def frozen_canonicalize_nuisance(info: np.ndarray,
+                                 spec: nd.ModelSpec) -> np.ndarray:
+    """Regression reference, not an oracle: the nuisance canonicalization of
+    one matrix as it was computed before it was batched, with Python tuples
+    as keys.  Block coordinates are keyed by (class, row against the 2m
+    fixed coordinates, diagonal), refined by the sorted (neighbor rank,
+    weight) pairs until the ranks are stable, and sorted by (rank, index)."""
+    m = spec.m
+    fixed_cols = list(range(2 * m))
+    block_cols = list(range(2 * m, spec.n_params))
+    if len(block_cols) < 2:
+        return info
+    keys = {
+        c: (spec.block_classes[i], tuple(info[c, fixed_cols]), info[c, c])
+        for i, c in enumerate(block_cols)
+    }
+    ranks = _rank_keys(keys)
+    for _ in range(len(block_cols)):
+        refined = {
+            c: (ranks[c], tuple(sorted((ranks[o], info[c, o])
+                                       for o in block_cols if o != c)))
+            for c in block_cols
+        }
+        new_ranks = _rank_keys(refined)
+        if new_ranks == ranks:
+            break
+        ranks = new_ranks
+    order = sorted(block_cols, key=lambda c: (ranks[c], c))
+    if order == block_cols:
+        return info
+    perm = np.array(fixed_cols + order)
+    return info[np.ix_(perm, perm)]
+
+
+def _rank_keys(keys: dict) -> dict:
+    ordered = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    return {c: ordered[k] for c, k in keys.items()}
+
+
 def frozen_criterion(info: np.ndarray, spec: nd.ModelSpec) -> float | None:
     """Regression reference, not an oracle: the per-design criterion as it
     was computed before evaluation was batched (one eigh per matrix, norms
@@ -177,7 +216,7 @@ def frozen_criterion(info: np.ndarray, spec: nd.ModelSpec) -> float | None:
     info = np.asarray(info, dtype=np.float64)
     p = spec.n_params
     if spec.block_classes:
-        info = _canonicalize_nuisance(info, spec)
+        info = frozen_canonicalize_nuisance(info, spec)
     w, v = np.linalg.eigh(info)
     wmax = w[-1]
     if wmax <= 0:
@@ -254,3 +293,60 @@ def exact_estimable(net: nd.Network, x, m: int) -> bool:
             if any(_reduce(c, basis)):
                 return False
     return True
+
+
+def oracle_coordinate_descent(net: nd.Network, m: int, seed: int,
+                              restarts: int) -> dict:
+    """The report fields of coordinate descent, from a sequential loop that
+    shares no canonicity or batching code with the library: restarts run
+    one after another on one dict keyed by each candidate's orbit minimum
+    (every group element applied in pure Python), valued by per-design
+    `DesignEvaluator.value`.  A descent sweeps nodes in index order, adopts
+    the first strict improvement, sweeps again from node 1 and stops after
+    a full sweep without one; the first strictly best final value wins."""
+    group = nd.find_automorphisms(net)
+    ev = nd.DesignEvaluator(net, nd.ModelSpec.for_network(net, m))
+    images = _position_getters(group)
+    cache: dict = {}
+    considered = 0
+
+    def call(x):
+        nonlocal considered
+        considered += 1
+        key = min(image(x) for image in images)
+        if key not in cache:
+            cache[key] = ev.value(key)
+        return cache[key], key
+
+    def better(a, b):  # INVALID (None) loses to any value
+        return a is not None and (b is None or a < b)
+
+    best_value = best_design = None
+    for restart in range(restarts):
+        x = list(_start_design(seed, restart, net.n_design, m))
+        vx, kx = call(tuple(x))
+        improved = True
+        while improved:
+            improved = False
+            for node in range(net.n_design):
+                current = x[node]
+                for t in range(1, m + 1):
+                    if t == current:
+                        continue
+                    x[node] = t
+                    vy, ky = call(tuple(x))
+                    if better(vy, vx):
+                        vx, kx, improved = vy, ky, True
+                        break
+                    x[node] = current
+                if improved:
+                    break
+        if better(vx, best_value):
+            best_value, best_design = vx, kx
+    evals = sum(value is not None for value in cache.values())
+    return {"algorithm": "coordinate_descent", "best_design": best_design,
+            "best_value": best_value, "num_eval": evals,
+            "num_considered": considered, "num_skipped_noncanonical": 0,
+            "num_invalid": len(cache) - evals,
+            "num_cache_hits": considered - len(cache), "seed": seed,
+            "efficiency": None, "partial": False}

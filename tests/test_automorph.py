@@ -135,6 +135,8 @@ def test_canonical_representative_rejects_wrong_length(design):
     group = nd.find_automorphisms(nd.augment_blocks([3, 3], 2))  # 6 design nodes
     with pytest.raises(ValueError):
         group.canonical_representative(design)
+    with pytest.raises(ValueError, match="does not match"):
+        group.canonical_representatives([design, design])
 
 
 @pytest.mark.parametrize("net,m", [
@@ -146,8 +148,11 @@ def test_canonical_representative_matches_pure_python_orbit_min(net, m):
     rng = np.random.default_rng(11)
     designs = [tuple(int(v) for v in row)
                for row in rng.integers(1, m + 1, size=(200, net.n_design))]
-    assert [group.canonical_representative(x) for x in designs] == \
-        oracle_orbit_minima(group, designs)
+    minima = oracle_orbit_minima(group, designs)
+    assert [group.canonical_representative(x) for x in designs] == minima
+    # one batch, keyed d rows at a time
+    assert list(map(tuple, group.canonical_representatives(designs).tolist())) \
+        == minima
 
 
 @pytest.mark.parametrize("n,labels,base", [
@@ -168,6 +173,8 @@ def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
                 (1,) + (labels,) * (n - 1)]
     minima = oracle_orbit_minima(group, designs)
     assert [group.canonical_representative(x) for x in designs] == minima
+    assert list(map(tuple, group.canonical_representatives(designs).tolist())) \
+        == minima
     assert [group.is_canonical(x) for x in designs] == \
         [x == low for x, low in zip(designs, minima)]
     assert all(group.is_canonical(low) for low in minima)

@@ -36,3 +36,11 @@ def test_trace_job():
     code, out = run_child("--workload", "ex2-m4", "--mode", "trace",
                           "--search-seed", "0")
     assert (code, out["errors"]) == (0, [])
+
+
+def test_trace_job_coordinate_descent():
+    # the coordinate-descent workload checks its pinned counts with the
+    # library's layer calls wrapped
+    code, out = run_child("--workload", "rc4x4-m4-cd", "--mode", "trace",
+                          "--search-seed", "0")
+    assert (code, out["errors"]) == (0, [])

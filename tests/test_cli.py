@@ -213,6 +213,19 @@ def test_reproduce_t2_subset(capsys):
         assert float(row["efficiency"]) >= float(row["ref_efficiency"]) - 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "t1", "--examples", "7"),
+    ("reproduce", "t2", "--examples", "0"),
+    ("search", "--example", "0", "-m", "2"),
+])
+def test_unknown_example_id_exits_invalid_before_any_output(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no bundled example" in captured.err and "1..6" in captured.err
+
+
 def test_reproduce_t4_default_rows(capsys):
     code, out = run_cli(capsys, "reproduce", "t4", "--workers", "2")
     assert code == 0

@@ -4,12 +4,13 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
 from netdesign.lnem import DesignEvaluator, ModelSpec, _canonicalize_nuisance
 
-from helpers import (exact_estimable, frozen_criterion, oracle_model_matrix,
-                     oracle_value)
+from helpers import (exact_estimable, frozen_canonicalize_nuisance,
+                     frozen_criterion, oracle_model_matrix, oracle_value)
 
 
 def test_model_matrix_path_worked_example(path312):
@@ -255,12 +256,77 @@ def test_nuisance_canonicalization_is_value_neutral():
         x = tuple(int(v) for v in rng.integers(1, 4, size=9))
         f = ev.model_matrix(x)
         info = f.T @ f
-        sorted_info = _canonicalize_nuisance(info, spec)
+        sorted_info = _canonicalize_nuisance(info[None], spec)[0]
         # symmetric permutation of nuisance coordinates only
         assert np.array_equal(np.sort(np.linalg.eigvalsh(info)),
                               np.sort(np.linalg.eigvalsh(sorted_info))) or \
             np.allclose(np.linalg.eigvalsh(info), np.linalg.eigvalsh(sorted_info))
         assert np.array_equal(sorted_info[:6, :6], info[:6, :6])
+
+
+@st.composite
+def nuisance_stacks(draw):
+    """(stack, spec): 1-4 symmetric, non-negative, integer-valued matrices
+    with 2-6 block coordinates of random classes.  Entries come from a small
+    range, in some stacks every block coordinate copies the first one's row
+    against the 2m fixed coordinates and its diagonal (so that the initial
+    keys tie within a class and only refinement separates them, as on
+    row-column layouts), and some block coordinates are made twins of
+    others."""
+    m = draw(st.integers(2, 3))
+    nb = draw(st.integers(2, 6))
+    classes = draw(st.lists(st.integers(0, 1), min_size=nb, max_size=nb))
+    spec = ModelSpec(m=m, total_treatments=m + nb, block_classes=tuple(classes))
+    p, top = spec.n_params, draw(st.integers(1, 3))
+    tied = draw(st.booleans())
+    upper = np.triu_indices(p)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = np.zeros((p, p))
+        a[upper] = draw(st.lists(st.integers(0, top), min_size=len(upper[0]),
+                                 max_size=len(upper[0])))
+        a += np.triu(a, 1).T
+        if tied:
+            first = 2 * m
+            for c in range(first, p):
+                a[c, :first] = a[:first, c] = a[first, :first]
+                a[c, c] = a[first, first]
+        twins = st.tuples(st.integers(0, nb - 1), st.integers(0, nb - 1))
+        for i, j in draw(st.lists(twins, max_size=3)):
+            a[2 * m + j] = a[2 * m + i]
+            a[:, 2 * m + j] = a[:, 2 * m + i]
+        stack.append(a)
+    return np.array(stack), spec
+
+
+def _frozen_stack(infos, spec) -> np.ndarray:
+    return np.array([frozen_canonicalize_nuisance(a, spec) for a in infos])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nuisance_stacks())
+def test_batched_canonicalization_matches_frozen_on_random_stacks(case):
+    infos, spec = case
+    got = _canonicalize_nuisance(infos, spec)
+    assert got.tobytes() == _frozen_stack(infos, spec).tobytes()
+
+
+@pytest.mark.parametrize("net,m", [
+    (nd.augment_row_column(3, 3, 3), 3),
+    (nd.augment_row_column(4, 4, 4), 4),
+    (nd.augment_blocks([3, 3, 3, 3], 3), 3),
+    (nd.augment_crossover(4, 3, 3, period_blocks=True), 3),
+], ids=["rc3x3", "rc4x4", "blocks3333", "crossover4x3"])
+def test_batched_canonicalization_matches_frozen_on_random_designs(net, m):
+    # the square row-column layouts are where refinement splits classes that
+    # the initial keys tie
+    spec = ModelSpec.for_network(net, m)
+    xs = np.random.default_rng(59).integers(1, m + 1, size=(2000, net.n_design))
+    f = DesignEvaluator(net, spec)._model_matrices(xs)
+    infos = f.transpose(0, 2, 1) @ f
+    got = np.concatenate([_canonicalize_nuisance(infos[i:i + 256], spec)
+                          for i in range(0, len(infos), 256)])
+    assert got.tobytes() == _frozen_stack(infos, spec).tobytes()
 
 
 def test_model_spec_validation(path312):

@@ -15,8 +15,8 @@ from netdesign import search
 from netdesign.lnem import DesignEvaluator, ModelSpec
 from netdesign.search import SearchConfig, _start_design
 
-from helpers import (cycle_network, oracle_outcomes, oracle_report,
-                     report_fields, stirling2)
+from helpers import (cycle_network, oracle_coordinate_descent,
+                     oracle_outcomes, oracle_report, report_fields, stirling2)
 
 
 def cfg(**kw) -> SearchConfig:
@@ -345,11 +345,10 @@ def test_cd_from_optimum_stops_after_one_sweep(examples, report_cache):
     net = examples[1]
     spec = ModelSpec.for_network(net, 2)
     optimum = report_cache.exhaustive(("ex", 1), 2, True).best_design
-    from netdesign.search import _CachedCall, _descend
-    call = _CachedCall(DesignEvaluator(net, spec), None)
-    value, design = _descend(optimum, call, net.n_design, spec.m)
-    assert design == optimum
-    assert call.considered <= net.n_design * (spec.m - 1) + 1
+    cache, considered, finals = search._restart_task(
+        (DesignEvaluator(net, spec), None), [optimum])
+    assert finals[0][1] == optimum
+    assert considered <= net.n_design * (spec.m - 1) + 1
 
 
 def test_cd_finds_example1_optimum(examples, report_cache):
@@ -371,8 +370,7 @@ def test_cd_deterministic_same_seed(examples):
 
 
 def test_cd_workers_bit_identical(examples, report_cache):
-    # with 3 or more restarts per worker, the workers' caches carry entries
-    # from one restart to the next
+    # each worker's block of 3 or more restarts shares one cache
     for net, m, restarts in [(examples[4], 2, 9),
                              (report_cache.network(("rowcol", 3, 3, 3)), 3, 12)]:
         spec = ModelSpec.for_network(net, m)
@@ -398,6 +396,68 @@ def test_cd_cache_dedups_orbit_mates(path312):
     assert report.num_eval + report.num_invalid <= 6
     assert report.num_cache_hits > 0
     assert_counter_identity(report)
+
+
+_CD_ORACLE_CASES = {"ex4": (("ex", 4), 2), "rc3x3": (("rowcol", 3, 3, 3), 3),
+                    "blocks333": (("blocks", (3, 3, 3), 3), 3)}
+_cd_oracle_reports: dict = {}
+
+
+def _report_without_wall_time(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name != "wall_time"}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_CD_ORACLE_CASES))
+def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
+                                               case, workers):
+    # 7 restarts: three workers get blocks of 2, 2 and 3 descents
+    key, m = _CD_ORACLE_CASES[case]
+    net = report_cache.network(key)
+    spec = ModelSpec.for_network(net, m)
+    evaluated = []
+    values = DesignEvaluator.values
+
+    def counted(self, designs):
+        evaluated.extend(designs)
+        return values(self, designs)
+
+    monkeypatch.setattr(DesignEvaluator, "values", counted)
+    for seed in range(5):
+        if (case, seed) not in _cd_oracle_reports:
+            _cd_oracle_reports[case, seed] = oracle_coordinate_descent(
+                net, m, seed, 7)
+        del evaluated[:]
+        report = nd.coordinate_descent(net, spec, cfg(
+            algorithm="coordinate_descent", seed=seed, restarts=7,
+            workers=workers))
+        assert _report_without_wall_time(report) == \
+            _cd_oracle_reports[case, seed], seed
+        if workers == 1:
+            # every evaluation is of a new orbit: none speculative, none
+            # repeated
+            assert len(evaluated) == len(set(evaluated)) == \
+                report.num_eval + report.num_invalid
+
+
+def test_cd_lockstep_evaluates_in_chunks(examples, monkeypatch):
+    # 300 live descents: the first step's start designs go to the kernel in
+    # chunks of at most _CHUNK_DESIGNS, and the report still matches
+    net, m, restarts = examples[2], 3, 300
+    sizes = []
+    values = DesignEvaluator.values
+
+    def counted(self, designs):
+        sizes.append(len(designs))
+        return values(self, designs)
+
+    monkeypatch.setattr(DesignEvaluator, "values", counted)
+    report = nd.coordinate_descent(net, ModelSpec.for_network(net, m), cfg(
+        algorithm="coordinate_descent", seed=3, restarts=restarts))
+    assert sizes[0] == max(sizes) == search._CHUNK_DESIGNS
+    assert _report_without_wall_time(report) == \
+        oracle_coordinate_descent(net, m, 3, restarts)
 
 
 def test_cd_start_designs_are_seed_and_index_determined():
