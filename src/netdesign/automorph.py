@@ -1,30 +1,26 @@
-"""Automorphism enumeration for unit networks and canonicity tests for
-designs within an automorphism orbit.
+"""Automorphism groups of unit networks and canonicity tests for designs
+within an automorphism orbit.
 
 An automorphism here is a node permutation that preserves edges (directed
 edges keep their direction), maps design nodes to design nodes, and maps
 block nodes to block nodes of the same exchangeability class.  The group is
-found by a backtracking partial-mapping search: nodes are assigned images one
-at a time, candidates restricted to nodes of the same color under an
-equitable refinement of the initial (role, degree) coloring, and adjacency
-consistency with the mapped prefix is enforced with bitmask comparisons.
+built on a stabilizer chain whose base is the order of a partial-mapping
+search over nodes of equal refined color, with adjacency checked by
+bitmasks: level t's transversal is the identity plus, for each other image
+of the t-th base node with the earlier ones fixed, the first leaf below it.
+z is the product of the transversal sizes, and each element is a product
+of one transversal element per level.
 
-Designs related by an automorphism have equal optimality-criterion values, so
-a search only needs the orbit's lexicographically smallest member.  Every
-canonicity question here is integer arithmetic on packed image keys: the
-group's weight matrix W packs each element's image of a design x into one
-integer, the base-B number whose digits are the image's entries, so x @ W
-holds one key per element and lexicographic order of images is integer
-order of keys.  This module provides the test (`is_canonical`), the orbit's
-smallest member (`canonical_representative`, or
-`canonical_representatives` for a batch), the weights that let
-exhaustive search test design prefixes (`weights_for`), plus a brute-force
-orbit counter used as a test oracle.
+Designs related by an automorphism have equal criterion values, so a search
+only needs each orbit's lexicographically smallest member.  Every
+canonicity question is integer arithmetic on packed image keys: x @ W holds
+one key per element, the base-B number whose digits are x's image, so
+integer order of keys is lexicographic order of images.  Also here: a
+brute-force orbit counter used as a test oracle.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Sequence
 
 import numpy as np
@@ -90,10 +86,16 @@ class AutomorphismGroup:
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
-        perms = np.asarray(elements, dtype=np.int32).reshape(-1, network.n_total)
+        n = network.n_total
+        perms = np.asarray(elements, dtype=np.int32)
+        if perms.ndim != 2 or perms.shape[1] != n or not len(perms):
+            raise ValueError(f"elements of shape {perms.shape}, not (z, {n})")
         perms = perms[np.lexsort(perms.T[::-1])]
         perms.setflags(write=False)
-        if not np.array_equal(perms[0], np.arange(network.n_total)):
+        if ((np.sort(perms, axis=1) != np.arange(n)).any()
+                or (perms[1:] == perms[:-1]).all(axis=1).any()):
+            raise ValueError("the elements are not distinct permutations")
+        if not np.array_equal(perms[0], np.arange(n)):
             raise ValueError("the elements do not include the identity")
         self._perms = perms
         self.network = network
@@ -139,15 +141,17 @@ class AutomorphismGroup:
     def size(self) -> int:
         return len(self._perms)
 
-    def _keys(self, x: Sequence[int]) -> tuple[np.ndarray, int, int]:
-        """(keys, base, low): x's images packed from the digits x - low."""
+    def _keys(self, xs) -> tuple[np.ndarray, int, int]:
+        """(keys, base, low) for the (B, d) batch xs: row b of keys packs
+        the z images of xs[b] from the digits xs - low."""
+        xs = np.asarray(xs, dtype=np.int64)
         d = self.network.n_design
-        if len(x) != d:
-            raise ValueError(f"design length {len(x)} does not match "
+        if xs.ndim != 2 or xs.shape[1] != d:
+            raise ValueError(f"design length {xs.shape[-1]} does not match "
                              f"{d} design nodes")
-        low = int(min(x))
-        w, base = self.weights_for(int(max(x)) - low)
-        return np.subtract(x, low, dtype=np.int64) @ w, base, low
+        low = int(xs.min())
+        w, base = self.weights_for(int(xs.max()) - low)
+        return (xs - low) @ w, base, low
 
     def _digits(self, keys: np.ndarray, base: int) -> np.ndarray:
         """The d base-`base` digits of each key, most significant first."""
@@ -156,35 +160,26 @@ class AutomorphismGroup:
 
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
-        keys, base, low = self._keys(x)
-        return np.asarray(self._digits(keys, base) + low, dtype=np.int64)
+        keys, base, low = self._keys([x])
+        return np.asarray(self._digits(keys[0], base) + low, dtype=np.int64)
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
         element maps it to a strictly smaller design vector."""
-        return not self._keys(x)[0].argmin()  # the identity's key is least
+        return not self._keys([x])[0][0].argmin()  # the identity's key is least
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
         return tuple(self.canonical_representatives([x])[0].tolist())
 
     def canonical_representatives(self, xs) -> np.ndarray:
-        """The lexicographically smallest design in the orbit of each row of
-        the (B, d) batch `xs`, as a (B, d) int64 array.  All rows pack their
-        digits xs - low in one base, low the batch's least label; keys are
-        made d rows at a time, so that they never take more room than W."""
+        """The smallest design in the orbit of each row of the (B, d) batch
+        `xs`, as int64.  Keys are made d rows at a time: no larger than W."""
         xs = np.asarray(xs, dtype=np.int64)
-        d = self.network.n_design
-        if xs.ndim != 2 or xs.shape[1] != d:
-            raise ValueError(f"design length {xs.shape[-1]} does not match "
-                             f"{d} design nodes")
-        if not len(xs):
-            return xs
-        low = int(xs.min())
-        w, base = self.weights_for(int(xs.max()) - low)
         out = np.empty_like(xs)
+        d = self.network.n_design
         for start in range(0, len(xs), d):
-            keys = (xs[start:start + d] - low) @ w
+            keys, base, low = self._keys(xs[start:start + d])
             least = keys[np.arange(len(keys)), keys.argmin(axis=1)]
             out[start:start + d] = self._digits(least, base) + low
         return out
@@ -213,13 +208,10 @@ def _search_order(net: Network, colors: list[int]) -> list[int]:
 
 
 def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> AutomorphismGroup:
-    """Enumerate the complete role- and direction-preserving automorphism
-    group of `net`.
-
-    Raises GroupSizeLimitError once more than `max_group_size` elements are
-    found.  Element order in the result is deterministic (lexicographic by
-    permutation image).
-    """
+    """The complete role- and direction-preserving automorphism group of
+    `net`, built on the stabilizer chain with the search order as base (see
+    the module docstring).  Raises GroupSizeLimitError, naming z, when z >
+    `max_group_size`, before any element is built."""
     n = net.n_total
     a = net.adjacency
     colors = _refined_colors(net)
@@ -228,42 +220,50 @@ def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> Automor
                   for src in order]
     out_mask = [int(sum(1 << j for j in np.nonzero(a[i])[0])) for i in range(n)]
     in_mask = [int(sum(1 << j for j in np.nonzero(a[:, i])[0])) for i in range(n)]
-    # earlier order positions adjacent to each position's source node
     below_out = [[s for s in range(t) if a[order[t], order[s]]] for t in range(n)]
     below_in = [[s for s in range(t) if a[order[s], order[t]]] for t in range(n)]
+    image = list(order)  # images in search order, the identity's to start
 
-    # each automorphism's images in search order, back to back
-    leaves = array("i")
-    cap = max_group_size * n
-    image = [0] * n
+    def fits(t: int, used: int) -> list[int]:
+        """Unused images of order[t] linked to image[:t] as it is to order[:t]."""
+        req_out = sum(1 << image[s] for s in below_out[t])
+        req_in = sum(1 << image[s] for s in below_in[t])
+        return [j for j in candidates[t] if not used >> j & 1
+                and out_mask[j] & used == req_out
+                and in_mask[j] & used == req_in]
 
-    def extend(t: int, used: int) -> None:
+    def first_leaf(t: int, used: int) -> bool:
+        """Complete image[:t] to an automorphism in `image`, if any."""
         if t == n:
-            leaves.extend(image)
-            if len(leaves) > cap:
-                raise GroupSizeLimitError(
-                    f"automorphism group exceeds cap {max_group_size}")
-            return
-        req_out = 0
-        for s in below_out[t]:
-            req_out |= 1 << image[s]
-        req_in = 0
-        for s in below_in[t]:
-            req_in |= 1 << image[s]
-        for j in candidates[t]:
-            bit = 1 << j
-            if used & bit:
-                continue
-            if out_mask[j] & used != req_out:
-                continue
-            if in_mask[j] & used != req_in:
-                continue
+            return True
+        for j in fits(t, used):
             image[t] = j
-            extend(t + 1, used | bit)
+            if first_leaf(t + 1, used | 1 << j):
+                return True
+        return False
 
-    extend(0, 0)
-    perms = np.empty((len(leaves) // n, n), dtype=np.int32)
-    perms[:, order] = np.frombuffer(leaves, dtype=np.intc).reshape(-1, n)
+    transversals = []  # per level with more than the identity, its images
+    z = 1
+    used = 0
+    for t, node in enumerate(order):
+        images = [list(order)]
+        for j in fits(t, used):
+            image[t] = j
+            if j != node and first_leaf(t + 1, used | 1 << j):
+                images.append(image.copy())
+        image[t] = node
+        used |= 1 << node
+        if len(images) > 1:
+            transversals.append(images)
+            z *= len(images)
+    if z > max_group_size:
+        raise GroupSizeLimitError(
+            f"automorphism group has {z} elements, cap {max_group_size}")
+    perms = np.arange(n, dtype=np.int32)[None]
+    for images in reversed(transversals):
+        u = np.empty((len(images), n), dtype=np.int32)
+        u[:, order] = images
+        perms = u[:, perms].reshape(-1, n)  # row (a, b): u_a after perms_b
     return AutomorphismGroup(perms, net)
 
 

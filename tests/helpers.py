@@ -4,6 +4,7 @@ value must match the library's bit for bit."""
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
@@ -11,6 +12,8 @@ from operator import itemgetter
 import numpy as np
 
 import netdesign as nd
+from netdesign.automorph import (AutomorphismGroup, GroupSizeLimitError,
+                                 _refined_colors, _search_order)
 from netdesign.search import _start_design
 
 
@@ -167,6 +170,59 @@ def oracle_model_matrix(net: nd.Network, x, m: int) -> np.ndarray:
     rows = list(net.design_nodes)
     return np.hstack([np.ones((len(rows), 1)), carries[rows, :m - 1],
                       np.asarray(net.adjacency, dtype=np.float64)[rows] @ carries])
+
+
+def frozen_find_automorphisms(net: nd.Network,
+                              max_group_size: int = 1_000_000) -> AutomorphismGroup:
+    """Regression reference, not an oracle: the group search as it was
+    before the stabilizer chain, listing every leaf of the partial-mapping
+    tree (same colors and search order).  Raises GroupSizeLimitError once
+    more than `max_group_size` elements are found."""
+    n = net.n_total
+    a = net.adjacency
+    colors = _refined_colors(net)
+    order = _search_order(net, colors)
+    candidates = [[j for j in range(n) if colors[j] == colors[src]]
+                  for src in order]
+    out_mask = [int(sum(1 << j for j in np.nonzero(a[i])[0])) for i in range(n)]
+    in_mask = [int(sum(1 << j for j in np.nonzero(a[:, i])[0])) for i in range(n)]
+    # earlier order positions adjacent to each position's source node
+    below_out = [[s for s in range(t) if a[order[t], order[s]]] for t in range(n)]
+    below_in = [[s for s in range(t) if a[order[s], order[t]]] for t in range(n)]
+
+    # each automorphism's images in search order, back to back
+    leaves = array("i")
+    cap = max_group_size * n
+    image = [0] * n
+
+    def extend(t: int, used: int) -> None:
+        if t == n:
+            leaves.extend(image)
+            if len(leaves) > cap:
+                raise GroupSizeLimitError(
+                    f"automorphism group exceeds cap {max_group_size}")
+            return
+        req_out = 0
+        for s in below_out[t]:
+            req_out |= 1 << image[s]
+        req_in = 0
+        for s in below_in[t]:
+            req_in |= 1 << image[s]
+        for j in candidates[t]:
+            bit = 1 << j
+            if used & bit:
+                continue
+            if out_mask[j] & used != req_out:
+                continue
+            if in_mask[j] & used != req_in:
+                continue
+            image[t] = j
+            extend(t + 1, used | bit)
+
+    extend(0, 0)
+    perms = np.empty((len(leaves) // n, n), dtype=np.int32)
+    perms[:, order] = np.frombuffer(leaves, dtype=np.intc).reshape(-1, n)
+    return AutomorphismGroup(perms, net)
 
 
 def frozen_canonicalize_nuisance(info: np.ndarray,

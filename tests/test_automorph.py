@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx import DiGraph, Graph
+from networkx.algorithms.isomorphism import DiGraphMatcher, GraphMatcher
 
 import netdesign as nd
 from netdesign.automorph import GroupSizeLimitError, cycle_notation
 
-from helpers import burnside_orbit_count, cycle_network, oracle_orbit_minima
+from helpers import (burnside_orbit_count, cycle_network,
+                     frozen_find_automorphisms, oracle_orbit_minima)
 
 
 def test_path_group(path312):
@@ -229,11 +234,19 @@ def test_orbit_count_space_guard(examples):
 
 def test_group_size_cap():
     net = nd.augment_blocks([3, 3, 3], 3)  # z = 1296
-    with pytest.raises(GroupSizeLimitError):
+    with pytest.raises(GroupSizeLimitError, match="has 1296 elements, cap 100$"):
         nd.find_automorphisms(net, max_group_size=100)
-    # the default cap rejects (4!)^4 * 4! ~ 8.0e6
-    with pytest.raises(GroupSizeLimitError):
-        nd.find_automorphisms(nd.augment_blocks([4, 4, 4, 4], 2))
+    # the default cap rejects (4!)^4 * 4! = 7,962,624 from z alone: one
+    # (z, n) int32 element array would take 637 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSizeLimitError,
+                           match="has 7962624 elements, cap 1000000$"):
+            nd.find_automorphisms(nd.augment_blocks([4, 4, 4, 4], 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_element_order_deterministic(examples):
@@ -287,3 +300,76 @@ def test_group_rejects_elements_without_the_identity():
     net = nd.parse_edge_list("1-2, 1-3", 3)
     with pytest.raises(ValueError, match="do not include the identity"):
         nd.AutomorphismGroup([(0, 2, 1)], net)
+
+
+@pytest.mark.parametrize("elements,match", [
+    ([], "shape"),
+    ([0, 1, 2, 0, 2, 1], "shape"),  # two elements flattened into one row
+    ([(0, 1, 2), (0, 2, 1), (0, 2, 1)], "distinct permutations"),
+    ([(0, 1, 2), (1, 1, 2)], "distinct permutations"),
+], ids=["empty", "flattened", "repeated", "not-a-permutation"])
+def test_group_rejects_malformed_elements(elements, match):
+    net = nd.parse_edge_list("1-2, 1-3", 3)
+    with pytest.raises(ValueError, match=match):
+        nd.AutomorphismGroup(elements, net)
+
+
+@pytest.mark.parametrize("net", [
+    *(nd.example_network(k) for k in range(1, 7)),
+    nd.augment_blocks([3, 3, 3, 3], 3),
+    nd.augment_blocks([2, 3, 4, 3], 3),
+    nd.augment_row_column(4, 4, 4),
+    nd.augment_crossover(4, 3, 2),
+    # directed circulant whose 5 automorphisms need the in-neighbor test
+    nd.parse_edge_list(", ".join(f"{i + 1}->{(i + s) % 5 + 1}" for i in range(5)
+                                 for s in (1, 3, 4)), 5, directed=True),
+], ids=[*(f"ex{k}" for k in range(1, 7)), "blocks3333", "blocks2343",
+        "rc4x4", "crossover4x3", "circulant5"])
+def test_chain_matches_frozen_leaf_listing(net):
+    group = nd.find_automorphisms(net)
+    frozen = frozen_find_automorphisms(net)
+    assert group._perms.tobytes() == frozen._perms.tobytes()
+    assert group.weights.tobytes() == frozen.weights.tobytes()
+
+
+@st.composite
+def small_networks(draw) -> nd.Network:
+    """Directed or undirected networks on at most 10 nodes, 0-3 of them
+    block nodes in 1-2 classes, placed anywhere.  Edge sets are drawn as
+    sets, which keeps them sparse enough that most groups are not trivial."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 10))
+    nb = draw(st.integers(0, min(3, n - 1)))
+    classes = draw(st.lists(st.integers(0, 1), min_size=nb, max_size=nb))
+    roles = [None] * (n - nb) + [nd.BlockRole(c, k + 1)
+                                 for k, c in enumerate(classes)]
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and (directed or i < j)]
+    a = np.zeros((n, n), dtype=np.int64)
+    for i, j in draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(())):
+        a[i, j] = 1
+        if not directed:
+            a[j, i] = 1
+    return nd.Network(a, directed, draw(st.permutations(roles)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_networks())
+def test_chain_matches_frozen_and_networkx_on_random_networks(net):
+    cap = 1000  # keeps the networkx count quick
+    try:
+        frozen = frozen_find_automorphisms(net, cap)
+    except GroupSizeLimitError:
+        with pytest.raises(GroupSizeLimitError):
+            nd.find_automorphisms(net, cap)
+        return
+    group = nd.find_automorphisms(net, cap)
+    assert group._perms.tobytes() == frozen._perms.tobytes()
+    graph = DiGraph() if net.directed else Graph()
+    graph.add_nodes_from(
+        (i, {"cls": None if r is None else r.class_id})
+        for i, r in enumerate(net.roles))
+    graph.add_edges_from(zip(*np.nonzero(net.adjacency)))
+    matcher = (DiGraphMatcher if net.directed else GraphMatcher)(
+        graph, graph, node_match=lambda u, v: u["cls"] == v["cls"])
+    assert group.size == sum(1 for _ in matcher.isomorphisms_iter())

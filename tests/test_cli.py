@@ -115,6 +115,13 @@ def test_autos_examples(capsys):
     assert code == 0 and "automorphisms: 1296" in out
 
 
+def test_autos_refuses_a_group_over_the_cap_naming_its_size(capsys):
+    code = main(["autos", "--blocks", "4,4,4,4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "automorphism group has 7962624 elements, cap 1000000" in captured.err
+
+
 def test_autos_verbose_cycles(capsys):
     code, out = run_cli(capsys, "autos", "--example", "1", "--verbose")
     lines = out.strip().splitlines()
