@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import os
 import sys
+from functools import partial
 
 from .automorph import (GroupSizeLimitError, count_orbits_bruteforce,
                         cycle_notation, find_automorphisms)
@@ -37,17 +38,17 @@ _T1_TREATMENTS = {1: 2, 2: 2, 3: 2, 4: 4, 5: 3, 6: 3}
 
 _T2_REFERENCE_EFFICIENCY = {1: 1.0, 2: 0.944, 3: 0.989, 4: 0.873, 5: 0.931, 6: 1.0}
 
-# structure label -> (builder args, m, reference (z, evals_without,
-# evals_with), slow flag); the "3x3 row-column" reference row is internally
-# inconsistent in its source and its group size disagrees with the
-# closed-form rows!*cols!*2 = 72, so deltas on it are expected
+# structure label -> (network builder taking m, m, reference (z,
+# evals_without, evals_with), slow flag); the "3x3 row-column" reference row
+# is internally inconsistent in its source and its group size disagrees with
+# the closed-form rows!*cols!*2 = 72, so deltas on it are expected
 _T4_ROWS = [
-    ("3x3-blocks", ("blocks", (3, 3, 3)), 3, (1296, 2925, 94), False),
-    ("4x3-blocks-m3", ("blocks", (3, 3, 3, 3)), 3, (82944, 86126, 379), False),
-    ("4x3-blocks-m4", ("blocks", (3, 3, 3, 3)), 4, (82944, 605960, 1808), True),
-    ("3x3-row-column", ("row-column", (3, 3)), 3, (241, 72, 2807), False),
-    ("4x4-row-column-m3", ("row-column", (4, 4)), 3, (1152, 7123656, 34873), True),
-    ("4x4-row-column-m4", ("row-column", (4, 4)), 4, (1152, 170863644, 1610909), True),
+    ("3x3-blocks", partial(augment_blocks, (3, 3, 3)), 3, (1296, 2925, 94), False),
+    ("4x3-blocks-m3", partial(augment_blocks, (3, 3, 3, 3)), 3, (82944, 86126, 379), False),
+    ("4x3-blocks-m4", partial(augment_blocks, (3, 3, 3, 3)), 4, (82944, 605960, 1808), True),
+    ("3x3-row-column", partial(augment_row_column, 3, 3), 3, (241, 72, 2807), False),
+    ("4x4-row-column-m3", partial(augment_row_column, 4, 4), 3, (1152, 7123656, 34873), True),
+    ("4x4-row-column-m4", partial(augment_row_column, 4, 4), 4, (1152, 170863644, 1610909), True),
 ]
 
 
@@ -196,13 +197,10 @@ def _t1_rows(args):
 
 
 def _t4_rows(args):
-    for label, (kind, dims), m, ref, slow in _T4_ROWS:
+    for label, build, m, ref, slow in _T4_ROWS:
         if slow and not args.all:
             continue
-        if kind == "blocks":
-            yield label, augment_blocks(list(dims), m), m, ref
-        else:
-            yield label, augment_row_column(dims[0], dims[1], m), m, ref
+        yield label, build(m=m), m, ref
 
 
 def _reproduce_t2(args, writer) -> None:

@@ -216,12 +216,12 @@ class DesignEvaluator:
         return self._model_matrices(np.asarray(x, dtype=np.int64)[None, :])[0]
 
     def value(self, x: Sequence[int]) -> float | None:
-        f = self.model_matrix(x)
-        return evaluate_criterion(f.T @ f, self.spec)
+        return self.values([x])[0]
 
     def values(self, designs: Sequence[Sequence[int]]) -> list[float | None]:
         """Criterion values of a chunk of designs (one per row of a (B, d)
-        batch), each equal bit for bit to `value` of that design alone."""
+        batch), each equal bit for bit to the value of that design in any
+        other chunk."""
         if not len(designs):
             return []
         for x in designs:  # before stacking, which fails on a ragged chunk

@@ -4,8 +4,11 @@ constructors that turn classical blocked layouts into unit networks.
 A network holds one node per experimental unit plus, for blocked structures,
 one pseudo-unit ("block node") per block.  Block nodes carry a fixed
 pseudo-treatment and are never measured; their network effect plays the role
-of the block effect.  Node ids are 1-based in every file format and 0-based
-internally; the parser and serializer are the only places that translate.
+of the block effect.  The one-way, row-column and crossover constructors
+share one builder: each lists its blocks as (class, units), and
+`_with_block_nodes` adds the block nodes, their links and their roles.
+Node ids are 1-based in every file format and 0-based internally; the parser
+and serializer are the only places that translate.
 """
 
 from __future__ import annotations
@@ -249,13 +252,28 @@ def load_network_file(path) -> Network:
         return parse_network(fh.read())
 
 
-def _block_class_ids(sizes: Sequence[int]) -> list[int]:
-    # equal-sized blocks are exchangeable; distinct sizes get distinct classes
-    classes: dict[int, int] = {}
-    out = []
-    for s in sizes:
-        out.append(classes.setdefault(s, len(classes)))
-    return out
+def _with_block_nodes(n_units: int, blocks: Sequence[tuple[int, Sequence[int]]],
+                      m: int, carryover: Sequence[tuple[int, int]] = ()
+                      ) -> Network:
+    """Network of `n_units` design nodes and one block node per entry of
+    `blocks`, an ordered list of (class_id, units).  Block k is node
+    n_units + k, pinned to pseudo-treatment m+k+1 and linked both ways to its
+    units.  `carryover` lists directed unit edges (i, k), each setting
+    A[i, k] = 1; the network is directed exactly when there are any."""
+    if m < 2:
+        raise NetworkError("need at least two treatments")
+    n = n_units + len(blocks)
+    a = np.zeros((n, n), dtype=np.int64)
+    units = np.concatenate([np.asarray(u, dtype=np.intp) for _, u in blocks])
+    nodes = np.repeat(np.arange(n_units, n), [len(u) for _, u in blocks])
+    a[units, nodes] = a[nodes, units] = 1
+    directed = len(carryover) > 0
+    if directed:
+        i, k = np.transpose(carryover)
+        a[i, k] = 1
+    roles: list[BlockRole | None] = [None] * n_units
+    roles += [BlockRole(c, m + k + 1) for k, (c, _) in enumerate(blocks)]
+    return Network(a, directed, roles)
 
 
 def augment_blocks(units_per_block: Sequence[int], m: int) -> Network:
@@ -270,21 +288,11 @@ def augment_blocks(units_per_block: Sequence[int], m: int) -> Network:
         raise NetworkError("need at least one block")
     if any(s < 1 for s in sizes):
         raise NetworkError("every block needs at least one unit")
-    if m < 2:
-        raise NetworkError("need at least two treatments")
-    n_units = sum(sizes)
-    n = n_units + len(sizes)
-    a = np.zeros((n, n), dtype=np.int64)
-    unit = 0
-    for k, size in enumerate(sizes):
-        block = n_units + k
-        for _ in range(size):
-            a[unit, block] = a[block, unit] = 1
-            unit += 1
-    class_ids = _block_class_ids(sizes)
-    roles: list[BlockRole | None] = [None] * n_units
-    roles += [BlockRole(class_ids[k], m + k + 1) for k in range(len(sizes))]
-    return Network(a, directed=False, roles=roles)
+    ends = np.cumsum(sizes).tolist()
+    classes: dict[int, int] = {}  # block size -> class id, in first-seen order
+    blocks = [(classes.setdefault(s, len(classes)), range(end - s, end))
+              for s, end in zip(sizes, ends)]
+    return _with_block_nodes(ends[-1], blocks, m)
 
 
 def augment_row_column(rows: int, cols: int, m: int) -> Network:
@@ -298,23 +306,10 @@ def augment_row_column(rows: int, cols: int, m: int) -> Network:
     """
     if rows < 1 or cols < 1:
         raise NetworkError("rows and cols must be at least 1")
-    if m < 2:
-        raise NetworkError("need at least two treatments")
-    n_units = rows * cols
-    n = n_units + rows + cols
-    a = np.zeros((n, n), dtype=np.int64)
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            rnode = n_units + r
-            cnode = n_units + rows + c
-            a[u, rnode] = a[rnode, u] = 1
-            a[u, cnode] = a[cnode, u] = 1
+    grid = np.arange(rows * cols).reshape(rows, cols)
     col_class = 0 if rows == cols else 1
-    roles: list[BlockRole | None] = [None] * n_units
-    roles += [BlockRole(0, m + 1 + r) for r in range(rows)]
-    roles += [BlockRole(col_class, m + rows + 1 + c) for c in range(cols)]
-    return Network(a, directed=False, roles=roles)
+    blocks = [(0, row) for row in grid] + [(col_class, col) for col in grid.T]
+    return _with_block_nodes(grid.size, blocks, m)
 
 
 def augment_crossover(subjects: int, periods: int, m: int,
@@ -332,26 +327,10 @@ def augment_crossover(subjects: int, periods: int, m: int,
         raise NetworkError("need at least one subject")
     if periods < 2:
         raise NetworkError("need at least two periods")
-    if m < 2:
-        raise NetworkError("need at least two treatments")
-    n_units = subjects * periods
-    n = n_units + subjects + (periods if period_blocks else 0)
-    a = np.zeros((n, n), dtype=np.int64)
-    for s in range(subjects):
-        snode = n_units + s
-        for p in range(periods):
-            u = s * periods + p
-            a[u, snode] = a[snode, u] = 1
-            if p >= 1:
-                a[u, u - 1] = 1
+    grid = np.arange(subjects * periods).reshape(subjects, periods)
+    blocks = [(0, subject) for subject in grid]
     if period_blocks:
-        for p in range(periods):
-            pnode = n_units + subjects + p
-            for s in range(subjects):
-                u = s * periods + p
-                a[u, pnode] = a[pnode, u] = 1
-    roles: list[BlockRole | None] = [None] * n_units
-    roles += [BlockRole(0, m + 1 + s) for s in range(subjects)]
-    if period_blocks:
-        roles += [BlockRole(1, m + subjects + 1 + p) for p in range(periods)]
-    return Network(a, directed=True, roles=roles)
+        blocks += [(1, period) for period in grid.T]
+    later = grid[:, 1:].ravel()  # every unit after its subject's first period
+    return _with_block_nodes(grid.size, blocks, m,
+                             np.stack([later, later - 1], axis=1))

@@ -13,7 +13,9 @@ under a non-trivial group, closes the subtree of any prefix that some
 automorphism maps to a smaller one: those designs are counted as considered
 and skipped, so every counter equals that of gating each design.  The test
 reads the group's packed image keys, kept per depth, so each prefix costs one
-update of the z keys and one minimum.
+update of the z keys and one minimum.  A network whose only automorphism is
+the identity gives the searches no group at all (`_group_for`), so none of
+them asks a canonicity question that only the identity could answer.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep: each descent is a generator that
@@ -150,7 +152,7 @@ def _segments(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     """The stream designs that start with `prefix`, in lexicographic order,
     as segments (size, design): (1, x) for a design to evaluate, or
     (size, None) for `size` consecutive designs none of which is canonical.
-    With a non-trivial group the odometer tests each prefix it reaches, the
+    With a group the odometer tests each prefix it reaches, the
     given one first; a prefix that some element maps to a smaller one closes
     its subtree unvisited.  keys[i] packs each element's image of x[:i],
     unassigned positions read as base - 1 (above every label): the prefix
@@ -159,7 +161,7 @@ def _segments(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     ties the unassigned rest too, and the answer holds for every completion."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
-    test = group is not None and group.size > 1
+    test = group is not None
     start, last, free = len(prefix), n - 1, not use_label_symmetry
     x = list(prefix) + [1] * (n - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
@@ -260,9 +262,12 @@ def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
 
 
 def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
+    """The group a search prunes with: None when automorphisms are off or
+    the network has none but the identity, which would prune nothing."""
     if not config.use_automorphisms:
         return None
-    return find_automorphisms(net, config.max_group_size)
+    group = find_automorphisms(net, config.max_group_size)
+    return group if group.size > 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ from array import array
 from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
 import netdesign as nd
 from netdesign.automorph import (AutomorphismGroup, GroupSizeLimitError,
                                  _refined_colors, _search_order)
+from netdesign.network import BlockRole, Network, NetworkError
 from netdesign.search import _start_design
 
 
@@ -223,6 +225,119 @@ def frozen_find_automorphisms(net: nd.Network,
     perms = np.empty((len(leaves) // n, n), dtype=np.int32)
     perms[:, order] = np.frombuffer(leaves, dtype=np.intc).reshape(-1, n)
     return AutomorphismGroup(perms, net)
+
+
+# Regression references, not oracles: the blocked-layout constructors as
+# they were before they shared one block-node builder, each with its own
+# adjacency loops, role list and checks.
+
+
+def _block_class_ids(sizes: Sequence[int]) -> list[int]:
+    # equal-sized blocks are exchangeable; distinct sizes get distinct classes
+    classes: dict[int, int] = {}
+    out = []
+    for s in sizes:
+        out.append(classes.setdefault(s, len(classes)))
+    return out
+
+
+def frozen_augment_blocks(units_per_block: Sequence[int], m: int) -> Network:
+    """Network for a one-way blocked experiment: one design node per unit and
+    one block node per block, linked to exactly its units.
+
+    Block k (1-based) is pinned to pseudo-treatment m+k.  Blocks of equal
+    size share an exchangeability class.
+    """
+    sizes = list(units_per_block)
+    if not sizes:
+        raise NetworkError("need at least one block")
+    if any(s < 1 for s in sizes):
+        raise NetworkError("every block needs at least one unit")
+    if m < 2:
+        raise NetworkError("need at least two treatments")
+    n_units = sum(sizes)
+    n = n_units + len(sizes)
+    a = np.zeros((n, n), dtype=np.int64)
+    unit = 0
+    for k, size in enumerate(sizes):
+        block = n_units + k
+        for _ in range(size):
+            a[unit, block] = a[block, unit] = 1
+            unit += 1
+    class_ids = _block_class_ids(sizes)
+    roles: list[BlockRole | None] = [None] * n_units
+    roles += [BlockRole(class_ids[k], m + k + 1) for k in range(len(sizes))]
+    return Network(a, directed=False, roles=roles)
+
+
+def frozen_augment_row_column(rows: int, cols: int, m: int) -> Network:
+    """Network for a row-column design: rows*cols design nodes (row-major),
+    one block node per row and per column, each unit linked to both of its
+    block nodes.
+
+    Fixed pseudo-treatments are m+1..m+rows for the row nodes then
+    m+rows+1..m+rows+cols for the column nodes.  When rows == cols the two
+    classes are merged so the transpose symmetry is admitted.
+    """
+    if rows < 1 or cols < 1:
+        raise NetworkError("rows and cols must be at least 1")
+    if m < 2:
+        raise NetworkError("need at least two treatments")
+    n_units = rows * cols
+    n = n_units + rows + cols
+    a = np.zeros((n, n), dtype=np.int64)
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            rnode = n_units + r
+            cnode = n_units + rows + c
+            a[u, rnode] = a[rnode, u] = 1
+            a[u, cnode] = a[cnode, u] = 1
+    col_class = 0 if rows == cols else 1
+    roles: list[BlockRole | None] = [None] * n_units
+    roles += [BlockRole(0, m + 1 + r) for r in range(rows)]
+    roles += [BlockRole(col_class, m + rows + 1 + c) for c in range(cols)]
+    return Network(a, directed=False, roles=roles)
+
+
+def frozen_augment_crossover(subjects: int, periods: int, m: int,
+                             period_blocks: bool = False) -> Network:
+    """Directed network for a crossover trial: one design node per
+    subject-period combination (subject-major), one block node per subject,
+    optionally one per period, and a directed carryover edge from each unit
+    to the same subject's previous-period unit.
+
+    A[(s,p)][(s,p-1)] = 1 encodes that unit (s,p)'s response includes the
+    network effect of the treatment given in the previous period.  Block
+    links are bidirectional.
+    """
+    if subjects < 1:
+        raise NetworkError("need at least one subject")
+    if periods < 2:
+        raise NetworkError("need at least two periods")
+    if m < 2:
+        raise NetworkError("need at least two treatments")
+    n_units = subjects * periods
+    n = n_units + subjects + (periods if period_blocks else 0)
+    a = np.zeros((n, n), dtype=np.int64)
+    for s in range(subjects):
+        snode = n_units + s
+        for p in range(periods):
+            u = s * periods + p
+            a[u, snode] = a[snode, u] = 1
+            if p >= 1:
+                a[u, u - 1] = 1
+    if period_blocks:
+        for p in range(periods):
+            pnode = n_units + subjects + p
+            for s in range(subjects):
+                u = s * periods + p
+                a[u, pnode] = a[pnode, u] = 1
+    roles: list[BlockRole | None] = [None] * n_units
+    roles += [BlockRole(0, m + 1 + s) for s in range(subjects)]
+    if period_blocks:
+        roles += [BlockRole(1, m + subjects + 1 + p) for p in range(periods)]
+    return Network(a, directed=True, roles=roles)
 
 
 def frozen_canonicalize_nuisance(info: np.ndarray,

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 import netdesign as nd
 from netdesign.network import NetworkError, ParseError
+
+from helpers import (frozen_augment_blocks, frozen_augment_crossover,
+                     frozen_augment_row_column)
 
 
 def test_parse_example1_text():
@@ -243,3 +248,69 @@ def test_crossover_edge_count_formula(s, p, pb):
     net = nd.augment_crossover(s, p, 2, period_blocks=pb)
     expected = s * p + s * (p - 1) + (p * s if pb else 0)
     assert net.edge_count() == expected
+
+
+# layout -> (constructor, frozen constructor, keyword arguments of each
+# layout in the reference grid, m left out): 340 block lists, 25 row-column
+# and 40 crossover layouts, 1,215 cases over the three values of m
+_LAYOUTS = {
+    "blocks": (nd.augment_blocks, frozen_augment_blocks,
+               [dict(units_per_block=list(sizes)) for k in range(1, 5)
+                for sizes in product(range(1, 5), repeat=k)]),
+    "row-column": (nd.augment_row_column, frozen_augment_row_column,
+                   [dict(rows=r, cols=c)
+                    for r in range(1, 6) for c in range(1, 6)]),
+    "crossover": (nd.augment_crossover, frozen_augment_crossover,
+                  [dict(subjects=s, periods=p, period_blocks=pb)
+                   for s in range(1, 6) for p in range(2, 6)
+                   for pb in (False, True)]),
+}
+
+
+def _built(net: nd.Network):
+    roles = [None if r is None else (r.class_id, r.fixed_treatment)
+             for r in net.roles]
+    return net.adjacency.shape, net.adjacency.tobytes(), net.directed, roles
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_constructors_match_frozen_copies(layout, m):
+    # adjacency bytes, directedness and every role as the per-layout loops
+    # built them, on every layout of the grid
+    build, frozen, cases = _LAYOUTS[layout]
+    for kwargs in cases:
+        assert _built(build(**kwargs, m=m)) == _built(frozen(**kwargs, m=m)), kwargs
+
+
+_BAD_LAYOUTS = [
+    ("blocks", dict(units_per_block=[])),
+    ("blocks", dict(units_per_block=[3, 0])),
+    ("blocks", dict(units_per_block=[2, -1, 2])),
+    ("row-column", dict(rows=0, cols=3)),
+    ("row-column", dict(rows=3, cols=0)),
+    ("crossover", dict(subjects=0, periods=3)),
+    ("crossover", dict(subjects=3, periods=1)),
+    ("crossover", dict(subjects=0, periods=1, period_blocks=True)),
+]
+_GOOD_LAYOUTS = [
+    ("blocks", dict(units_per_block=[3])),
+    ("row-column", dict(rows=2, cols=3)),
+    ("crossover", dict(subjects=2, periods=2, period_blocks=True)),
+]
+
+
+@pytest.mark.parametrize("layout,kwargs,m",
+                         [(layout, kwargs, m) for layout, kwargs in _BAD_LAYOUTS
+                          for m in (1, 2)]
+                         + [(layout, kwargs, 1) for layout, kwargs in _GOOD_LAYOUTS])
+def test_constructor_errors_match_frozen_copies(layout, kwargs, m):
+    # the same message as the frozen copy, so a layout error still comes
+    # before the treatment-count error
+    build, frozen, _ = _LAYOUTS[layout]
+    with pytest.raises(NetworkError) as want:
+        frozen(**kwargs, m=m)
+    with pytest.raises(NetworkError) as got:
+        build(**kwargs, m=m)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

@@ -523,6 +523,37 @@ def test_plugin_random_next_deterministic(examples):
     assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
 
 
+def test_trivial_group_is_never_consulted(examples, monkeypatch):
+    # example 2 has only the identity: coordinate descent and the plugin
+    # loop give the reports they give without automorphisms, and neither
+    # asks the group for a representative or a canonicity test
+    net = examples[2]
+    spec = ModelSpec.for_network(net, 2)
+    calls = []
+
+    def spy(name):
+        method = getattr(nd.AutomorphismGroup, name)
+        def called(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(nd.AutomorphismGroup, name, called)
+
+    spy("canonical_representatives")
+    spy("is_canonical")
+
+    def reports(use):
+        cd = nd.coordinate_descent(net, spec, cfg(
+            algorithm="coordinate_descent", seed=5, restarts=6,
+            use_automorphisms=use))
+        plugin = nd.run_with_plugins(net, spec,
+                                     lex_stream_next(10, 2, symmetry=True),
+                                     None, cfg(use_automorphisms=use))
+        return [r.to_json(exclude_wall_time=True) for r in (cd, plugin)]
+
+    assert reports(True) == reports(False)
+    assert calls == []
+
+
 def test_plugin_safety_budget(path312):
     spec = ModelSpec.for_network(path312, 2)
     constant_next = lambda xs, ds: (1, 1, 2)
