@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lnem import _label_array
 from .network import Network
 
 
@@ -144,7 +145,7 @@ class AutomorphismGroup:
     def _keys(self, xs) -> tuple[np.ndarray, int, int]:
         """(keys, base, low) for the (B, d) batch xs: row b of keys packs
         the z images of xs[b] from the digits xs - low."""
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = _label_array(xs)
         d = self.network.n_design
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"design length {xs.shape[-1]} does not match "
@@ -175,7 +176,7 @@ class AutomorphismGroup:
     def canonical_representatives(self, xs) -> np.ndarray:
         """The smallest design in the orbit of each row of the (B, d) batch
         `xs`, as int64.  Keys are made d rows at a time: no larger than W."""
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = _label_array(xs)
         out = np.empty_like(xs)
         d = self.network.n_design
         for start in range(0, len(xs), d):

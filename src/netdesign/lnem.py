@@ -20,6 +20,13 @@ descent); `DesignEvaluator.value` and `evaluate_criterion` are its
 one-matrix calls, with the same result bit for bit.  The nuisance
 coordinates of the whole stack are put in canonical order first, also as
 stacked array operations.
+
+A design that leaves some treatment unused is INVALID on every network, so
+`values` answers None for it without a model matrix or an eigendecomposition:
+if treatment j < m is unused, column j of F is zero and no contrast with
+c_j != 0 lies in F's row space; if treatment m is unused, the indicators of
+1..m-1 sum to the intercept, so F v = 0 for v = (-1, 1, ..., 1, 0, ..., 0),
+and the contrast e_j of (j, m) has e_j . v = 1.
 """
 
 from __future__ import annotations
@@ -171,8 +178,9 @@ class DesignEvaluator:
     Precomputes the design-node columns of the measurable rows of the
     adjacency matrix and the network-effect counts contributed by the fixed
     block pseudo-treatments.  `values` evaluates a whole chunk of designs
-    with one batched eigendecomposition; `value` is its one-design case, and
-    both give bit-identical results for the same design.
+    with one batched eigendecomposition of those that use every treatment;
+    `value` is its one-design case, and both give bit-identical results for
+    the same design.
     """
 
     def __init__(self, net: Network, spec: ModelSpec):
@@ -188,14 +196,25 @@ class DesignEvaluator:
         self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
                               @ self._onehot_rows[fixed])
 
-    def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
-        """Model matrices of the (B, d) designs `xs`, shape (B, d, p): one
-        one-hot gather and one broadcast matmul for the whole batch.  A
-        design of the wrong length or with labels outside 1..m is an error."""
-        m, d = self.spec.m, self.net.n_design
+    def _batch(self, designs) -> np.ndarray:
+        """The designs as a (B, d) int64 batch.  A design of the wrong
+        length, or with a label that is not a whole number in 1..m, is an
+        error."""
+        if not isinstance(designs, np.ndarray):
+            for x in designs:  # before stacking, which fails on a ragged chunk
+                self._check_length(len(x))
+        xs = _label_array(designs)
+        if xs.ndim != 2:
+            raise ValueError(f"designs of shape {xs.shape}, not a (B, d) batch")
         self._check_length(xs.shape[1])
-        if xs.min() < 1 or xs.max() > m:
-            raise ValueError(f"treatments must lie in 1..{m}")
+        if xs.min() < 1 or xs.max() > self.spec.m:
+            raise ValueError(f"treatments must lie in 1..{self.spec.m}")
+        return xs
+
+    def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
+        """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p):
+        one one-hot gather and one broadcast matmul for the whole batch."""
+        m, d = self.spec.m, self.net.n_design
         onehot = self._onehot_rows[xs - 1]
         f = np.empty((len(xs), d, self.spec.n_params))
         f[:, :, 0] = 1.0
@@ -213,21 +232,32 @@ class DesignEvaluator:
         """Rows: measurable nodes in ascending node order.  Columns:
         intercept, treatment indicators 1..m-1, then network-effect counts
         for every treatment 1..total_treatments."""
-        return self._model_matrices(np.asarray(x, dtype=np.int64)[None, :])[0]
+        return self._model_matrices(self._batch([x]))[0]
 
     def value(self, x: Sequence[int]) -> float | None:
         return self.values([x])[0]
 
-    def values(self, designs: Sequence[Sequence[int]]) -> list[float | None]:
-        """Criterion values of a chunk of designs (one per row of a (B, d)
-        batch), each equal bit for bit to the value of that design in any
-        other chunk."""
+    def values(self, designs: Sequence[Sequence[int]] | np.ndarray
+               ) -> list[float | None]:
+        """Criterion values of a chunk of designs (a sequence of designs or
+        a (B, d) integer array), each equal bit for bit to the value of that
+        design in any other chunk.  A design that leaves a treatment unused
+        is INVALID (None) without a model matrix or an eigendecomposition
+        (see the module docstring); the others go to the kernel as one
+        stack, and their values come back in chunk order."""
         if not len(designs):
             return []
-        for x in designs:  # before stacking, which fails on a ragged chunk
-            self._check_length(len(x))
-        xs = np.asarray(designs, dtype=np.int64)
-        return _criterion_values(self._information_matrices(xs), self.spec)
+        xs = self._batch(designs)
+        used = np.zeros((len(xs), self.spec.m + 1), dtype=bool)
+        used[np.arange(len(xs))[:, None], xs] = True
+        rows = used[:, 1:].all(axis=1).nonzero()[0]
+        out: list[float | None] = [None] * len(xs)
+        if len(rows):
+            found = _criterion_values(self._information_matrices(xs[rows]),
+                                      self.spec)
+            for row, value in zip(rows.tolist(), found):
+                out[row] = value
+        return out
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
         """F'F of each design of the batch, nuisance coordinates canonical."""
@@ -236,6 +266,19 @@ class DesignEvaluator:
         if self.spec.block_classes:
             info = _canonicalize_nuisance(info, self.spec)
         return info
+
+
+def _label_array(designs) -> np.ndarray:
+    """`designs` as an int64 array.  A label that is not a whole number is
+    an error, not truncated or parsed; whole-number floats such as 2.0 are
+    labels."""
+    xs = np.asarray(designs)
+    if xs.dtype.kind in "biu":
+        return xs.astype(np.int64, copy=False)
+    if xs.dtype.kind != "f" or not (np.isfinite(xs)
+                                    & (xs == np.trunc(xs))).all():
+        raise ValueError("treatments must be whole numbers")
+    return xs.astype(np.int64)
 
 
 def build_model_matrix(net: Network, x: Sequence[int], spec: ModelSpec) -> np.ndarray:

@@ -8,14 +8,20 @@ rule fires.  Two instantiations ship here: exhaustive lexicographic search
 of treatment j precedes the first occurrence of j+1) and cyclic coordinate
 descent with seeded random restarts.
 
-Exhaustive search walks its stream with one odometer (`_segments`) that,
-under a non-trivial group, closes the subtree of any prefix that some
-automorphism maps to a smaller one: those designs are counted as considered
-and skipped, so every counter equals that of gating each design.  The test
-reads the group's packed image keys, kept per depth, so each prefix costs one
-update of the z keys and one minimum.  A network whose only automorphism is
-the identity gives the searches no group at all (`_group_for`), so none of
+Without a group, exhaustive search takes its stream as label arrays
+(`_blocks`): the last positions of every design come from one cached tail
+table, the lexicographic completions of those positions after a prefix
+with a given largest label, and only the positions above them are walked
+in Python.  Under a non-trivial group one odometer (`_segments`) walks the
+stream and closes the subtree of any prefix that some automorphism maps to
+a smaller one: those designs are counted as considered and skipped, so
+every counter equals that of gating each design.  The test reads the
+group's packed image keys, kept per depth, so each prefix costs one update
+of the z keys and one minimum.  A network whose only automorphism is the
+identity gives the searches no group at all (`_group_for`), so none of
 them asks a canonicity question that only the identity could answer.
+Either way the evaluator answers designs that leave a treatment unused as
+INVALID without an eigendecomposition.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep: each descent is a generator that
@@ -26,10 +32,11 @@ functions of the key, so the counters equal those of running the restarts
 one after another.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
-evaluated _CHUNK_DESIGNS per batched `DesignEvaluator.values` call, or
-contiguous blocks of restarts, one per worker.  One worker runs them in this
-process, more run the same code on a process pool, and results merge in
-task order, so reports do not depend on the worker count.
+evaluated in label-array chunks of about _CHUNK_DESIGNS designs, one
+batched `DesignEvaluator.values` call each, or contiguous blocks of
+restarts, one per worker.  One worker runs them in this process, more run
+the same code on a process pool, and results merge in task order, so
+reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ import json
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass, fields
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -146,62 +152,110 @@ def _subtree_sizes(n: int, m: int, use_label_symmetry: bool) -> list[list[int]]:
     return sizes
 
 
-def _segments(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
+def _advance(x: list[int], top: list[int], q: int, start: int, m: int,
+             use_label_symmetry: bool) -> int:
+    """Step the odometer x, with top[i] the largest label of x[:i], to the
+    next stream string: advance the deepest position at or above q (and not
+    before `start`) that can still grow, and reset the positions after it
+    to 1.  Returns that position, or -1 when the walk is done."""
+    while q >= start:
+        v = x[q]
+        if v < m and (not use_label_symmetry or v <= top[q]):
+            break
+        q -= 1
+    else:
+        return -1
+    v = x[q] = x[q] + 1
+    t = top[q] if top[q] > v else v
+    top[q + 1] = t
+    for i in range(q + 1, len(x)):
+        x[i] = 1
+        top[i + 1] = t
+    return q
+
+
+def _segments(group: AutomorphismGroup, prefix: Sequence[int], n: int,
               m: int, use_label_symmetry: bool
               ) -> Iterator[tuple[int, Design | None]]:
     """The stream designs that start with `prefix`, in lexicographic order,
     as segments (size, design): (1, x) for a design to evaluate, or
     (size, None) for `size` consecutive designs none of which is canonical.
-    With a group the odometer tests each prefix it reaches, the
-    given one first; a prefix that some element maps to a smaller one closes
-    its subtree unvisited.  keys[i] packs each element's image of x[:i],
-    unassigned positions read as base - 1 (above every label): the prefix
-    has a smaller image iff the first least key is not the identity's, key
-    0.  An image that ties the prefix draws on its positions alone, so it
-    ties the unassigned rest too, and the answer holds for every completion."""
+    The odometer tests each prefix it reaches, the given one first; a
+    prefix that some element maps to a smaller one closes its subtree
+    unvisited.  keys[i] packs each element's image of x[:i], unassigned
+    positions read as base - 1 (above every label): the prefix has a
+    smaller image iff the first least key is not the identity's, key 0.  An
+    image that ties the prefix draws on its positions alone, so it ties the
+    unassigned rest too, and the answer holds for every completion."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
-    test = group is not None
-    start, last, free = len(prefix), n - 1, not use_label_symmetry
+    start, last = len(prefix), n - 1
     x = list(prefix) + [1] * (n - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
     fresh = max(start - 1, 0)  # from here on, prefixes are untested
-    if test:
-        sizes = _subtree_sizes(n, m, use_label_symmetry)
-        w, base = group.weights_for(m + 1)
-        unset = base - 1
-        keys = np.empty((n + 1, group.size), dtype=w.dtype)
-        keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh)) @ w
+    sizes = _subtree_sizes(n, m, use_label_symmetry)
+    w, base = group.weights_for(m + 1)
+    unset = base - 1
+    keys = np.empty((n + 1, group.size), dtype=w.dtype)
+    keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh)) @ w
     while True:
-        q = last  # the position to advance next
-        if test:
-            for q in range(fresh, n):
-                row = keys[q + 1]
-                np.multiply(w[q], x[q] - unset, out=row)
-                row += keys[q]
-                if row.argmin():
-                    yield sizes[last - q][top[q + 1]], None
-                    break
-            else:
-                yield 1, tuple(x)
+        for q in range(fresh, n):
+            row = keys[q + 1]
+            np.multiply(w[q], x[q] - unset, out=row)
+            row += keys[q]
+            if row.argmin():
+                yield sizes[last - q][top[q + 1]], None
+                break
         else:
             yield 1, tuple(x)
-        # advance the deepest position at or above q that can still grow
-        while q >= start:
-            v = x[q]
-            if v < m and (free or v <= top[q]):
-                break
-            q -= 1
-        else:
+        fresh = _advance(x, top, q, start, m, use_label_symmetry)
+        if fresh < 0:
             return
-        v = x[q] = x[q] + 1
-        t = top[q] if top[q] > v else v
-        top[q + 1] = t
-        if q < last:
-            for i in range(q + 1, n):
-                x[i] = 1
-                top[i + 1] = t
-        fresh = q
+
+
+@functools.lru_cache(maxsize=128)
+def _tail_table(r: int, top: int, m: int, use_label_symmetry: bool
+                ) -> np.ndarray:
+    """The read-only (N, r) int64 table of the stream's completions of r
+    positions after a prefix whose largest label is `top`, in lexicographic
+    order: every string over 1..m, or with label symmetry those whose every
+    label is at most one above the largest before it.  One index grid,
+    filtered by its running maximum."""
+    grid = np.indices((m,) * r).reshape(r, m ** r).T + 1
+    if use_label_symmetry:
+        before = np.maximum.accumulate(
+            np.hstack([np.full((len(grid), 1), top), grid[:, :-1]]), axis=1)
+        grid = grid[(grid <= before + 1).all(axis=1)]
+    table = np.ascontiguousarray(grid, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _blocks(prefix: Sequence[int], n: int, m: int, use_label_symmetry: bool
+            ) -> Iterator[np.ndarray]:
+    """The stream designs that start with `prefix`, in lexicographic order,
+    as (N, n) int64 blocks.  The last s positions (fewer if fewer are left)
+    come from one `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS;
+    the odometer walks the positions between the prefix and them, and each
+    of its steps is one block."""
+    if m < 2 or n < 1:
+        raise ValueError("need at least two treatments and one design node")
+    width = 0
+    while m ** (width + 1) <= _CHUNK_DESIGNS:
+        width += 1
+    start = len(prefix)
+    stop = max(n - width, start)  # the walked positions are start..stop-1
+    x = list(prefix) + [1] * (stop - start)
+    top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
+    while True:
+        table = _tail_table(n - stop, top[stop] if use_label_symmetry else 0,
+                            m, use_label_symmetry)
+        block = np.empty((len(table), n), dtype=np.int64)
+        block[:, :stop] = x
+        block[:, stop:] = table
+        yield block
+        if _advance(x, top, stop - 1, start, m, use_label_symmetry) < 0:
+            return
 
 
 def enumerate_designs(n_design_nodes: int, m: int,
@@ -211,10 +265,13 @@ def enumerate_designs(n_design_nodes: int, m: int,
     With label symmetry only label-canonical designs are produced: treatment
     labels appear in first-occurrence order, so node 1 always receives
     treatment 1 and the stream has sum_k S2(n, k) members (k = 1..m) instead
-    of m^n.  This is the group-free walk of `_segments`.
+    of m^n.  These are the rows, as tuples, of the label-array blocks that
+    group-free exhaustive search evaluates (`_blocks`): the last positions
+    from a cached table of lexicographic completions, the ones above them
+    walked in order.
     """
-    return map(itemgetter(1), _segments(None, (), n_design_nodes, m,
-                                         use_label_symmetry))
+    blocks = _blocks((), n_design_nodes, m, use_label_symmetry)
+    return (x for block in blocks for x in map(tuple, block.tolist()))
 
 
 def _better(a: float | None, b: float | None) -> bool:
@@ -360,26 +417,64 @@ def _live(segments: Iterable[tuple[int, Design | None]], budget: int | None,
             return
 
 
+def _chunks(blocks: Iterable[np.ndarray], budget: int | None
+            ) -> Iterator[np.ndarray]:
+    """The first `budget` (all if None) rows of the blocks, joined into
+    chunks of at least _CHUNK_DESIGNS rows; the last chunk may be short."""
+    pending, rows, left = [], 0, budget
+    for block in blocks:
+        if left is not None:
+            block = block[:left]
+            left -= len(block)
+        pending.append(block)
+        rows += len(block)
+        if rows >= _CHUNK_DESIGNS or left == 0:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+        if left == 0:
+            return
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _packed(designs: Iterator[Design]) -> Iterator[np.ndarray]:
+    """The designs as (B, d) int64 arrays of _CHUNK_DESIGNS rows; the last
+    may be short."""
+    while chunk := list(itertools.islice(designs, _CHUNK_DESIGNS)):
+        yield np.array(chunk, dtype=np.int64)
+
+
 def _subtree_task(state, task: tuple[Design, int | None]):
-    """Walk, prune and evaluate one subtree task, _CHUNK_DESIGNS canonical
-    designs per batched kernel call; returns its counters and its best
-    (value, design), the earliest design that reaches the best value.  The
-    serial path and every pool worker run this same loop."""
+    """Evaluate one subtree task in chunks, one batched kernel call each;
+    returns its counters and its best (value, design), the earliest design
+    that reaches the best value.  Without a group the chunks are the label
+    arrays of `_blocks`; with one, the designs that `_segments` leaves to
+    evaluate, packed into arrays.  The serial path and every pool worker
+    run this same loop."""
     ev, group, use_label_symmetry = state
     prefix, budget = task
+    n, m = ev.net.n_design, ev.spec.m
     counters = _Counters()
-    designs = _live(_segments(group, prefix, ev.net.n_design, ev.spec.m,
-                              use_label_symmetry), budget, counters)
+    if group is None:
+        chunks = _chunks(_blocks(prefix, n, m, use_label_symmetry), budget)
+    else:
+        chunks = _packed(_live(_segments(group, prefix, n, m,
+                                         use_label_symmetry), budget, counters))
     best_value = best_design = None
-    while chunk := list(itertools.islice(designs, _CHUNK_DESIGNS)):
-        values = ev.values(chunk)
+    for chunk in chunks:
+        values = np.array(ev.values(chunk), dtype=np.float64)  # None: NaN
+        valid = ~np.isnan(values)
+        evals = int(valid.sum())
         counters.considered += len(chunk)
-        invalid = values.count(None)
-        counters.invalid += invalid
-        counters.evals += len(chunk) - invalid
-        for x, value in zip(chunk, values):
+        counters.evals += evals
+        counters.invalid += len(chunk) - evals
+        if evals:
+            # the chunk's first least value; the strict rule below keeps the
+            # earlier design on a tie with the best so far
+            i = valid.nonzero()[0][values[valid].argmin()]
+            value = float(values[i])
             if _better(value, best_value):
-                best_value, best_design = value, x
+                best_value, best_design = value, tuple(chunk[i].tolist())
     return counters, (best_value, best_design)
 
 

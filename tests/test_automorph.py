@@ -144,6 +144,21 @@ def test_canonical_representative_rejects_wrong_length(design):
         group.canonical_representatives([design, design])
 
 
+def test_group_rejects_fractional_labels(groups):
+    # (1.5, 2.5, ...) would otherwise be keyed as the truncated (1, 2, ...);
+    # whole-number floats are labels
+    group = groups[1]
+    bad = (1.5, 2.5) * 5
+    for call in (group.is_canonical, group.canonical_representative,
+                 group.design_images, lambda x: group.canonical_representatives([x])):
+        with pytest.raises(ValueError, match="treatments must be whole numbers"):
+            call(bad)
+    for x in [(1, 2) * 5, (2, 1) * 5]:
+        y = tuple(map(float, x))
+        assert group.is_canonical(y) == group.is_canonical(x)
+        assert group.canonical_representative(y) == group.canonical_representative(x)
+
+
 @pytest.mark.parametrize("net,m", [
     (nd.augment_row_column(3, 3, 3), 3),
     (nd.augment_blocks([3, 3, 3, 3], 3), 3),

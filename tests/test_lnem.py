@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
-from netdesign.lnem import DesignEvaluator, ModelSpec, _canonicalize_nuisance
+from netdesign.lnem import (CRITERIA, DesignEvaluator, ModelSpec,
+                            _canonicalize_nuisance)
 
 from helpers import (exact_estimable, frozen_canonicalize_nuisance,
                      frozen_criterion, oracle_model_matrix, oracle_value)
@@ -424,13 +425,16 @@ def test_values_of_an_empty_chunk(net):
     ((1, 2, 1, 2, 1), "design length 5 does not match 6 design nodes", []),
     ((1, 2, 1), "design length 3 does not match 6 design nodes",
      [(1, 2, 1, 2, 1, 2)]),
-], ids=["label0", "label-m-plus-1", "short", "ragged"])
+    ((1, 2, 1.5, 2, 1, 2), "treatments must be whole numbers",
+     [(1, 2, 1, 2, 1, 2)]),
+], ids=["label0", "label-m-plus-1", "short", "ragged", "fractional"])
 @pytest.mark.parametrize("call", ["value", "values", "model_matrix"])
 def test_evaluator_rejects_malformed_designs(x, message, lead, call):
     # on a block network, label 0 would wrap to the last block
     # pseudo-treatment and label m+1 would be the first one; `lead` are the
     # designs before x in the chunk given to values, so a valid first design
-    # makes the "ragged" chunk one that numpy cannot stack
+    # makes the "ragged" chunk one that numpy cannot stack; a fractional
+    # label would otherwise be truncated to a whole one
     net = nd.augment_blocks([3, 3], 2)
     ev = DesignEvaluator(net, ModelSpec.for_network(net, 2))
     with pytest.raises(ValueError, match=message):
@@ -438,3 +442,100 @@ def test_evaluator_rejects_malformed_designs(x, message, lead, call):
             ev.values(lead + [x])
         else:
             getattr(ev, call)(x)
+
+
+def test_values_of_a_label_array(examples):
+    # a (B, d) integer array is a chunk as a list of designs is; one design
+    # as a 1-d array is not a chunk
+    net = examples[2]
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, 3))
+    xs = np.random.default_rng(61).integers(1, 4, size=(40, net.n_design))
+    assert ev.values(xs) == ev.values(list(map(tuple, xs.tolist())))
+    assert ev.values(xs[:0]) == []
+    with pytest.raises(ValueError, match="not a"):
+        ev.values(xs[0])
+
+
+def test_whole_number_float_labels_are_labels(examples):
+    # 1.0 and 2.0 are labels 1 and 2; 1.5 and 2.5 are errors, not the
+    # truncated design (1, 2, 1, 2, ...), and so are NaN and text labels
+    net = examples[1]
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, 2))
+    x = (1, 2, 1, 2, 2, 1, 1, 2, 1, 1)
+    y = tuple(map(float, x))
+    assert ev.value(y) == ev.value(x) is not None
+    assert ev.values([y, x]) == ev.values([x, x])
+    assert np.array_equal(ev.model_matrix(y), ev.model_matrix(x))
+    for bad in [(1.5, 2.5) * 5, (1, 2) * 4 + (1, float("nan")), ("1", "2") * 5]:
+        with pytest.raises(ValueError, match="treatments must be whole numbers"):
+            ev.value(bad)
+
+
+_SCREEN_NETWORKS = {
+    "path312": nd.parse_edge_list("1-2, 1-3", 3),
+    "blocks22": nd.augment_blocks([2, 2], 3),
+    "rc2x3": nd.augment_row_column(2, 3, 3),
+    "crossover3x2": nd.augment_crossover(3, 2, 3, period_blocks=True),
+}
+
+
+def _oracle_info(net, x, m) -> np.ndarray:
+    f = oracle_model_matrix(net, x, m)
+    return f.T @ f
+
+
+@pytest.mark.parametrize("criterion", ["As", "Ds"])
+@pytest.mark.parametrize("name", sorted(_SCREEN_NETWORKS))
+def test_designs_missing_a_treatment_are_invalid_by_the_oracles(name,
+                                                                criterion):
+    # every design of the stream without label symmetry, so that any label,
+    # the middle one too, can be the unused one: `values` answers None for
+    # each design that leaves a treatment unused, exact arithmetic finds a
+    # contrast that is not estimable, and the frozen per-design kernel says
+    # INVALID too; the other designs of the same chunk keep its values bit
+    # for bit
+    net, m = _SCREEN_NETWORKS[name], 3
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    designs = list(nd.enumerate_designs(net.n_design, m,
+                                        use_label_symmetry=False))
+    unused = set()
+    for x, value in zip(designs, DesignEvaluator(net, spec).values(designs)):
+        frozen = frozen_criterion(_oracle_info(net, x, m), spec)
+        missing = set(range(1, m + 1)) - set(x)
+        if missing:
+            assert value is None and frozen is None, x
+            assert not exact_estimable(net, x, m), x
+            unused |= missing
+        else:
+            assert _bits(value) == _bits(frozen), x
+    assert unused == {1, 2, 3}
+
+
+@st.composite
+def designs_missing_a_treatment(draw):
+    """(network, m, design, criterion): a one-way block layout or a graph
+    on at most 8 nodes, and a design over all but one of m treatments."""
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        net = nd.augment_blocks(sizes, m)
+    else:
+        n = draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        net = nd.parse_edge_list(", ".join(f"{i}-{j}" for i, j in edges), n)
+    gone = draw(st.integers(1, m))
+    labels = [t for t in range(1, m + 1) if t != gone]
+    x = draw(st.lists(st.sampled_from(labels), min_size=net.n_design,
+                      max_size=net.n_design))
+    return net, m, tuple(x), draw(st.sampled_from(CRITERIA))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(designs_missing_a_treatment())
+def test_screened_designs_are_invalid_on_random_networks(case):
+    net, m, x, criterion = case
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    assert DesignEvaluator(net, spec).value(x) is None
+    assert not exact_estimable(net, x, m)
+    assert frozen_criterion(_oracle_info(net, x, m), spec) is None

@@ -61,6 +61,51 @@ def test_enumerate_count_is_stirling_sum(n, m):
     assert count == sum(stirling2(n, k) for k in range(1, m + 1))
 
 
+def _stream_budgets(total: int, blocks: list[int]) -> list[int | None]:
+    """Every budget of a short stream; of a long one, the ends, the first
+    block boundaries and the rows either side of them, and a spread of
+    budgets that cut blocks mid-table."""
+    if total <= 300:
+        return [None, *range(1, total + 1)]
+    edges = np.cumsum(blocks)[:4].tolist()
+    picked = {1, 2, total - 1, total, *(e + k for e in edges for k in (-1, 0, 1))}
+    picked |= set(np.random.default_rng(total).integers(1, total, 12).tolist())
+    return [None, *sorted(b for b in picked if 0 < b <= total)]
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_stream_matches_product_oracle(m, symmetry):
+    # the label arrays of every task `_plan` makes, for every design count
+    # up to 8 and the budgets above, joined in task order, are the first
+    # `budget` designs of the stream rebuilt from itertools.product; each
+    # task's chunks hold at least _CHUNK_DESIGNS rows but its last, and
+    # enumerate_designs yields the same designs as tuples
+    full_prefixes = 0
+    for n in range(1, 9):
+        designs = [x for x in product(range(1, m + 1), repeat=n)
+                   if not symmetry or _label_canonical(x)]
+        assert list(nd.enumerate_designs(n, m, symmetry)) == designs
+        expected = np.array(designs, dtype=np.int64)
+        blocks = [len(b) for b in search._blocks((), n, m, symmetry)]
+        for budget in _stream_budgets(len(designs), blocks):
+            for workers in (1, 2, 3):
+                tasks, _ = search._plan(n, m, symmetry, workers, budget)
+                got = []
+                for prefix, local in tasks:
+                    chunks = list(search._chunks(
+                        search._blocks(prefix, n, m, symmetry), local))
+                    assert all(len(c) >= search._CHUNK_DESIGNS
+                               for c in chunks[:-1])
+                    got += chunks
+                    full_prefixes += len(prefix) == n
+                got = np.concatenate(got)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected[:budget]), (n, budget,
+                                                                workers)
+    assert full_prefixes  # tasks with no position left to fill
+
+
 def test_enumerate_validation():
     with pytest.raises(ValueError):
         list(nd.enumerate_designs(3, 1))
@@ -109,6 +154,30 @@ def test_pruning_never_increases_evals(report_cache):
         without = report_cache.exhaustive(key, m, False)
         with_ = report_cache.exhaustive(key, m, True)
         assert with_.num_eval <= without.num_eval
+
+
+@pytest.mark.parametrize("example,m,automorphisms,expected", [
+    (1, 3, False, 9330), (1, 3, True, 3761), (2, 4, True, 34105),
+], ids=["ex1-m3-plain", "ex1-m3-group", "ex2-m4"])
+def test_only_designs_using_every_treatment_reach_eigh(
+        examples, monkeypatch, example, m, automorphisms, expected):
+    # a design that leaves a treatment unused is INVALID without an
+    # eigendecomposition: of example 1's 9,842 label-canonical designs at
+    # m = 3, S2(10, 3) = 9,330 use all three treatments (3,761 of them
+    # canonical under its group), and of example 2's 43,947 at m = 4,
+    # S2(10, 4) = 34,105 use all four
+    net = examples[example]
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        matrices.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    nd.exhaustive_search(net, ModelSpec.for_network(net, m),
+                         cfg(use_automorphisms=automorphisms))
+    assert sum(matrices) == expected
 
 
 def test_tie_break_earliest_design(path312):
@@ -281,6 +350,7 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     values: dict = {}
 
     def memo_values(self, designs):
+        designs = list(map(tuple, np.asarray(designs).tolist()))
         missing = [x for x in designs if x not in values]
         if missing:
             values.update(zip(missing, evaluate(self, missing)))
