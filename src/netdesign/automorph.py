@@ -15,8 +15,15 @@ Designs related by an automorphism have equal criterion values, so a search
 only needs each orbit's lexicographically smallest member.  Every
 canonicity question is integer arithmetic on packed image keys: x @ W holds
 one key per element, the base-B number whose digits are x's image, so
-integer order of keys is lexicographic order of images.  Also here: a
-brute-force orbit counter used as a test oracle.
+integer order of keys is lexicographic order of images.  W is built on
+first use, so a group that no search consults never pays for it.  Outside
+the exhaustive walk, which reads W itself, int64 keys come from two
+float64 BLAS products, one per half of W's digit places, whose sums stay
+below 2^53 and so are exact, recombined in int64 (numpy's integer matmul
+does not use BLAS).  A representative is the image under the element with
+the least key, and images are x permuted through the group's elements, so
+no key is ever decoded.  Also here: a brute-force orbit counter used as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -64,12 +71,14 @@ def _refined_colors(net: Network) -> list[int]:
 
 
 def _base(d: int) -> int:
-    """The largest base B >= 2 with B^d < 2^63 (2 if none): keys of d
-    base-B digits then fit in int64."""
+    """The largest base B >= 2 with B^d < 2^63 (2 if none), and at most
+    2^53: keys of d base-B digits then fit in int64, and each of their two
+    halves (see `AutomorphismGroup._keys`), below B^ceil(d/2), is exact in
+    float64.  From d = 2 on the first bound implies the second."""
     b = int(2 ** (63 / max(d, 1))) + 1  # one above the float estimate
     while b > 2 and b ** d >= 2 ** 63:
         b -= 1
-    return b
+    return min(b, 2 ** 53)
 
 
 class AutomorphismGroup:
@@ -82,8 +91,10 @@ class AutomorphismGroup:
     read-only (d, z) matrix W with W[p, k] = base^(d-1-q) when element k
     takes design position p to column q: key k of x @ W packs x's image
     under element k, and smaller keys are lexicographically smaller images.
-    `base`, the largest with base^d < 2^63, depends on d alone.  Instances
-    are immutable and safe to share.
+    `base`, the largest with base^d < 2^63 (and at most 2^53), depends on d
+    alone.  W is built on first use, and so are the two float64 halves of
+    it through which `_keys` computes int64 keys.  Instances are immutable
+    and safe to share.
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
@@ -107,19 +118,36 @@ class AutomorphismGroup:
         if (self._column[perms[:, blocks]] >= 0).any():
             raise ValueError("an element maps a block node to a design node")
         self.base = _base(len(design))
-        self.weights = self._weights_in(self.base)
-        self.weights.setflags(write=False)
+        self._weights = self._halves = None  # built on first use
+
+    @property
+    def weights(self) -> np.ndarray:
+        """W (see the class docstring), read-only, built on first use."""
+        if self._weights is None:
+            w = self._weights_in(self.base)
+            w.setflags(write=False)
+            self._weights = w
+        return self._weights
 
     def _weights_in(self, base: int) -> np.ndarray:
-        """W in the given base: int64 where base^d < 2^63, else Python
-        integers.  Filled per design position: no (z, d) temporary."""
+        """W in the given base: int64 in bases up to `self.base` whose keys
+        fit (base^d < 2^63), else Python integers."""
         d = self.network.n_design
-        dtype = np.int64 if base ** d < 2 ** 63 else object
+        dtype = object if base > self.base or base ** d >= 2 ** 63 else np.int64
         place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
-        w = np.empty((d, len(self._perms)), dtype=dtype)
+        return self._placed(place)[0]
+
+    def _placed(self, *places: np.ndarray) -> list[np.ndarray]:
+        """For each (d,) array `place`, the (d, z) array whose entry (p, k)
+        is place[q] when element k takes design position p to column q.
+        Filled per design position: no (z, d) temporary."""
+        z = len(self._perms)
+        out = [np.empty((len(place), z), dtype=place.dtype) for place in places]
         for p, node in enumerate(self.network.design_nodes):
-            w[p] = place[self._column[self._perms[:, node]]]
-        return w
+            column = self._column[self._perms[:, node]]
+            for w, place in zip(out, places):
+                w[p] = place[column]
+        return out
 
     def weights_for(self, top: int) -> tuple[np.ndarray, int]:
         """(W, base) for digits 0..top: `weights` when top < `base`, else
@@ -142,32 +170,64 @@ class AutomorphismGroup:
     def size(self) -> int:
         return len(self._perms)
 
-    def _keys(self, xs) -> tuple[np.ndarray, int, int]:
-        """(keys, base, low) for the (B, d) batch xs: row b of keys packs
-        the z images of xs[b] from the digits xs - low."""
+    def _batch(self, xs) -> np.ndarray:
+        """xs as a (B, d) int64 batch of designs."""
         xs = _label_array(xs)
         d = self.network.n_design
         if xs.ndim != 2 or xs.shape[1] != d:
             raise ValueError(f"design length {xs.shape[-1]} does not match "
                              f"{d} design nodes")
+        return xs
+
+    def _keys(self, xs) -> np.ndarray:
+        """Keys of the (B, d) batch xs: row b packs the z images of xs[b]
+        from the digits xs - xs.min().
+
+        int64 keys are two float64 BLAS products, one per half of W: with
+        s = base^(d // 2), W = H s + L, where H holds the upper ceil(d/2)
+        places and L the lower d // 2.  Each product's sums are integers
+        below base^ceil(d/2) <= 2^53, so they are exact in any summation
+        order, and keys = (digits @ H) s + digits @ L is recombined in
+        int64.  Python-integer weights take their own exact product."""
+        xs = self._batch(xs)
+        d = self.network.n_design
         low = int(xs.min())
         w, base = self.weights_for(int(xs.max()) - low)
-        return (xs - low) @ w, base, low
+        if w.dtype == object:
+            return (xs - low) @ w
+        if self._halves is None:  # int64 weights are `weights` itself
+            scale = base ** (d // 2)
+            place = [base ** e for e in range(d - 1, -1, -1)]
+            self._halves = (*self._placed(
+                np.array([v // scale for v in place], dtype=np.float64),
+                np.array([v % scale for v in place], dtype=np.float64)), scale)
+        upper, lower, scale = self._halves
+        digits = (xs - low).astype(np.float64)
+        # the int64 loops take the exact float sums as int64 first
+        keys = np.multiply(digits @ upper, scale, dtype=np.int64,
+                           casting="unsafe")
+        np.add(keys, digits @ lower, out=keys, dtype=np.int64, casting="unsafe")
+        return keys
 
-    def _digits(self, keys: np.ndarray, base: int) -> np.ndarray:
-        """The d base-`base` digits of each key, most significant first."""
-        powers = [base ** e for e in range(self.network.n_design - 1, -1, -1)]
-        return keys[..., None] // np.array(powers, dtype=keys.dtype) % base
+    def _images(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Row i: the image of design xs[i] under element ks[i], which puts
+        x[p] at the column it takes design position p to."""
+        nodes = list(self.network.design_nodes)
+        columns = self._column[self._perms[ks][:, nodes]]
+        out = np.empty_like(xs)
+        out[np.arange(len(xs))[:, None], columns] = xs
+        return out
 
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per group element."""
-        keys, base, low = self._keys([x])
-        return np.asarray(self._digits(keys[0], base) + low, dtype=np.int64)
+        xs = self._batch([x])
+        return self._images(np.repeat(xs, len(self._perms), axis=0),
+                            np.arange(len(self._perms)))
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
         element maps it to a strictly smaller design vector."""
-        return not self._keys([x])[0][0].argmin()  # the identity's key is least
+        return not self._keys([x])[0].argmin()  # the identity's key is least
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
@@ -180,9 +240,9 @@ class AutomorphismGroup:
         out = np.empty_like(xs)
         d = self.network.n_design
         for start in range(0, len(xs), d):
-            keys, base, low = self._keys(xs[start:start + d])
-            least = keys[np.arange(len(keys)), keys.argmin(axis=1)]
-            out[start:start + d] = self._digits(least, base) + low
+            chunk = xs[start:start + d]
+            out[start:start + d] = self._images(chunk,
+                                                self._keys(chunk).argmin(axis=1))
         return out
 
 

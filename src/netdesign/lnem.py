@@ -14,12 +14,16 @@ as None; lower values are better.
 
 There is one criterion kernel: it takes a stack of information matrices,
 runs one batched eigendecomposition and evaluates the whole stack with
-stacked array operations.  `DesignEvaluator.values` feeds it a chunk of
-designs (exhaustive search's batch, or one lockstep step of coordinate
-descent); `DesignEvaluator.value` and `evaluate_criterion` are its
-one-matrix calls, with the same result bit for bit.  The nuisance
-coordinates of the whole stack are put in canonical order first, also as
-stacked array operations.
+stacked array operations, returning a float array with NaN for INVALID.
+`DesignEvaluator.values` feeds it a chunk of designs (exhaustive search's
+batch, or one lockstep step of coordinate descent) and turns NaN into
+None; the searches read the array itself.  `DesignEvaluator.value` and
+`evaluate_criterion` are its one-matrix calls, with the same result bit
+for bit; `evaluate_criterion` rejects a matrix that is not finite.  The
+nuisance coordinates of the whole stack are put in canonical order first,
+in a few calls per refinement pass whatever the stack's size: one
+lexsort of all its coordinates' stacked keys, one step test and one
+cumulative sum, then one flat gather that permutes rows and columns.
 
 A design that leaves some treatment unused is INVALID on every network, so
 `values` answers None for it without a model matrix or an eigendecomposition:
@@ -123,53 +127,69 @@ def _canonicalize_nuisance(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
     (neighbor key, weight) pairs within the block coordinates until no
     matrix's classes split (colour refinement); ties keep index order.
     Keys are compared as floats, so any matrix is accepted.
+
+    The B·nb coordinates of the whole stack are ranked together, each
+    matrix's ahead of the next one's, so every pass is one `_dense_ranks`
+    call on a stacked key array.  The weights never change, so they are
+    ranked once, and a (neighbor rank, weight) pair packs into one integer:
+    a pass sorts each coordinate's packed pairs and ranks (rank, pairs).
+    The final order applies to rows and columns in one flat gather.
     """
-    fixed, nb = 2 * spec.m, spec.n_params - 2 * spec.m
+    fixed, p = 2 * spec.m, spec.n_params
+    nb = p - fixed
     if nb < 2:
         return info
-    cols = np.arange(fixed, spec.n_params)
-    rows = info[:, fixed:, :]  # (B, nb, p): each block coordinate's row
-    classes = np.broadcast_to(np.asarray(spec.block_classes), rows.shape[:2])
-    ranks = _dense_ranks([classes, *np.moveaxis(rows[:, :, :fixed], 2, 0),
-                          info[:, cols, cols]])
-    # each coordinate's weights to the other block coordinates
-    others = np.array([[o for o in range(nb) if o != c] for c in range(nb)])
-    weights = rows[:, np.arange(nb)[:, None], fixed + others]
-    for _ in range(nb):
-        neighbors = ranks[:, others]
-        pairs = np.lexsort((weights, neighbors), axis=-1)
-        neighbors = np.take_along_axis(neighbors, pairs, axis=-1)
-        paired = np.take_along_axis(weights, pairs, axis=-1)
-        refined = _dense_ranks([ranks, *(column for j in range(nb - 1) for column
-                                         in (neighbors[..., j], paired[..., j]))])
+    batch = len(info)
+    n = batch * nb
+    block = info[:, fixed:, :]  # (B, nb, p): each block coordinate's row
+    # row c of `others`: the block coordinates other than c
+    others = np.arange(nb - 1) + (np.arange(nb - 1) >= np.arange(nb)[:, None])
+    classes = np.asarray(spec.block_classes) - min(spec.block_classes)
+    # the initial keys, least significant first: diagonal, the row against
+    # the fixed coordinates from its last entry up, then (matrix, class)
+    keys = np.empty((fixed + 2, n))
+    keys[0] = block[:, np.arange(nb), fixed + np.arange(nb)].ravel()
+    keys[1:-1] = block[:, :, fixed - 1::-1].reshape(n, fixed).T
+    keys[-1] = (np.arange(batch)[:, None] * (classes.max() + 1) + classes).ravel()
+    ranks = _dense_ranks(keys)[0]
+    # (neighbor rank, weight) pairs pack into rank * n(nb-1) + weight rank
+    weights = block[:, np.arange(nb)[:, None], fixed + others]
+    weight_ranks = np.unique(weights, return_inverse=True)[1].reshape(n, nb - 1)
+    neighbors = (nb * np.arange(batch)[:, None, None] + others).reshape(n, nb - 1)
+    keys = np.empty((nb, n), dtype=np.int64)
+    while True:  # at most nb passes: an unstable matrix splits a class in each
+        pairs = ranks[neighbors] * weights.size + weight_ranks
+        pairs.sort(axis=1)
+        keys[:-1] = pairs.T[::-1]
+        keys[-1] = ranks
+        refined, order = _dense_ranks(keys)
         # refinement only splits classes, so an unchanged count means no
-        # matrix changed
-        if refined.max() == ranks.max():
+        # matrix changed, and `order` is the stable order of the ranks
+        if refined[order[-1]] == ranks[order[-1]]:
             break
         ranks = refined
-    order = np.argsort(ranks, axis=1, kind="stable")
-    perm = np.concatenate([np.broadcast_to(np.arange(fixed), (len(info), fixed)),
-                           fixed + order], axis=1)
-    info = np.take_along_axis(info, perm[:, :, None], axis=1)
-    return np.take_along_axis(info, perm[:, None, :], axis=2)
+    # each matrix's coordinates are consecutive in `order`: source row and
+    # column of every output entry, as one index into the flat stack
+    first = nb * np.arange(batch)[:, None]  # each matrix's first coordinate
+    source = np.empty((batch, p), dtype=np.int64)
+    source[:, :fixed] = np.arange(fixed)
+    source[:, fixed:] = order.reshape(batch, nb) - first + fixed
+    rows = source * p + p * p * np.arange(batch)[:, None]
+    return np.take(info, rows[:, :, None] + source[:, None, :])
 
 
-def _dense_ranks(keys: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense ranks of the (B, n) items keyed by `keys` (arrays of shape
-    (B, n), most significant first), with the batch index ahead of every
-    key: items of one matrix get equal ranks iff all their keys are equal,
-    and ranks follow the keys' lexicographic order."""
-    batch, n = keys[0].shape
-    flat = [np.repeat(np.arange(batch), n)] + [k.ravel() for k in keys]
-    order = np.lexsort(flat[::-1])
-    step = np.zeros(batch * n, dtype=bool)
-    step[0] = True
-    for key in flat:
-        ordered = key[order]
-        step[1:] |= ordered[1:] != ordered[:-1]
-    ranks = np.empty(batch * n, dtype=np.int64)
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of the n items keyed by the columns of the (K, n) array
+    `keys`, last row most significant (as `np.lexsort` reads them), and the
+    stable order that sorts the items: items get equal ranks iff all their
+    keys are equal, and ranks follow the keys' lexicographic order."""
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    step = np.zeros(len(order), dtype=np.int64)
+    step[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = np.cumsum(step)
-    return ranks.reshape(batch, n)
+    return ranks, order
 
 
 class DesignEvaluator:
@@ -241,22 +261,26 @@ class DesignEvaluator:
                ) -> list[float | None]:
         """Criterion values of a chunk of designs (a sequence of designs or
         a (B, d) integer array), each equal bit for bit to the value of that
-        design in any other chunk.  A design that leaves a treatment unused
-        is INVALID (None) without a model matrix or an eigendecomposition
-        (see the module docstring); the others go to the kernel as one
-        stack, and their values come back in chunk order."""
+        design in any other chunk; None for INVALID."""
+        return [v if v == v else None for v in self._value_array(designs).tolist()]
+
+    def _value_array(self, designs) -> np.ndarray:
+        """`values` as a float64 array, NaN for INVALID.  A design that
+        leaves a treatment unused is INVALID without a model matrix or an
+        eigendecomposition (see the module docstring); the others go to the
+        kernel as one stack, and their values come back in chunk order."""
         if not len(designs):
-            return []
+            return np.empty(0)
         xs = self._batch(designs)
         used = np.zeros((len(xs), self.spec.m + 1), dtype=bool)
         used[np.arange(len(xs))[:, None], xs] = True
         rows = used[:, 1:].all(axis=1).nonzero()[0]
-        out: list[float | None] = [None] * len(xs)
+        if len(rows) == len(xs):
+            return _criterion_values(self._information_matrices(xs), self.spec)
+        out = np.full(len(xs), np.nan)
         if len(rows):
-            found = _criterion_values(self._information_matrices(xs[rows]),
-                                      self.spec)
-            for row, value in zip(rows.tolist(), found):
-                out[row] = value
+            out[rows] = _criterion_values(self._information_matrices(xs[rows]),
+                                          self.spec)
         return out
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
@@ -299,26 +323,30 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
     p = spec.n_params
     if info.shape != (p, p):
         raise ValueError(f"information matrix shape {info.shape}, expected {(p, p)}")
+    if not np.isfinite(info).all():
+        raise ValueError("information matrix entries must be finite")
     info = info[None, :, :]
     if spec.block_classes:
         info = _canonicalize_nuisance(info, spec)
-    return _criterion_values(info, spec)[0]
+    value = float(_criterion_values(info, spec)[0])
+    return value if value == value else None
 
 
-def _criterion_values(info: np.ndarray, spec: ModelSpec) -> list[float | None]:
-    """`evaluate_criterion` of each matrix of a (B, p, p) stack whose
-    nuisance coordinates are already canonical, with one batched eigh.
-    Eigenvalues come back ascending, so the kept eigenvectors of a matrix
-    are a suffix v[:, k:]; matrices are grouped by k and each group's
-    estimability test and criterion run as stacked operations.  Every
-    matrix gets the same floating-point operations whatever else is in the
-    stack, so its value does not depend on the chunk it came in."""
+def _criterion_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """`evaluate_criterion` of each matrix of a (B, p, p) stack of finite
+    matrices whose nuisance coordinates are already canonical, with one
+    batched eigh, as a float64 array with NaN for INVALID.  Eigenvalues
+    come back ascending, so the kept eigenvectors of a matrix are a suffix
+    v[:, k:]; matrices are grouped by k and each group's estimability test
+    and criterion run as stacked operations.  Every matrix gets the same
+    floating-point operations whatever else is in the stack, so its value
+    does not depend on the chunk it came in."""
     w, v = np.linalg.eigh(info)
     contrasts, tol = _pair_contrasts(spec.m, spec.n_params)
     # k: the eigenvalues at or below RANK_TOL times the largest; all p of
     # them (INVALID) exactly when the largest is not positive
     ks = (w <= RANK_TOL * w[:, -1:]).sum(axis=1)
-    out: list[float | None] = [None] * len(ks)
+    out = np.full(len(ks), np.nan)
     distinct = set(ks.tolist())
     for k in distinct - {spec.n_params}:
         # a single k (always so for one matrix) takes every row without a
@@ -337,11 +365,8 @@ def _criterion_values(info: np.ndarray, spec: ModelSpec) -> list[float | None]:
             bv = vr[:, 1:spec.m, :]
             vals = (np.linalg.det((bv / wr) @ bv.transpose(0, 2, 1))
                     * spec.sigma2 ** (spec.m - 1))
-        index = range(len(ks)) if len(distinct) == 1 else rows.tolist()
-        for row, is_bad, val in zip(index, bad.any(axis=1).tolist(),
-                                    vals.tolist()):
-            if not is_bad:
-                out[row] = val
+        vals[bad.any(axis=1)] = np.nan
+        out[rows] = vals
     return out
 
 

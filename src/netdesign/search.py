@@ -33,8 +33,8 @@ one after another.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 evaluated in label-array chunks of about _CHUNK_DESIGNS designs, one
-batched `DesignEvaluator.values` call each, or contiguous blocks of
-restarts, one per worker.  One worker runs them in this process, more run
+batched kernel call each (read as a float array, NaN for INVALID), or
+contiguous blocks of restarts, one per worker.  One worker runs them in this process, more run
 the same code on a process pool, and results merge in task order, so
 reports do not depend on the worker count.
 """
@@ -275,8 +275,9 @@ def enumerate_designs(n_design_nodes: int, m: int,
 
 
 def _better(a: float | None, b: float | None) -> bool:
-    """Strictly better criterion value; INVALID (None) loses to anything."""
-    return a is not None and (b is None or a < b)
+    """Strictly better criterion value; INVALID (None, or NaN as the
+    kernel's arrays hold it) loses to anything."""
+    return a is not None and a == a and (b is None or not b <= a)
 
 
 @dataclass
@@ -319,12 +320,16 @@ def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
 
 
 def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
-    """The group a search prunes with: None when automorphisms are off or
-    the network has none but the identity, which would prune nothing."""
+    """The group a search prunes with, its key weights built: None when
+    automorphisms are off or the network has none but the identity, which
+    would prune nothing."""
     if not config.use_automorphisms:
         return None
     group = find_automorphisms(net, config.max_group_size)
-    return group if group.size > 1 else None
+    if group.size == 1:
+        return None
+    group.weights  # built here once, not in each pool worker
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +467,7 @@ def _subtree_task(state, task: tuple[Design, int | None]):
                                          use_label_symmetry), budget, counters))
     best_value = best_design = None
     for chunk in chunks:
-        values = np.array(ev.values(chunk), dtype=np.float64)  # None: NaN
+        values = ev._value_array(chunk)  # NaN: INVALID
         valid = ~np.isnan(values)
         evals = int(valid.sum())
         counters.considered += len(chunk)
@@ -544,12 +549,12 @@ def _restart_task(state, starts: Sequence[Design]):
     cache keyed by orbit representative.  Each step takes the live
     descents' pending candidates, their orbit representatives in one call,
     and the values of the representatives not yet cached in batched
-    `DesignEvaluator.values` calls of at most _CHUNK_DESIGNS (one call for
-    up to that many live descents), then sends each descent its result.
+    kernel calls of at most _CHUNK_DESIGNS (one call for up to that many
+    live descents), then sends each descent its result.
     Returns the cache, the candidates the task considered and each
-    descent's final (value, design)."""
+    descent's final (value, design); values are floats, NaN for INVALID."""
     ev, group = state
-    cache: dict[Design, float | None] = {}
+    cache: dict[Design, float] = {}
     walks = [_descend(x, ev.net.n_design, ev.spec.m) for x in starts]
     live = [(i, walk, next(walk)) for i, walk in enumerate(walks)]
     finals: list = [None] * len(walks)
@@ -561,7 +566,7 @@ def _restart_task(state, starts: Sequence[Design]):
         new = list(dict.fromkeys(key for key in keys if key not in cache))
         for i in range(0, len(new), _CHUNK_DESIGNS):
             chunk = new[i:i + _CHUNK_DESIGNS]
-            cache.update(zip(chunk, ev.values(chunk)))
+            cache.update(zip(chunk, ev._value_array(chunk).tolist()))
         considered += len(live)
         still = []
         for (i, walk, _), key in zip(live, keys):
@@ -590,7 +595,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     tasks = [starts[len(starts) * i // blocks:len(starts) * (i + 1) // blocks]
              for i in range(blocks)]
     best_value = best_design = None
-    merged: dict[Design, float | None] = {}
+    merged: dict[Design, float] = {}
     counters = _Counters()
     state = (DesignEvaluator(net, spec), group)
     for cache, considered, finals in _run_tasks(state, _restart_task, tasks,
@@ -600,7 +605,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
         for value, design in finals:
             if _better(value, best_value):
                 best_value, best_design = value, design
-    counters.evals = sum(1 for v in merged.values() if v is not None)
+    counters.evals = sum(1 for v in merged.values() if v == v)  # not NaN
     counters.invalid = len(merged) - counters.evals
     counters.hits = counters.considered - len(merged)
     return _make_report("coordinate_descent", config, counters, best_design,

@@ -181,16 +181,33 @@ def test_canonical_representative_matches_pure_python_orbit_min(net, m):
     (40, 2, 2),
     (40, 4, 2),  # past base 2: Python-integer keys
     (64, 3, 2),  # no base fits int64 at d = 64: Python-integer weights
+    # top digit base - 1, the largest the two float64 halves carry, and
+    # one past it; at d = 1 the base is capped at 2^53 for the halves
+    pytest.param(1, 2 ** 53, 2 ** 53, id="d1-top-below-base"),
+    pytest.param(1, 2 ** 53 + 2, 2 ** 53, id="d1-past-base"),  # 2^53 + 1: odd
+    pytest.param(2, 3037000499, 3037000499, id="d2-top-below-base"),
+    pytest.param(3, 2097151, 2097151, id="d3-top-below-base"),
+    pytest.param(16, 15, 15, id="d16-top-below-base"),
+    pytest.param(16, 16, 15, id="d16-past-base"),
 ])
 def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
-    group = nd.find_automorphisms(cycle_network(n))
-    assert group.size == 2 * n and group.base == base
+    # d = 1 and 2 have no cycle: one unit in a 1x1 row-column layout (row
+    # and column blocks swap), and one edge
+    net = {1: nd.augment_row_column(1, 1, 2),
+           2: nd.parse_edge_list("1-2", 2)}.get(n) or cycle_network(n)
+    group = nd.find_automorphisms(net)
+    assert group.size == (2 * n if n > 2 else 2) and group.base == base
     assert group.weights.dtype == (object if n == 64 else np.int64)
     rng = np.random.default_rng(n + labels)
     designs = [tuple(int(v) for v in row)
                for row in rng.integers(1, labels + 1, size=(60, n))]
     designs += [(labels,) * n, (labels,) * (n - 1) + (1,),
                 (1,) + (labels,) * (n - 1)]
+    # the keys of the whole batch, digits 0..labels-1, against Python
+    # integers
+    w = group.weights_for(labels - 1)[0].astype(object)
+    expected = (np.array(designs, dtype=object) - 1) @ w
+    assert group._keys(designs).tolist() == expected.tolist()
     minima = oracle_orbit_minima(group, designs)
     assert [group.canonical_representative(x) for x in designs] == minima
     assert list(map(tuple, group.canonical_representatives(designs).tolist())) \
@@ -198,6 +215,19 @@ def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
     assert [group.is_canonical(x) for x in designs] == \
         [x == low for x, low in zip(designs, minima)]
     assert all(group.is_canonical(low) for low in minima)
+
+
+def test_weights_are_built_on_first_use(examples):
+    for net in (examples[2], examples[4]):  # z = 1 and z = 384
+        group = nd.find_automorphisms(net)
+        assert group._weights is None and group._halves is None
+        w = group.weights
+        assert w is group.weights and not w.flags.writeable
+        with pytest.raises(AttributeError):
+            group.weights = w
+        assert group._halves is None  # the exhaustive walk reads W alone
+        group.is_canonical((1,) * net.n_design)
+        assert group._halves is not None
 
 
 def test_canonical_representative_is_orbit_min(path312, examples):

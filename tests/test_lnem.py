@@ -267,25 +267,31 @@ def test_nuisance_canonicalization_is_value_neutral():
 
 @st.composite
 def nuisance_stacks(draw):
-    """(stack, spec): 1-4 symmetric, non-negative, integer-valued matrices
-    with 2-6 block coordinates of random classes.  Entries come from a small
-    range, in some stacks every block coordinate copies the first one's row
-    against the 2m fixed coordinates and its diagonal (so that the initial
-    keys tie within a class and only refinement separates them, as on
-    row-column layouts), and some block coordinates are made twins of
-    others."""
+    """(stack, spec): 1-20 symmetric matrices (coordinate descent's
+    batches) with 2-6 block coordinates of random classes.  Entries come
+    from a small alphabet, small integers in some stacks and arbitrary
+    floats, negative and non-integral, in others (`evaluate_criterion`
+    accepts any finite matrix); in some stacks every block coordinate
+    copies the first one's row against the 2m fixed coordinates and its
+    diagonal (so that the initial keys tie within a class and only
+    refinement separates them, as on row-column layouts), and some block
+    coordinates are made twins of others."""
     m = draw(st.integers(2, 3))
     nb = draw(st.integers(2, 6))
     classes = draw(st.lists(st.integers(0, 1), min_size=nb, max_size=nb))
     spec = ModelSpec(m=m, total_treatments=m + nb, block_classes=tuple(classes))
-    p, top = spec.n_params, draw(st.integers(1, 3))
+    p = spec.n_params
+    if draw(st.booleans()):
+        alphabet = list(range(draw(st.integers(1, 3)) + 1))
+    else:
+        alphabet = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4))
     tied = draw(st.booleans())
     upper = np.triu_indices(p)
     stack = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 20))):
         a = np.zeros((p, p))
-        a[upper] = draw(st.lists(st.integers(0, top), min_size=len(upper[0]),
-                                 max_size=len(upper[0])))
+        a[upper] = draw(st.lists(st.sampled_from(alphabet),
+                                 min_size=len(upper[0]), max_size=len(upper[0])))
         a += np.triu(a, 1).T
         if tied:
             first = 2 * m
@@ -328,6 +334,22 @@ def test_batched_canonicalization_matches_frozen_on_random_designs(net, m):
     got = np.concatenate([_canonicalize_nuisance(infos[i:i + 256], spec)
                           for i in range(0, len(infos), 256)])
     assert got.tobytes() == _frozen_stack(infos, spec).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_criterion_rejects_non_finite_matrices(path312, bad, blocked):
+    # NaN stands for INVALID in the kernel's arrays, so a matrix that holds
+    # NaN or inf is an error, not a value
+    net = nd.augment_blocks([3, 3], 2) if blocked else path312
+    spec = ModelSpec.for_network(net, 2)
+    info = np.eye(spec.n_params)
+    assert nd.evaluate_criterion(info, spec) is not None
+    for i, j in [(0, 0), (spec.n_params - 1, 1)]:
+        info = np.eye(spec.n_params)
+        info[i, j] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            nd.evaluate_criterion(info, spec)
 
 
 def test_model_spec_validation(path312):

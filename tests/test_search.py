@@ -345,7 +345,7 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
-    evaluate = DesignEvaluator.values
+    evaluate = DesignEvaluator._value_array
     run_tasks = search._run_tasks
     values: dict = {}
 
@@ -353,14 +353,14 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
         designs = list(map(tuple, np.asarray(designs).tolist()))
         missing = [x for x in designs if x not in values]
         if missing:
-            values.update(zip(missing, evaluate(self, missing)))
-        return [values[x] for x in designs]
+            values.update(zip(missing, evaluate(self, missing).tolist()))
+        return np.array([values[x] for x in designs])
 
     def in_process(state, fn, tasks, workers):
         return run_tasks(state, fn, tasks, 1)
 
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
-    monkeypatch.setattr(DesignEvaluator, "values", memo_values)
+    monkeypatch.setattr(DesignEvaluator, "_value_array", memo_values)
     monkeypatch.setattr(search, "_run_tasks", in_process)
     for budget in range(1, len(outcomes) + 1):
         expected = oracle_report(outcomes, budget)
@@ -487,13 +487,13 @@ def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m)
     evaluated = []
-    values = DesignEvaluator.values
+    values = DesignEvaluator._value_array
 
     def counted(self, designs):
         evaluated.extend(designs)
         return values(self, designs)
 
-    monkeypatch.setattr(DesignEvaluator, "values", counted)
+    monkeypatch.setattr(DesignEvaluator, "_value_array", counted)
     for seed in range(5):
         if (case, seed) not in _cd_oracle_reports:
             _cd_oracle_reports[case, seed] = oracle_coordinate_descent(
@@ -516,13 +516,13 @@ def test_cd_lockstep_evaluates_in_chunks(examples, monkeypatch):
     # chunks of at most _CHUNK_DESIGNS, and the report still matches
     net, m, restarts = examples[2], 3, 300
     sizes = []
-    values = DesignEvaluator.values
+    values = DesignEvaluator._value_array
 
     def counted(self, designs):
         sizes.append(len(designs))
         return values(self, designs)
 
-    monkeypatch.setattr(DesignEvaluator, "values", counted)
+    monkeypatch.setattr(DesignEvaluator, "_value_array", counted)
     report = nd.coordinate_descent(net, ModelSpec.for_network(net, m), cfg(
         algorithm="coordinate_descent", seed=3, restarts=restarts))
     assert sizes[0] == max(sizes) == search._CHUNK_DESIGNS
