@@ -317,7 +317,8 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
     m(m-1)/2 treatment pairs, of the contrast variance read off a
     generalized inverse built by eigendecomposition with relative rank
     tolerance RANK_TOL.  For "Ds": the determinant of the covariance of the
-    m-1 free treatment effects.  Lower is better for both.
+    m-1 free treatment effects.  Lower is better for both.  A matrix of
+    the wrong shape, or with an entry that is NaN or infinite, is an error.
     """
     info = np.asarray(info, dtype=np.float64)
     p = spec.n_params
