@@ -15,15 +15,18 @@ Designs related by an automorphism have equal criterion values, so a search
 only needs each orbit's lexicographically smallest member.  Every
 canonicity question is integer arithmetic on packed image keys: x @ W holds
 one key per element, the base-B number whose digits are x's image, so
-integer order of keys is lexicographic order of images.  W is built on
-first use, so a group that no search consults never pays for it.  Outside
-the exhaustive walk, which reads W itself, int64 keys come from two
-float64 BLAS products, one per half of W's digit places, whose sums stay
-below 2^53 and so are exact, recombined in int64 (numpy's integer matmul
-does not use BLAS).  A representative is the image under the element with
-the least key, and images are x permuted through the group's elements, so
-no key is ever decoded.  Also here: a brute-force orbit counter used as a
-test oracle.
+integer order of keys is lexicographic order of images.  Each W is built
+on first use, in the narrowest integer dtype that holds its keys exactly,
+so a group that no search consults never pays for one.  The exhaustive
+walk reads its own W in base m + 2, the least that holds the labels 1..m
+and a digit for unassigned positions, so its keys are int32 wherever
+(m+2)^d <= 2^31.  Everywhere else W is in the widest base whose keys fit
+int64, and int64 keys come from two float64 BLAS products, one per half
+of W's digit places, whose sums stay below 2^53 and so are exact,
+recombined in int64 (numpy's integer matmul does not use BLAS).  A
+representative is the image under the element with the least key, and
+images are x permuted through the group's elements, so no key is ever
+decoded.  Also here: a brute-force orbit counter used as a test oracle.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ class AutomorphismGroup:
     under element k, and smaller keys are lexicographically smaller images.
     `base`, the largest with base^d < 2^63 (and at most 2^53), depends on d
     alone.  W is built on first use, and so are the two float64 halves of
-    it through which `_keys` computes int64 keys.  Instances are immutable
-    and safe to share.
+    it through which `_keys` computes int64 keys (`halves`) and the
+    exhaustive walk's W in base m + 2 (`walk_weights`).  Instances are
+    immutable and safe to share.
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
@@ -119,6 +123,7 @@ class AutomorphismGroup:
             raise ValueError("an element maps a block node to a design node")
         self.base = _base(len(design))
         self._weights = self._halves = None  # built on first use
+        self._walk: dict[int, np.ndarray] = {}  # walk_weights, per base
 
     @property
     def weights(self) -> np.ndarray:
@@ -130,12 +135,26 @@ class AutomorphismGroup:
         return self._weights
 
     def _weights_in(self, base: int) -> np.ndarray:
-        """W in the given base: int64 in bases up to `self.base` whose keys
-        fit (base^d < 2^63), else Python integers."""
+        """W in the given base, in the narrowest dtype that holds its keys
+        (below base^d) exactly: int32 when base^d <= 2^31, int64 in other
+        bases up to `self.base` whose keys fit (base^d < 2^63), else Python
+        integers."""
         d = self.network.n_design
-        dtype = object if base > self.base or base ** d >= 2 ** 63 else np.int64
+        dtype = (object if base > self.base or base ** d >= 2 ** 63
+                 else np.int32 if base ** d <= 2 ** 31 else np.int64)
         place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
         return self._placed(place)[0]
+
+    def walk_weights(self, m: int) -> np.ndarray:
+        """W in base m + 2, read-only, built on first use and cached per
+        base: the exhaustive walk's keys, whose digits are the labels 1..m
+        and m + 1 for an unassigned position.  Its dtype is `_weights_in`'s,
+        so these keys are int32 up to (m+2)^d = 2^31."""
+        w = self._walk.get(m + 2)
+        if w is None:
+            w = self._walk[m + 2] = self._weights_in(m + 2)
+            w.setflags(write=False)
+        return w
 
     def _placed(self, *places: np.ndarray) -> list[np.ndarray]:
         """For each (d,) array `place`, the (d, z) array whose entry (p, k)
@@ -190,24 +209,30 @@ class AutomorphismGroup:
         order, and keys = (digits @ H) s + digits @ L is recombined in
         int64.  Python-integer weights take their own exact product."""
         xs = self._batch(xs)
-        d = self.network.n_design
         low = int(xs.min())
-        w, base = self.weights_for(int(xs.max()) - low)
+        w, _ = self.weights_for(int(xs.max()) - low)
         if w.dtype == object:
             return (xs - low) @ w
-        if self._halves is None:  # int64 weights are `weights` itself
-            scale = base ** (d // 2)
-            place = [base ** e for e in range(d - 1, -1, -1)]
-            self._halves = (*self._placed(
-                np.array([v // scale for v in place], dtype=np.float64),
-                np.array([v % scale for v in place], dtype=np.float64)), scale)
-        upper, lower, scale = self._halves
+        upper, lower, scale = self.halves()  # int64 weights are `weights`
         digits = (xs - low).astype(np.float64)
         # the int64 loops take the exact float sums as int64 first
         keys = np.multiply(digits @ upper, scale, dtype=np.int64,
                            casting="unsafe")
         np.add(keys, digits @ lower, out=keys, dtype=np.int64, casting="unsafe")
         return keys
+
+    def halves(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(H, L, s): the float64 halves of `weights` through which `_keys`
+        computes int64 keys, and the scale that joins them, built on first
+        use."""
+        if self._halves is None:
+            d, base = self.network.n_design, self.base
+            scale = base ** (d // 2)
+            place = [base ** e for e in range(d - 1, -1, -1)]
+            self._halves = (*self._placed(
+                np.array([v // scale for v in place], dtype=np.float64),
+                np.array([v % scale for v in place], dtype=np.float64)), scale)
+        return self._halves
 
     def _images(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Row i: the image of design xs[i] under element ks[i], which puts

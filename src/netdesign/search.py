@@ -16,10 +16,13 @@ in Python.  Under a non-trivial group one odometer (`_segments`) walks the
 stream and closes the subtree of any prefix that some automorphism maps to
 a smaller one: those designs are counted as considered and skipped, so
 every counter equals that of gating each design.  The test reads the
-group's packed image keys, kept per depth, so each prefix costs one update
-of the z keys and one minimum.  A network whose only automorphism is the
-identity gives the searches no group at all (`_group_for`), so none of
-them asks a canonicity question that only the identity could answer.
+group's packed image keys in base m + 2 (`walk_weights`), int32 where
+they fit, kept per depth: each prefix costs one update of the z keys and
+one minimum, and the update is a single add when the prefix's last label
+is one above that of a sibling already tested.  A network whose only
+automorphism is the identity gives the searches no group at all
+(`_group_for`), so none of them asks a canonicity question that only the
+identity could answer.
 Either way the evaluator answers designs that leave a treatment unused as
 INVALID without an eigendecomposition.
 
@@ -182,11 +185,13 @@ def _segments(group: AutomorphismGroup, prefix: Sequence[int], n: int,
     (size, None) for `size` consecutive designs none of which is canonical.
     The odometer tests each prefix it reaches, the given one first; a
     prefix that some element maps to a smaller one closes its subtree
-    unvisited.  keys[i] packs each element's image of x[:i], unassigned
-    positions read as base - 1 (above every label): the prefix has a
-    smaller image iff the first least key is not the identity's, key 0.  An
-    image that ties the prefix draws on its positions alone, so it ties the
-    unassigned rest too, and the answer holds for every completion."""
+    unvisited.  keys[i] packs each element's image of x[:i] in base m + 2
+    (`walk_weights`), unassigned positions read as m + 1 (above every
+    label): the prefix has a smaller image iff the first least key is not
+    the identity's, key 0.  An image that ties the prefix draws on its
+    positions alone, so it ties the unassigned rest too, and the answer
+    holds for every completion.  keys[q + 1] still packs the sibling
+    before x[:q + 1] when `_advance` returns q, so that step is one add."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     start, last = len(prefix), n - 1
@@ -194,15 +199,18 @@ def _segments(group: AutomorphismGroup, prefix: Sequence[int], n: int,
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
     fresh = max(start - 1, 0)  # from here on, prefixes are untested
     sizes = _subtree_sizes(n, m, use_label_symmetry)
-    w, base = group.weights_for(m + 1)
-    unset = base - 1
+    w = group.walk_weights(m)
+    unset = m + 1
     keys = np.empty((n + 1, group.size), dtype=w.dtype)
-    keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh)) @ w
+    keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
+                           dtype=w.dtype) @ w
+    keys[fresh + 1] = keys[fresh] + w[fresh] * (x[fresh] - unset)
     while True:
         for q in range(fresh, n):
             row = keys[q + 1]
-            np.multiply(w[q], x[q] - unset, out=row)
-            row += keys[q]
+            if q > fresh:
+                np.multiply(w[q], x[q] - unset, out=row)
+                row += keys[q]
             if row.argmin():
                 yield sizes[last - q][top[q + 1]], None
                 break
@@ -211,6 +219,7 @@ def _segments(group: AutomorphismGroup, prefix: Sequence[int], n: int,
         fresh = _advance(x, top, q, start, m, use_label_symmetry)
         if fresh < 0:
             return
+        keys[fresh + 1] += w[fresh]  # x[fresh] grew by one
 
 
 @functools.lru_cache(maxsize=128)
@@ -319,16 +328,22 @@ def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
     )
 
 
-def _group_for(net: Network, config: SearchConfig) -> AutomorphismGroup | None:
-    """The group a search prunes with, its key weights built: None when
-    automorphisms are off or the network has none but the identity, which
-    would prune nothing."""
+def _group_for(net: Network, config: SearchConfig, walk_m: int | None = None
+               ) -> AutomorphismGroup | None:
+    """The group a search prunes with: None when automorphisms are off or
+    the network has none but the identity, which would prune nothing.  The
+    key tables the search reads are built here, once, not in each pool
+    worker: the walk's W for labels 1..walk_m when walk_m is given, else
+    `weights` and its float halves, which `_keys` reads."""
     if not config.use_automorphisms:
         return None
     group = find_automorphisms(net, config.max_group_size)
     if group.size == 1:
         return None
-    group.weights  # built here once, not in each pool worker
+    if walk_m is not None:
+        group.walk_weights(walk_m)
+    else:
+        group.weights, group.halves()
     return group
 
 
@@ -492,7 +507,7 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     subtree tasks of `_plan`."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
-    group = _group_for(net, config)
+    group = _group_for(net, config, spec.m)
     tasks, partial = _plan(net.n_design, spec.m, config.use_label_symmetry,
                            config.workers, config.max_designs)
     state = (DesignEvaluator(net, spec), group, config.use_label_symmetry)

@@ -49,7 +49,10 @@ def test_block_group_size_formula(sizes, expected):
 
 def test_block_group_size_4_blocks_of_3():
     net = nd.augment_blocks([3, 3, 3, 3], 3)
-    assert nd.find_automorphisms(net).size == factorial(3) ** 4 * factorial(4)
+    group = nd.find_automorphisms(net)
+    assert group.size == factorial(3) ** 4 * factorial(4)
+    # 5^12 <= 2^31: the walk over labels 1..3 packs int32 keys
+    assert group.walk_weights(3).dtype == np.int32
 
 
 @pytest.mark.parametrize("rows,cols,expected", [
@@ -221,13 +224,17 @@ def test_weights_are_built_on_first_use(examples):
     for net in (examples[2], examples[4]):  # z = 1 and z = 384
         group = nd.find_automorphisms(net)
         assert group._weights is None and group._halves is None
+        walk = group.walk_weights(3)
+        assert walk is group.walk_weights(3) and not walk.flags.writeable
+        assert group._weights is None  # the exhaustive walk reads its own W
         w = group.weights
         assert w is group.weights and not w.flags.writeable
         with pytest.raises(AttributeError):
             group.weights = w
-        assert group._halves is None  # the exhaustive walk reads W alone
+        assert group._halves is None
         group.is_canonical((1,) * net.n_design)
         assert group._halves is not None
+        assert list(group._walk) == [5]
 
 
 def test_canonical_representative_is_orbit_min(path312, examples):

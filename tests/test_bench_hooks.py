@@ -32,6 +32,13 @@ def test_setup_job(workload):
     assert (code, out["errors"]) == (0, [])
 
 
+def test_wall_job_of_the_largest_group():
+    # the whole walk under z = 31104: pinned counts, best value and oracle
+    code, out = run_child("--workload", "blocks4x3-m3", "--mode", "wall",
+                          "--search-seed", "0")
+    assert (code, out["errors"]) == (0, [])
+
+
 def test_trace_job():
     code, out = run_child("--workload", "ex2-m4", "--mode", "trace",
                           "--search-seed", "0")

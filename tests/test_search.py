@@ -372,16 +372,59 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_search_past_the_int64_keys_matches_oracle(workers):
-    # at d = 40 the int64 keys hold base 2 only, too few digits for labels
-    # 1..2 and the unassigned value, so the walk packs Python integers
+    # the walk packs labels 1..2 and the unassigned value in base 4: at
+    # d = 40 that is 80 bits, past int64, so its keys are Python integers
     net = cycle_network(40)
-    assert nd.find_automorphisms(net).base == 2
+    group = nd.find_automorphisms(net)
+    assert group.base == 2 and group.walk_weights(2).dtype == object
     expected = oracle_report(oracle_outcomes(net, 2, True, limit=2000))
     expected["partial"] = True
     report = nd.exhaustive_search(net, ModelSpec.for_network(net, 2),
                                   cfg(max_designs=2000, workers=workers))
     assert report_fields(report) == expected
     assert report.num_skipped_noncanonical > 0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n,m,dtype", [(15, 2, np.int32), (16, 2, np.int64),
+                                       (13, 3, np.int32), (14, 3, np.int64)])
+def test_pruned_search_at_the_int32_walk_keys_edge_matches_oracle(
+        n, m, dtype, workers, monkeypatch):
+    # the walk's keys lie below (m+2)^n, which straddles 2^31 between each
+    # pair of cases; the 3-worker plan starts tasks below the root, so
+    # sibling steps also run after a prefix
+    net = cycle_network(n)
+    group = nd.find_automorphisms(net)
+    monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
+    expected = oracle_report(oracle_outcomes(net, m, True, limit=2000))
+    expected["partial"] = True
+    report = nd.exhaustive_search(net, ModelSpec.for_network(net, m),
+                                  cfg(max_designs=2000, workers=workers))
+    assert report_fields(report) == expected
+    assert report.num_skipped_noncanonical > 0
+    assert group.walk_weights(m).dtype == dtype
+
+
+def test_searches_build_their_key_tables_before_the_pool(examples,
+                                                         monkeypatch):
+    # exhaustive search reads the walk's W alone; coordinate descent reads
+    # `weights` and its float halves.  Each is built before tasks run, so
+    # pool workers inherit it instead of building their own.
+    net = examples[4]
+    spec = ModelSpec.for_network(net, 2)
+    run_tasks = search._run_tasks
+    built = []
+
+    def record(state, fn, tasks, workers):
+        group = state[1]
+        built.append((group._weights is not None, group._halves is not None,
+                      set(group._walk)))
+        return run_tasks(state, fn, tasks, workers)
+
+    monkeypatch.setattr(search, "_run_tasks", record)
+    nd.exhaustive_search(net, spec, cfg(max_designs=1))
+    nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=1))
+    assert built == [(False, False, {4}), (True, True, set())]
 
 
 @st.composite
