@@ -8,23 +8,25 @@ rule fires.  Two instantiations ship here: exhaustive lexicographic search
 of treatment j precedes the first occurrence of j+1) and cyclic coordinate
 descent with seeded random restarts.
 
-Without a group, exhaustive search takes its stream as label arrays
-(`_blocks`): the last positions of every design come from one cached tail
-table, the lexicographic completions of those positions after a prefix
-with a given largest label, and only the positions above them are walked
-in Python.  Under a non-trivial group one odometer (`_segments`) walks the
-stream and closes the subtree of any prefix that some automorphism maps to
-a smaller one: those designs are counted as considered and skipped, so
-every counter equals that of gating each design.  The test reads the
-group's packed image keys in base m + 2 (`walk_weights`), int32 where
-they fit, kept per depth: each prefix costs one update of the z keys and
-one minimum, and the update is a single add when the prefix's last label
-is one above that of a sibling already tested.  A network whose only
-automorphism is the identity gives the searches no group at all
-(`_group_for`), so none of them asks a canonicity question that only the
-identity could answer.
-Either way the evaluator answers designs that leave a treatment unused as
-INVALID without an eigendecomposition.
+Exhaustive search takes its stream as label arrays from one generator
+(`_stream`): the last s positions of every design come from one cached
+tail table, the lexicographic completions of those positions after a
+prefix with a given largest label, and only the positions above them are
+walked in Python.  s shrinks as the group grows, so that a table's keys
+stay few; a group-free stream is the z = 1 case.  Under a non-trivial
+group the walk closes the subtree of any prefix that some automorphism
+maps to a smaller one, and a table's rows are gated by their own keys:
+the designs of closed subtrees and gated-out rows are counted as
+considered and skipped, so every counter equals that of gating each
+design.  The test reads the group's packed image keys in base m + 2
+(`walk_weights`), int32 where they fit, kept per walked depth: each prefix
+costs one update of the z keys and one minimum, and the update is a
+single add when the prefix's last label is one above that of a sibling
+already tested.  A network whose only automorphism is the identity gives
+the searches no group at all (`_group_for`), so none of them asks a
+canonicity question that only the identity could answer.
+With a group or without, the evaluator answers designs that leave a
+treatment unused as INVALID without an eigendecomposition.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep: each descent is a generator that
@@ -35,8 +37,8 @@ functions of the key, so the counters equal those of running the restarts
 one after another.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
-evaluated in label-array chunks of about _CHUNK_DESIGNS designs, one
-batched kernel call each (read as a float array, NaN for INVALID), or
+whose live rows are joined into chunks of at least _CHUNK_DESIGNS designs,
+one batched kernel call each (read as a float array, NaN for INVALID), or
 contiguous blocks of restarts, one per worker.  One worker runs them in this process, more run
 the same code on a process pool, and results merge in task order, so
 reports do not depend on the worker count.
@@ -177,51 +179,6 @@ def _advance(x: list[int], top: list[int], q: int, start: int, m: int,
     return q
 
 
-def _segments(group: AutomorphismGroup, prefix: Sequence[int], n: int,
-              m: int, use_label_symmetry: bool
-              ) -> Iterator[tuple[int, Design | None]]:
-    """The stream designs that start with `prefix`, in lexicographic order,
-    as segments (size, design): (1, x) for a design to evaluate, or
-    (size, None) for `size` consecutive designs none of which is canonical.
-    The odometer tests each prefix it reaches, the given one first; a
-    prefix that some element maps to a smaller one closes its subtree
-    unvisited.  keys[i] packs each element's image of x[:i] in base m + 2
-    (`walk_weights`), unassigned positions read as m + 1 (above every
-    label): the prefix has a smaller image iff the first least key is not
-    the identity's, key 0.  An image that ties the prefix draws on its
-    positions alone, so it ties the unassigned rest too, and the answer
-    holds for every completion.  keys[q + 1] still packs the sibling
-    before x[:q + 1] when `_advance` returns q, so that step is one add."""
-    if m < 2 or n < 1:
-        raise ValueError("need at least two treatments and one design node")
-    start, last = len(prefix), n - 1
-    x = list(prefix) + [1] * (n - start)
-    top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
-    fresh = max(start - 1, 0)  # from here on, prefixes are untested
-    sizes = _subtree_sizes(n, m, use_label_symmetry)
-    w = group.walk_weights(m)
-    unset = m + 1
-    keys = np.empty((n + 1, group.size), dtype=w.dtype)
-    keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
-                           dtype=w.dtype) @ w
-    keys[fresh + 1] = keys[fresh] + w[fresh] * (x[fresh] - unset)
-    while True:
-        for q in range(fresh, n):
-            row = keys[q + 1]
-            if q > fresh:
-                np.multiply(w[q], x[q] - unset, out=row)
-                row += keys[q]
-            if row.argmin():
-                yield sizes[last - q][top[q + 1]], None
-                break
-        else:
-            yield 1, tuple(x)
-        fresh = _advance(x, top, q, start, m, use_label_symmetry)
-        if fresh < 0:
-            return
-        keys[fresh + 1] += w[fresh]  # x[fresh] grew by one
-
-
 @functools.lru_cache(maxsize=128)
 def _tail_table(r: int, top: int, m: int, use_label_symmetry: bool
                 ) -> np.ndarray:
@@ -240,31 +197,95 @@ def _tail_table(r: int, top: int, m: int, use_label_symmetry: bool
     return table
 
 
-def _blocks(prefix: Sequence[int], n: int, m: int, use_label_symmetry: bool
-            ) -> Iterator[np.ndarray]:
-    """The stream designs that start with `prefix`, in lexicographic order,
-    as (N, n) int64 blocks.  The last s positions (fewer if fewer are left)
-    come from one `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS;
-    the odometer walks the positions between the prefix and them, and each
-    of its steps is one block."""
-    if m < 2 or n < 1:
-        raise ValueError("need at least two treatments and one design node")
+def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
+            m: int, use_label_symmetry: bool, budget: int | None
+            ) -> Iterator[tuple[int, np.ndarray | None]]:
+    """The first `budget` (all if None) stream designs that start with
+    `prefix`, in lexicographic order, as segments (size, live): `size`
+    consecutive designs, of which the (k, n) int64 array `live` holds the
+    k >= 1 to evaluate, or None when none is.
+
+    The last s positions (fewer if fewer are left) come from one
+    `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS and
+    m^s z <= _CHUNK_DESIGNS^2 (z = 1 without a group); the odometer walks
+    the positions between the prefix and them, and each of its steps is one
+    segment.  Without a group every row is live.  Under one the walk tests
+    each prefix it reaches, the given one first, and a prefix that some
+    element maps to a smaller one closes its subtree unvisited, as one
+    segment.  keys[i] packs each element's image of x[:i] in base m + 2
+    (`walk_weights`), unassigned positions read as m + 1 (above every
+    label): the prefix has a smaller image iff the first least key is not
+    the identity's, key 0.  An image that ties the prefix draws on its
+    positions alone, so it ties the unassigned rest too, and the answer
+    holds for every completion.  keys[q + 1] still packs the sibling
+    before x[:q + 1] when `_advance` returns q, so that step is one add.
+    A table's rows are gated whole: keys[stop] plus the table's own keys,
+    (table - unset) @ W[stop:], cached per largest label for the call,
+    gives each completed design's keys, and a row lives iff its first
+    least key is key 0.  With no position left for a table (s = 0, or a
+    whole design as the prefix) the walk's test of the design is that gate,
+    and a design that passes it is live."""
+    z = 1 if group is None else group.size
     width = 0
-    while m ** (width + 1) <= _CHUNK_DESIGNS:
+    while m ** (width + 1) <= min(_CHUNK_DESIGNS, _CHUNK_DESIGNS ** 2 // z):
         width += 1
     start = len(prefix)
     stop = max(n - width, start)  # the walked positions are start..stop-1
     x = list(prefix) + [1] * (stop - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
+    left = budget
+    fresh = stop  # the first position to test; none without a group
+    if group is not None:
+        sizes = _subtree_sizes(n, m, use_label_symmetry)
+        w, unset, gates = group.walk_weights(m), m + 1, {}
+        fresh = max(start - 1, 0)
+        keys = np.empty((stop + 1, z), dtype=w.dtype)
+        keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
+                               dtype=w.dtype) @ w
+        if fresh < stop:
+            keys[fresh + 1] = keys[fresh] + w[fresh] * (x[fresh] - unset)
     while True:
-        table = _tail_table(n - stop, top[stop] if use_label_symmetry else 0,
-                            m, use_label_symmetry)
-        block = np.empty((len(table), n), dtype=np.int64)
-        block[:, :stop] = x
-        block[:, stop:] = table
-        yield block
-        if _advance(x, top, stop - 1, start, m, use_label_symmetry) < 0:
+        q, live = stop - 1, None
+        for q in range(fresh, stop):
+            row = keys[q + 1]
+            if q > fresh:
+                np.multiply(w[q], x[q] - unset, out=row)
+                row += keys[q]
+            if row.argmin():
+                size = sizes[n - 1 - q][top[q + 1]]
+                break
+        else:
+            if stop == n:  # no table: x is a design, tested under a group
+                size, live = 1, np.array([x], dtype=np.int64)
+            else:
+                label = top[stop] if use_label_symmetry else 0
+                table = _tail_table(n - stop, label, m, use_label_symmetry)
+                rows = table[:left]  # the whole table when left is None
+                if group is not None:
+                    gate = gates.get(label)
+                    if gate is None:
+                        gate = gates[label] = (
+                            (table - unset).astype(w.dtype) @ w[stop:])
+                    keyed = gate[:len(rows)] + keys[stop]
+                    rows = rows[keyed.argmin(axis=1) == 0]
+                size = len(table)
+                if len(rows):
+                    live = np.empty((len(rows), n), dtype=np.int64)
+                    live[:, :stop] = x
+                    live[:, stop:] = rows
+        if left is not None:
+            size = min(size, left)
+            left -= size
+        yield size, live
+        if left == 0:
             return
+        fresh = _advance(x, top, q, start, m, use_label_symmetry)
+        if fresh < 0:
+            return
+        if group is None:
+            fresh = stop
+        else:
+            keys[fresh + 1] += w[fresh]  # x[fresh] grew by one
 
 
 def enumerate_designs(n_design_nodes: int, m: int,
@@ -274,13 +295,15 @@ def enumerate_designs(n_design_nodes: int, m: int,
     With label symmetry only label-canonical designs are produced: treatment
     labels appear in first-occurrence order, so node 1 always receives
     treatment 1 and the stream has sum_k S2(n, k) members (k = 1..m) instead
-    of m^n.  These are the rows, as tuples, of the label-array blocks that
-    group-free exhaustive search evaluates (`_blocks`): the last positions
-    from a cached table of lexicographic completions, the ones above them
-    walked in order.
+    of m^n.  These are the rows, as tuples, of the group-free `_stream`
+    that exhaustive search evaluates: the last positions from a cached
+    table of lexicographic completions, the ones above them walked in
+    order.  Bad sizes raise at the call, not at the first design.
     """
-    blocks = _blocks((), n_design_nodes, m, use_label_symmetry)
-    return (x for block in blocks for x in map(tuple, block.tolist()))
+    if m < 2 or n_design_nodes < 1:
+        raise ValueError("need at least two treatments and one design node")
+    stream = _stream(None, (), n_design_nodes, m, use_label_symmetry, None)
+    return (x for _, live in stream for x in map(tuple, live.tolist()))
 
 
 def _better(a: float | None, b: float | None) -> bool:
@@ -392,6 +415,8 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
     each worker has _TASKS_PER_WORKER tasks or only full designs are left.
     The budget is the local budget of the task it cuts (None elsewhere), and
     the tasks after that one are dropped."""
+    if m < 2 or n < 1:
+        raise ValueError("need at least two treatments and one design node")
     sizes = _subtree_sizes(n, m, use_label_symmetry)
 
     def size(prefix: Design) -> int:
@@ -419,73 +444,41 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
     return tasks, budget is not None and budget < size(())
 
 
-def _live(segments: Iterable[tuple[int, Design | None]], budget: int | None,
-          counters: _Counters) -> Iterator[Design]:
-    """Yield the designs to evaluate among the first `budget` (all if None)
-    of the segments' designs; count the rest as considered and skipped."""
-    left = budget
-    for size, x in segments:
-        if left is not None:
-            size = min(size, left)
-            left -= size
-        if x is None:
-            counters.considered += size
-            counters.skipped += size
-        else:
-            yield x
-        if left == 0:
-            return
-
-
-def _chunks(blocks: Iterable[np.ndarray], budget: int | None
-            ) -> Iterator[np.ndarray]:
-    """The first `budget` (all if None) rows of the blocks, joined into
-    chunks of at least _CHUNK_DESIGNS rows; the last chunk may be short."""
-    pending, rows, left = [], 0, budget
-    for block in blocks:
-        if left is not None:
-            block = block[:left]
-            left -= len(block)
-        pending.append(block)
-        rows += len(block)
-        if rows >= _CHUNK_DESIGNS or left == 0:
-            yield np.concatenate(pending)
-            pending, rows = [], 0
-        if left == 0:
-            return
+def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],
+            counters: _Counters) -> Iterator[np.ndarray]:
+    """The live rows of `_stream` segments, joined into chunks of at least
+    _CHUNK_DESIGNS rows (the last may be short); every design counts as
+    considered, and those not live as skipped."""
+    pending, rows = [], 0
+    for size, live in stream:
+        counters.considered += size
+        counters.skipped += size - (0 if live is None else len(live))
+        if live is not None:
+            pending.append(live)
+            rows += len(live)
+            if rows >= _CHUNK_DESIGNS:
+                yield np.concatenate(pending)
+                pending, rows = [], 0
     if pending:
         yield np.concatenate(pending)
 
 
-def _packed(designs: Iterator[Design]) -> Iterator[np.ndarray]:
-    """The designs as (B, d) int64 arrays of _CHUNK_DESIGNS rows; the last
-    may be short."""
-    while chunk := list(itertools.islice(designs, _CHUNK_DESIGNS)):
-        yield np.array(chunk, dtype=np.int64)
-
-
 def _subtree_task(state, task: tuple[Design, int | None]):
-    """Evaluate one subtree task in chunks, one batched kernel call each;
-    returns its counters and its best (value, design), the earliest design
-    that reaches the best value.  Without a group the chunks are the label
-    arrays of `_blocks`; with one, the designs that `_segments` leaves to
-    evaluate, packed into arrays.  The serial path and every pool worker
-    run this same loop."""
+    """Evaluate one subtree task in chunks of its `_stream`'s live rows, one
+    batched kernel call each; returns its counters and its best (value,
+    design), the earliest design that reaches the best value.  The serial
+    path and every pool worker, with a group or without, run this same
+    loop."""
     ev, group, use_label_symmetry = state
     prefix, budget = task
-    n, m = ev.net.n_design, ev.spec.m
     counters = _Counters()
-    if group is None:
-        chunks = _chunks(_blocks(prefix, n, m, use_label_symmetry), budget)
-    else:
-        chunks = _packed(_live(_segments(group, prefix, n, m,
-                                         use_label_symmetry), budget, counters))
+    stream = _stream(group, prefix, ev.net.n_design, ev.spec.m,
+                     use_label_symmetry, budget)
     best_value = best_design = None
-    for chunk in chunks:
+    for chunk in _chunks(stream, counters):
         values = ev._value_array(chunk)  # NaN: INVALID
         valid = ~np.isnan(values)
         evals = int(valid.sum())
-        counters.considered += len(chunk)
         counters.evals += evals
         counters.invalid += len(chunk) - evals
         if evals:

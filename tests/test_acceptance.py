@@ -86,6 +86,18 @@ def test_c2_orbit_pruning_soundness(report_cache):
             problems.append(f"{key} m={m}: {without.best_value!r} != {with_.best_value!r}")
         if with_.num_eval > without.num_eval:
             problems.append(f"{key} m={m}: pruning increased evals")
+        for report in (without, with_):
+            if report.num_considered != (report.num_eval + report.num_invalid
+                                         + report.num_skipped_noncanonical
+                                         + report.num_cache_hits):
+                problems.append(f"{key} m={m}: counter identity fails")
+    # the paper's t1 row for example 3 at m = 2, matched exactly
+    without = report_cache.exhaustive(("ex", 3), 2, False)
+    with_ = report_cache.exhaustive(("ex", 3), 2, True)
+    counts = (without.num_eval, with_.num_eval, with_.num_skipped_noncanonical)
+    if counts != (524_287, 221_183, 303_104):
+        problems.append(f"ex3 m=2: evals/evals/skipped {counts}, "
+                        f"not 524287/221183/303104")
     for key, m in _C2_ORBIT_CASES:
         net = report_cache.network(key)
         group = nd.find_automorphisms(net)

@@ -413,22 +413,43 @@ def test_batched_values_match_frozen_per_design_path(report_cache, key, m,
         assert mixed > 0
 
 
+def _stream_sample(n: int, m: int, count: int, seed: int) -> list[tuple]:
+    """`count` seeded label-canonical designs on n nodes that use every one
+    of the m treatments: random labels renamed in first-occurrence order."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    while len(designs) < count:
+        names: dict = {}
+        x = tuple(names.setdefault(t, len(names) + 1)
+                  for t in rng.integers(1, m + 1, n).tolist())
+        if len(names) == m:
+            designs.append(x)
+    return designs
+
+
 @pytest.mark.parametrize("key,m", [
     ("path312", 2), (("ex", 1), 2), (("blocks", (3, 3, 3), 3), 3),
-    (("rowcol", 3, 3, 3), 3),
+    (("rowcol", 3, 3, 3), 3), (("ex", 4), 4), (("ex", 6), 3),
 ])
 def test_kernel_invalid_exactly_when_not_estimable(report_cache, path312,
                                                    key, m):
-    # audits every RANK_TOL decision against exact rational arithmetic
+    # audits every RANK_TOL decision against exact rational arithmetic: on
+    # the whole stream of the small cases, and on 300 seeded stream designs
+    # that use every treatment for the two t1 rows whose counts differ from
+    # the reference (examples 4 and 6)
     net = path312 if key == "path312" else report_cache.network(key)
     ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
-    designs = nd.enumerate_designs(net.n_design, m)
+    sampled = key in (("ex", 4), ("ex", 6))
+    designs = (iter(_stream_sample(net.n_design, m, 300, seed=m)) if sampled
+               else nd.enumerate_designs(net.n_design, m))
     invalid = 0
     while chunk := list(islice(designs, 256)):
         for x, value in zip(chunk, ev.values(chunk)):
             assert (value is None) == (not exact_estimable(net, x, m)), x
             invalid += value is None
-    assert invalid > 0
+    # example 6's sample holds no design that is not estimable: about 0.2%
+    # of its stream designs that use every treatment are not
+    assert invalid > 0 or key == ("ex", 6)
 
 
 @pytest.mark.parametrize("net", [

@@ -76,25 +76,27 @@ def _stream_budgets(total: int, blocks: list[int]) -> list[int | None]:
 @pytest.mark.parametrize("symmetry", [True, False])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_block_stream_matches_product_oracle(m, symmetry):
-    # the label arrays of every task `_plan` makes, for every design count
-    # up to 8 and the budgets above, joined in task order, are the first
-    # `budget` designs of the stream rebuilt from itertools.product; each
-    # task's chunks hold at least _CHUNK_DESIGNS rows but its last, and
-    # enumerate_designs yields the same designs as tuples
+    # the group-free `_stream` of every task `_plan` makes, for every design
+    # count up to 8 and the budgets above, joined in task order, is the
+    # first `budget` designs of the stream rebuilt from itertools.product,
+    # all of them live; each task's chunks hold at least _CHUNK_DESIGNS
+    # rows but its last, and enumerate_designs yields the same designs as
+    # tuples
     full_prefixes = 0
     for n in range(1, 9):
         designs = [x for x in product(range(1, m + 1), repeat=n)
                    if not symmetry or _label_canonical(x)]
         assert list(nd.enumerate_designs(n, m, symmetry)) == designs
         expected = np.array(designs, dtype=np.int64)
-        blocks = [len(b) for b in search._blocks((), n, m, symmetry)]
+        blocks = [size for size, _ in
+                  search._stream(None, (), n, m, symmetry, None)]
         for budget in _stream_budgets(len(designs), blocks):
             for workers in (1, 2, 3):
                 tasks, _ = search._plan(n, m, symmetry, workers, budget)
-                got = []
+                got, counters = [], search._Counters()
                 for prefix, local in tasks:
-                    chunks = list(search._chunks(
-                        search._blocks(prefix, n, m, symmetry), local))
+                    chunks = list(search._chunks(search._stream(
+                        None, prefix, n, m, symmetry, local), counters))
                     assert all(len(c) >= search._CHUNK_DESIGNS
                                for c in chunks[:-1])
                     got += chunks
@@ -103,14 +105,83 @@ def test_block_stream_matches_product_oracle(m, symmetry):
                 assert got.dtype == np.int64
                 assert np.array_equal(got, expected[:budget]), (n, budget,
                                                                 workers)
+                assert counters == search._Counters(considered=len(got))
     assert full_prefixes  # tasks with no position left to fill
 
 
+_GATED_CASES = {
+    "path312": ("path312", 2), "ex1-m2": (("ex", 1), 2),
+    "blocks22-m3": (("blocks", (2, 2), 3), 3),
+    "rc3x3-m3": (("rowcol", 3, 3, 3), 3), "cycle7-m2": ("cycle7", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATED_CASES))
+def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
+                                     case):
+    # under a group, the live rows of every `_plan` task's `_stream`, joined
+    # in task order, are the designs among the first `budget` that no
+    # element maps to a smaller one (images applied in pure Python), and
+    # the counters tell considered and skipped designs as the oracle does.
+    # At 8 designs per chunk the root stream of rc 3x3 (z = 72) takes s = 0
+    # and walks to the leaves, with no table; every other root stream gates
+    # tables of s >= 1 positions, and some budget cuts a gated table
+    # mid-way.
+    key, m = _GATED_CASES[case]
+    net = {"path312": path312, "cycle7": cycle_network(7)}.get(key) \
+        or report_cache.network(key)
+    group = nd.find_automorphisms(net)
+    n = net.n_design
+    tail_table, fetched = search._tail_table, []
+
+    def fetch(*args):
+        fetched.append(tail_table(*args))
+        return fetched[-1]
+
+    monkeypatch.setattr(search, "_tail_table", fetch)
+
+    def segments(prefix, budget):
+        # (size, live, the tail table the segment came from, else None)
+        for size, live in search._stream(group, prefix, n, m, True, budget):
+            yield size, live, fetched.pop() if fetched else None
+
+    outcomes = oracle_outcomes(net, m, True)
+    widths, gated_cut = [], False
+    for chunk in (256, 8):
+        monkeypatch.setattr(search, "_CHUNK_DESIGNS", chunk)
+        root = list(segments((), None))
+        blocks = [size for size, _, _ in root]
+        # the width of the root stream's tables, 0 when it has none (s = 0)
+        widths.append(max((table.shape[1] for _, _, table in root
+                           if table is not None), default=0))
+        for budget in _stream_budgets(len(outcomes), blocks):
+            cut = outcomes[:budget]
+            expected = [x for x, value in cut if value != "skipped"]
+            for workers in (1, 2, 3):
+                tasks, _ = search._plan(n, m, True, workers, budget)
+                got, counters = [], search._Counters()
+                for prefix, local in tasks:
+                    parts = list(segments(prefix, local))
+                    size, live, table = parts[-1]
+                    gated_cut |= (local is not None and table is not None
+                                  and table.shape[1] > 0 and size < len(table))
+                    chunks = list(search._chunks(
+                        ((size, live) for size, live, _ in parts), counters))
+                    assert all(len(c) >= chunk for c in chunks[:-1])
+                    got += [tuple(x) for c in chunks for x in c.tolist()]
+                assert got == expected, (chunk, budget, workers)
+                assert counters == search._Counters(
+                    considered=len(cut), skipped=len(cut) - len(expected))
+    assert widths[0] >= 1 and gated_cut
+    assert (widths[1] == 0) == (case == "rc3x3-m3")
+
+
 def test_enumerate_validation():
+    # the sizes are checked at the call, before the first design
     with pytest.raises(ValueError):
-        list(nd.enumerate_designs(3, 1))
+        nd.enumerate_designs(3, 1)
     with pytest.raises(ValueError):
-        list(nd.enumerate_designs(0, 2))
+        nd.enumerate_designs(0, 2)
 
 
 # ----------------------------------------------------------------- exhaustive
