@@ -16,7 +16,9 @@ from .examples import check_example_id, example_network
 from .lnem import ModelSpec
 from .network import (Network, NetworkError, augment_blocks,
                       augment_crossover, augment_row_column, parse_network)
-from .search import SearchConfig, SearchReport, coordinate_descent, run_search
+from .search import (_CHUNK_DESIGNS, _TASKS_PER_WORKER, SearchConfig,
+                     SearchReport, _subtree_sizes, coordinate_descent,
+                     run_search)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -130,6 +132,26 @@ def _print_report(report: SearchReport, fmt: str) -> None:
         print(f"{key}: {value}")
 
 
+def _workers(args, net: Network, m: int, exhaustive: bool = True,
+             use_label_symmetry: bool = True, budget: int | None = None) -> int:
+    """--workers when given.  Otherwise all cores, except one for an
+    exhaustive run whose stream (cut to `budget`) holds fewer designs than
+    a pool would split into chunks: _TASKS_PER_WORKER tasks of
+    _CHUNK_DESIGNS designs per core, since starting the pool then costs
+    more than it saves."""
+    if args.workers is not None:
+        return args.workers
+    cores = os.cpu_count() or 1
+    if exhaustive:
+        n = net.n_design
+        designs = _subtree_sizes(n, m, use_label_symmetry)[n][0]
+        if budget is not None:
+            designs = min(designs, budget)
+        if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER * cores:
+            return 1
+    return cores
+
+
 def cmd_search(args) -> int:
     net = _resolve_network(args, args.treatments)
     spec = ModelSpec.for_network(net, args.treatments, criterion=args.criterion)
@@ -141,7 +163,10 @@ def cmd_search(args) -> int:
         seed=args.seed,
         count_invalid_as_eval=args.count_invalid_as_eval,
         max_designs=args.max_designs,
-        workers=args.workers,
+        workers=_workers(args, net, args.treatments,
+                         exhaustive=args.algorithm == "exhaustive",
+                         use_label_symmetry=not args.no_label_symmetry,
+                         budget=args.max_designs),
         max_group_size=args.max_group_size,
     )
     report = run_search(net, spec, config)
@@ -180,7 +205,7 @@ def _reproduce_pruning(args, writer, rows, first_column: str,
     for label, net, m, (ref_z, ref_wo, ref_w) in rows:
         spec = ModelSpec.for_network(net, m)
         group = find_automorphisms(net)
-        base = SearchConfig(seed=args.seed, workers=args.workers)
+        base = SearchConfig(seed=args.seed, workers=_workers(args, net, m))
         without = run_search(net, spec, dataclasses.replace(
             base, use_automorphisms=False))
         with_ = run_search(net, spec, base)
@@ -216,10 +241,12 @@ def _reproduce_t2(args, writer) -> None:
         net = example_network(k)
         spec = ModelSpec.for_network(net, 2)
         group = find_automorphisms(net)
-        es = run_search(net, spec, SearchConfig(seed=args.seed, workers=args.workers))
+        es = run_search(net, spec, SearchConfig(seed=args.seed,
+                                                workers=_workers(args, net, 2)))
         cd = coordinate_descent(net, spec, SearchConfig(
             algorithm="coordinate_descent", seed=args.seed,
-            workers=args.workers, restarts=args.restarts,
+            workers=_workers(args, net, 2, exhaustive=False),
+            restarts=args.restarts,
             reference_value=es.best_value))
         ref = _T2_REFERENCE_EFFICIENCY[k]
         eff = cd.efficiency
@@ -269,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criterion", choices=("As", "Ds"), default="As")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: all cores); results are "
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: all cores, or one for an "
+                        "exhaustive stream too small to split); results are "
                         "identical for any value")
     p.add_argument("--max-designs", type=int, default=None,
                    help="candidate budget; exceeding it flags the report "
@@ -305,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated example ids for t1/t2 (default all)")
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: as for search)")
     p.add_argument("--all", action="store_true",
                    help="for t4: include the very slow rows")
     p.set_defaults(func=cmd_reproduce)

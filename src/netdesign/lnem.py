@@ -31,12 +31,31 @@ if treatment j < m is unused, column j of F is zero and no contrast with
 c_j != 0 lies in F's row space; if treatment m is unused, the indicators of
 1..m-1 sum to the intercept, so F v = 0 for v = (-1, 1, ..., 1, 0, ..., 0),
 and the contrast e_j of (j, m) has e_j . v = 1.
+
+Exhaustive search keeps only each chunk's count of valid designs and its
+first least value, so it evaluates chunks with `_chunk_best`, which runs
+the eigh kernel only where its bits matter (certify-then-eigh).  One
+batched inverse of M + s I, s a tiny ridge, certifies a matrix far from
+singular (`_screen`): such a design is valid, and the criterion read off
+that inverse is a lower bound on its value, within a relative
+(m - 1) 1e-8 of it.
+Designs the screen does not certify go to the kernel, so every INVALID
+decision is the kernel's; so do the certified designs whose bound comes
+within a factor 1 + SCREEN_WINDOW of the chunk's least bound or of the
+best value so far.  The other certified designs cannot be the best: they
+count as valid, and so in `num_eval`, though no eigendecomposition valued
+them.  The best value and design are the kernel's, bit for bit.  When F is
+singular for every design (one-way blocks, row-column, crossover and
+regular networks: see `DesignEvaluator.__init__`) nothing could be
+certified, and chunks skip the screen.  `values`, `value`,
+`evaluate_criterion` and coordinate descent use the kernel alone.
 """
 
 from __future__ import annotations
 
+import math
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +68,30 @@ Design = tuple[int, ...]
 # contrast is estimable when its row-space residual is below the same
 # relative tolerance
 RANK_TOL = 1e-8
+# The screen of exhaustive search (`_screen`) inverts M + s I with
+# s = SCREEN_RIDGE * tr(M) > 0, so that a singular M meets no exact zero
+# pivot.  M + s I has condition at most 1 + 1 / SCREEN_RIDGE ~ 1e14 (the
+# largest eigenvalue is at most tr(M)), so even for a singular M the
+# computed trace of G = inv(M + s I) is within a few percent of the true
+# one.
+SCREEN_RIDGE = 1e-14
+# M is certified when diag(G) > 0 and tr(M) tr(G) <= SCREEN_CERTIFY.  Since
+# tr(M) tr(G) >= lmax / (lmin + s), a certified M has lmin / lmax >=
+# 1 / SCREEN_CERTIFY - SCREEN_RIDGE ~ 1e-6, a hundred times RANK_TOL: eigh
+# keeps every eigenvalue and every contrast is estimable.  Its condition is
+# at most SCREEN_CERTIFY, so G's forward error is of order
+# SCREEN_CERTIFY * eps ~ 2e-10, times a small dimension factor (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, ch. 14).
+SCREEN_CERTIFY = 1e6
+# (M + s I)^-1 <= M^-1, so the screen's value is a lower bound; per
+# eigenvalue 1/(l + s) >= (1 - s / (lmin + s)) / l and s / (lmin + s) <=
+# SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8 low and Ds
+# (a determinant of order m - 1) at most (m - 1) 1e-8, plus rounding.  A
+# certified design is evaluated exactly only when its bound lies within a
+# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far;
+# SCREEN_WINDOW covers the gap with a factor ten to spare up to m = 10 and
+# still covers it up to m = 50.
+SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")
 
@@ -73,6 +116,9 @@ class ModelSpec:
             raise ValueError("total_treatments cannot be below m")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be finite and positive, "
+                             f"got {self.sigma2!r}")
         if len(self.block_classes) != self.total_treatments - self.m:
             raise ValueError("need one block class per block pseudo-treatment")
 
@@ -94,7 +140,7 @@ class ModelSpec:
         return self.m + self.total_treatments
 
 
-@lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128)
 def _pair_contrasts(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows c for every treatment difference j < l (effect l == m is the
     pinned zero, so that column is absent), and per row the estimability
@@ -216,6 +262,21 @@ class DesignEvaluator:
         self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
                               @ self._onehot_rows[fixed])
 
+    @functools.cached_property
+    def _always_singular(self) -> bool:
+        """Whether F is singular for every design, so that the screen of
+        `_chunk_best` could certify none.  F's network columns sum to the
+        row sums of the design nodes' adjacency rows whatever the design,
+        so that holds when the intercept, the block columns and those sums
+        are linearly dependent.  Worked out on first use, so that a run
+        that never screens (coordinate descent, or a one-design chunk)
+        pays for no rank decision."""
+        a_meas = self.net.adjacency[list(self.net.design_nodes), :]
+        columns = np.column_stack([np.ones(len(a_meas)),
+                                   self._gamma_blocks[:, self.spec.m:],
+                                   a_meas.sum(axis=1)])
+        return bool(np.linalg.matrix_rank(columns) < columns.shape[1])
+
     def _batch(self, designs) -> np.ndarray:
         """The designs as a (B, d) int64 batch.  A design of the wrong
         length, or with a label that is not a whole number in 1..m, is an
@@ -272,9 +333,7 @@ class DesignEvaluator:
         if not len(designs):
             return np.empty(0)
         xs = self._batch(designs)
-        used = np.zeros((len(xs), self.spec.m + 1), dtype=bool)
-        used[np.arange(len(xs))[:, None], xs] = True
-        rows = used[:, 1:].all(axis=1).nonzero()[0]
+        rows = self._using_every_treatment(xs)
         if len(rows) == len(xs):
             return _criterion_values(self._information_matrices(xs), self.spec)
         out = np.full(len(xs), np.nan)
@@ -282,6 +341,54 @@ class DesignEvaluator:
             out[rows] = _criterion_values(self._information_matrices(xs[rows]),
                                           self.spec)
         return out
+
+    def _chunk_best(self, chunk, best: float | None
+                    ) -> tuple[int, int | None, float | None]:
+        """The number of valid designs in a non-empty chunk, and the index
+        and value of its first least value (None, None if none is valid),
+        as `_value_array` and a first argmin would give them whenever that
+        value is at most `best` (or `best` is None).  Otherwise the index
+        and value may be another valid design's, or None.
+
+        Certify-then-eigh: a design that leaves a treatment unused is
+        INVALID as in `_value_array`; the others' matrices go through
+        `_screen`.  The uncertified ones, and the certified ones whose lower
+        bound is within a factor 1 + SCREEN_WINDOW of min(best, least
+        bound), get `_criterion_values` as one stack, so their values and
+        INVALID decisions are those of `_value_array` bit for bit.  The
+        other certified designs are valid but worse than the least bound's
+        design or than `best`, so none holds a first least value that is at
+        most `best`: they count as valid with no eigendecomposition.  A
+        one-design chunk gains nothing from the screen, since its design
+        reaches eigh either way, and when F is singular for every design
+        the screen could certify none: such chunks go to `_value_array`."""
+        if len(chunk) < 2 or self._always_singular:
+            values = self._value_array(chunk)
+            rows, skipped = np.arange(len(values)), 0
+        else:
+            xs = self._batch(chunk)
+            rows = self._using_every_treatment(xs)
+            info = self._information_matrices(xs[rows])
+            certified, bound = _screen(info, self.spec)
+            exact = ~certified
+            if certified.any():
+                least = bound[certified].min()
+                window = least if best is None else min(best, least)
+                exact |= bound <= window * (1 + SCREEN_WINDOW)
+            values = _criterion_values(info[exact], self.spec)
+            rows, skipped = rows[exact], int((certified & ~exact).sum())
+        valid = (~np.isnan(values)).nonzero()[0]
+        if not len(valid):
+            return skipped, None, None
+        i = valid[values[valid].argmin()]
+        return len(valid) + skipped, int(rows[i]), float(values[i])
+
+    def _using_every_treatment(self, xs: np.ndarray) -> np.ndarray:
+        """Indices of the designs of the checked batch `xs` that use every
+        one of the m treatments; the others are INVALID (module docstring)."""
+        used = np.zeros((len(xs), self.spec.m + 1), dtype=bool)
+        used[np.arange(len(xs))[:, None], xs] = True
+        return used[:, 1:].all(axis=1).nonzero()[0]
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
         """F'F of each design of the batch, nuisance coordinates canonical."""
@@ -331,6 +438,41 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
         info = _canonicalize_nuisance(info, spec)
     value = float(_criterion_values(info, spec)[0])
     return value if value == value else None
+
+
+def _screen(info: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a (B, p, p) stack of finite information matrices
+    `_criterion_values` would find full rank with every contrast estimable,
+    certified from one batched inverse G = inv(M + s I) without an
+    eigendecomposition, and for each a lower bound on its criterion value
+    (meaningless where not certified).  The bound is the criterion read off
+    G in place of M^-1: As is the mean of G_jj + G_ll - 2 G_jl over the
+    pairs, that is (m tr(G_tt) - sum(G_tt)) / (m(m-1)/2) on the treatment
+    coordinates t = 1..m-1, and Ds is det(G_tt); both times the powers of
+    sigma2 that `_criterion_values` applies.  SCREEN_RIDGE,
+    SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate and the bound
+    hold."""
+    m, batch = spec.m, len(info)
+    trace = np.trace(info, axis1=1, axis2=2)
+    shifted = info + (SCREEN_RIDGE * trace)[:, None, None] * np.eye(spec.n_params)
+    # a matrix certified far from singular has a finite, well-conditioned
+    # G; the others may overflow or come out garbage, and are not certified
+    with np.errstate(all="ignore"):
+        try:
+            g = np.linalg.inv(shifted)
+        except np.linalg.LinAlgError:  # an exact zero pivot despite the ridge
+            return np.zeros(batch, dtype=bool), np.full(batch, np.inf)
+        diag = g.diagonal(axis1=1, axis2=2)
+        certified = ((diag > 0).all(axis=1)
+                     & (trace * diag.sum(axis=1) <= SCREEN_CERTIFY))
+        block = g[:, 1:m, 1:m]
+        if spec.criterion == "As":
+            bound = ((m * np.trace(block, axis1=1, axis2=2)
+                      - block.sum(axis=(1, 2))) / (m * (m - 1) / 2)
+                     * spec.sigma2)
+        else:
+            bound = np.linalg.det(block) * spec.sigma2 ** (m - 1)
+    return certified, bound
 
 
 def _criterion_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:

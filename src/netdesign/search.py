@@ -38,8 +38,9 @@ one after another.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 whose live rows are joined into chunks of at least _CHUNK_DESIGNS designs,
-one batched kernel call each (read as a float array, NaN for INVALID), or
-contiguous blocks of restarts, one per worker.  One worker runs them in this process, more run
+one `_chunk_best` call each (the chunk's valid count and first least value,
+with eigh only on the designs that can be the best or are not certified
+estimable), or contiguous blocks of restarts, one per worker.  One worker runs them in this process, more run
 the same code on a process pool, and results merge in task order, so
 reports do not depend on the worker count.
 """
@@ -465,7 +466,7 @@ def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],
 
 def _subtree_task(state, task: tuple[Design, int | None]):
     """Evaluate one subtree task in chunks of its `_stream`'s live rows, one
-    batched kernel call each; returns its counters and its best (value,
+    `_chunk_best` call each; returns its counters and its best (value,
     design), the earliest design that reaches the best value.  The serial
     path and every pool worker, with a group or without, run this same
     loop."""
@@ -476,18 +477,13 @@ def _subtree_task(state, task: tuple[Design, int | None]):
                      use_label_symmetry, budget)
     best_value = best_design = None
     for chunk in _chunks(stream, counters):
-        values = ev._value_array(chunk)  # NaN: INVALID
-        valid = ~np.isnan(values)
-        evals = int(valid.sum())
+        # the chunk's first least value whenever it can beat the best so
+        # far; the strict rule below keeps the earlier design on a tie
+        evals, i, value = ev._chunk_best(chunk, best_value)
         counters.evals += evals
         counters.invalid += len(chunk) - evals
-        if evals:
-            # the chunk's first least value; the strict rule below keeps the
-            # earlier design on a tie with the best so far
-            i = valid.nonzero()[0][values[valid].argmin()]
-            value = float(values[i])
-            if _better(value, best_value):
-                best_value, best_design = value, tuple(chunk[i].tolist())
+        if i is not None and _better(value, best_value):
+            best_value, best_design = value, tuple(chunk[i].tolist())
     return counters, (best_value, best_design)
 
 

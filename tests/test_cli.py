@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -247,6 +248,58 @@ def test_reproduce_t4_default_rows(capsys):
     assert rc["automorphisms"] == "72"
     assert rc["evals_without"] == "2807"
     assert rc["evals_with"] == "241"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # path312 at m = 2: 4 label-canonical designs, so a pool would only cost
+    (("search", "--network", "PATH", "-m", "2"), 1),
+    # example 3 at m = 2: 524,288 designs, over 256 * 8 * 4
+    (("search", "--example", "3", "-m", "2"), 4),
+    # a budget below 256 * 8 * 4 cuts the same stream to one worker's size
+    (("search", "--example", "3", "-m", "2", "--max-designs", "8000"), 1),
+    # coordinate descent has no stream to size: all cores
+    (("search", "--network", "PATH", "-m", "2", "--algorithm", "cd"), 4),
+    # an explicit count wins in either direction
+    (("search", "--network", "PATH", "-m", "2", "--workers", "3"), 3),
+    (("search", "--example", "3", "-m", "2", "--workers", "1"), 1),
+], ids=["tiny", "large", "budget", "cd", "explicit-up", "explicit-down"])
+def test_default_workers_follow_the_stream_size(tmp_path, capsys, monkeypatch,
+                                                argv, expected):
+    path = tmp_path / "path312.txt"
+    path.write_text("n=3 directed=0\n1-2, 1-3\n")
+    seen = []
+    monkeypatch.setattr("netdesign.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("netdesign.cli.run_search",
+                        lambda net, spec, config: seen.append(config.workers)
+                        or nd.SearchReport("x", None, None, 0, 0, 0, 0, 0,
+                                           0.0, 0))
+    run_cli(capsys, *[str(path) if a == "PATH" else a for a in argv])
+    assert seen == [expected]
+
+
+def test_reproduce_default_workers_per_row(capsys, monkeypatch):
+    # t1 sizes each row's stream: examples 1 and 2 (512 designs) run at one
+    # worker, example 3 (524,288) on all cores; t2's coordinate descent
+    # always gets all cores
+    seen = []
+    real = nd.search.run_search
+
+    def record(net, spec, config):
+        seen.append((net.n_design, config.workers))
+        return real(net, spec, dataclasses.replace(config, max_designs=64))
+
+    monkeypatch.setattr("netdesign.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("netdesign.cli.run_search", record)
+    run_cli(capsys, "reproduce", "t1", "--examples", "1,3")
+    assert seen == [(10, 1), (10, 1), (20, 4), (20, 4)]
+    cd = []
+    monkeypatch.setattr("netdesign.cli.coordinate_descent",
+                        lambda net, spec, config: cd.append(config.workers)
+                        or real(net, spec, dataclasses.replace(
+                            config, algorithm="exhaustive", max_designs=64)))
+    seen.clear()
+    run_cli(capsys, "reproduce", "t2", "--examples", "1")
+    assert seen[0] == (10, 1) and cd == [4]
 
 
 def test_console_entry_point():

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
-from netdesign.lnem import (CRITERIA, DesignEvaluator, ModelSpec,
-                            _canonicalize_nuisance)
+from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_WINDOW,
+                            DesignEvaluator, ModelSpec,
+                            _canonicalize_nuisance, _screen)
 
-from helpers import (exact_estimable, frozen_canonicalize_nuisance,
-                     frozen_criterion, oracle_model_matrix, oracle_value)
+from helpers import (cycle_network, exact_estimable, exact_full_rank,
+                     frozen_canonicalize_nuisance, frozen_criterion,
+                     oracle_model_matrix, oracle_value, pinv_criterion)
 
 
 def test_model_matrix_path_worked_example(path312):
@@ -359,6 +361,12 @@ def test_model_spec_validation(path312):
         ModelSpec(m=3, total_treatments=2)
     with pytest.raises(ValueError):
         ModelSpec(m=2, total_treatments=2, criterion="E")
+    # a variance scale that is not finite and positive would turn the
+    # search for the least variance upside down, or into NaN
+    for sigma2 in (-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            ModelSpec(m=2, total_treatments=2, sigma2=sigma2)
+    assert ModelSpec(m=2, total_treatments=2, sigma2=1e-300).sigma2 == 1e-300
     net = nd.augment_blocks([2, 2], 2)
     with pytest.raises(ValueError):
         ModelSpec.for_network(net, 3)  # block fixed treatments start at 3, not 4
@@ -582,3 +590,125 @@ def test_screened_designs_are_invalid_on_random_networks(case):
     assert DesignEvaluator(net, spec).value(x) is None
     assert not exact_estimable(net, x, m)
     assert frozen_criterion(_oracle_info(net, x, m), spec) is None
+
+
+# ------------------------------------------------------ the screen's oracles
+
+def _assert_screen_sound(info: np.ndarray, spec: ModelSpec, designs=None,
+                         net=None) -> int:
+    """Every matrix `_screen` certifies is nonsingular in exact integer
+    arithmetic (so every contrast is estimable: the design is valid), and
+    its bound is at most the pseudoinverse's value times 1 + 1e-9 and at
+    least that value times 1 - SCREEN_WINDOW / 2.  With `designs` and `net`
+    the certified designs are also estimable by `exact_estimable`.  Returns
+    the number certified."""
+    certified, bound = _screen(info, spec)
+    for i in certified.nonzero()[0]:
+        assert exact_full_rank(info[i]), i
+        if designs is not None:
+            assert exact_estimable(net, designs[i], spec.m), designs[i]
+    if certified.any():
+        exact = pinv_criterion(info[certified], spec)
+        assert (bound[certified] <= exact * (1 + 1e-9)).all()
+        assert (bound[certified] >= exact * (1 - SCREEN_WINDOW / 2)).all()
+    return int(certified.sum())
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_screen_certifies_only_valid_designs_with_tight_bounds(examples, m,
+                                                               criterion):
+    # every label-canonical design of example 2 at m = 2 and m = 3, and
+    # 3,000 seeded ones at m = 4, those that leave a treatment unused too
+    net = examples[2]
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    if m < 4:
+        xs = np.array(list(nd.enumerate_designs(net.n_design, m)))
+    else:
+        xs = np.random.default_rng(71).integers(1, m + 1, (3000, net.n_design))
+    info = DesignEvaluator(net, spec)._information_matrices(xs)
+    certified = _assert_screen_sound(info, spec)
+    # most designs are certified: the screen is not vacuous
+    assert certified > len(xs) / 2
+
+
+@st.composite
+def screened_networks(draw):
+    """(network, m, design, criterion): a graph on at most 10 nodes and a
+    design over its design nodes that uses every one of m treatments."""
+    n = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    net = nd.parse_edge_list(", ".join(f"{i}-{j}" for i, j in edges), n)
+    m = draw(st.integers(2, min(4, n)))
+    rest = draw(st.lists(st.integers(1, m), min_size=n - m, max_size=n - m))
+    x = draw(st.permutations(list(range(1, m + 1)) + rest))
+    return net, m, tuple(x), draw(st.sampled_from(CRITERIA))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(screened_networks())
+def test_screen_is_sound_on_random_networks(case):
+    net, m, x, criterion = case
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    f = oracle_model_matrix(net, x, m)
+    _assert_screen_sound((f.T @ f)[None], spec, [x], net)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 12])
+def test_screen_never_certifies_a_matrix_eigh_calls_singular(p):
+    # symmetric positive semidefinite stacks whose smallest eigenvalues sit
+    # 1e-5 .. 1e-12 (and exactly 0) below the largest, at several scales:
+    # none that numpy's eigh finds rank deficient at RANK_TOL is certified,
+    # and some of the best conditioned ones are
+    rng = np.random.default_rng(p)
+    stacks = []
+    for ratio in [1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11,
+                  1e-12, 0.0]:
+        for small in (1, 2):
+            for scale in (1e-3, 1.0, 1e4):
+                q = np.linalg.qr(rng.standard_normal((20, p, p)))[0]
+                w = rng.uniform(0.5, 2.0, (20, p))
+                w[:10, small:] = 1.0  # half with a flat top spectrum
+                w[:, :small] = ratio * w[:, -1:]
+                info = (q * (scale * w[:, None, :])) @ q.transpose(0, 2, 1)
+                stacks.append((info + info.transpose(0, 2, 1)) / 2)
+    info = np.concatenate(stacks)
+    spec = ModelSpec(m=2, total_treatments=p - 2,
+                     block_classes=(0,) * (p - 4))
+    certified, _ = _screen(info, spec)
+    w = np.linalg.eigh(info)[0]
+    deficient = (w <= RANK_TOL * w[:, -1:]).any(axis=1)
+    assert deficient.sum() > len(info) / 2
+    assert not (certified & deficient).any()
+    assert certified.any()
+
+
+def test_screen_of_a_stack_that_inv_cannot_factor():
+    # a zero matrix gets no ridge, so the batched inverse meets an exact
+    # zero pivot and raises; the screen then certifies nothing in the stack
+    spec = ModelSpec(m=2, total_treatments=2)
+    info = np.stack([np.eye(4), np.zeros((4, 4))])
+    certified, _ = _screen(info, spec)
+    assert not certified.any()
+    assert _screen(info[:1], spec)[0].all()
+
+
+@pytest.mark.parametrize("net,always", [
+    (nd.augment_blocks([3, 3, 3], 3), True),
+    (nd.augment_row_column(3, 3, 3), True),
+    (nd.augment_crossover(4, 3, 3), True),
+    (nd.augment_crossover(4, 3, 3, period_blocks=True), True),
+    (cycle_network(7), True),
+    (nd.example_network(2), False),
+], ids=["blocks333", "rc3x3", "crossover4x3", "crossover4x3-periods",
+        "cycle7", "ex2"])
+def test_rank_rule_finds_networks_singular_for_every_design(net, always):
+    # block indicators that sum to the intercept, or a constant degree,
+    # make F singular whatever the design, so the screen is skipped; the
+    # rule agrees with exact arithmetic on a few seeded designs
+    spec = ModelSpec.for_network(net, 3)
+    assert DesignEvaluator(net, spec)._always_singular is always
+    xs = np.random.default_rng(5).integers(1, 4, (20, net.n_design))
+    full = [exact_full_rank(_oracle_info(net, x, 3)) for x in xs]
+    assert not any(full) if always else any(full)

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
-from netdesign import search
+from netdesign import lnem, search
 from netdesign.lnem import DesignEvaluator, ModelSpec
 from netdesign.search import SearchConfig, _start_design
 
-from helpers import (cycle_network, oracle_coordinate_descent,
-                     oracle_outcomes, oracle_report, report_fields, stirling2)
+from helpers import (cycle_network, force_screen_off,
+                     oracle_coordinate_descent, oracle_outcomes,
+                     oracle_report, report_fields, stirling2)
 
 
 def cfg(**kw) -> SearchConfig:
@@ -227,16 +228,19 @@ def test_pruning_never_increases_evals(report_cache):
         assert with_.num_eval <= without.num_eval
 
 
-@pytest.mark.parametrize("example,m,automorphisms,expected", [
-    (1, 3, False, 9330), (1, 3, True, 3761), (2, 4, True, 34105),
+@pytest.mark.parametrize("example,m,automorphisms,complete,screened", [
+    (1, 3, False, 9330, 665), (1, 3, True, 3761, 347),
+    (2, 4, True, 34105, 1524),
 ], ids=["ex1-m3-plain", "ex1-m3-group", "ex2-m4"])
 def test_only_designs_using_every_treatment_reach_eigh(
-        examples, monkeypatch, example, m, automorphisms, expected):
+        examples, monkeypatch, example, m, automorphisms, complete, screened):
     # a design that leaves a treatment unused is INVALID without an
     # eigendecomposition: of example 1's 9,842 label-canonical designs at
     # m = 3, S2(10, 3) = 9,330 use all three treatments (3,761 of them
     # canonical under its group), and of example 2's 43,947 at m = 4,
-    # S2(10, 4) = 34,105 use all four
+    # S2(10, 4) = 34,105 use all four.  With the screen off all of those
+    # reach eigh; with it on, only the designs it does not certify and the
+    # certified ones near a chunk's least bound or the best so far do
     net = examples[example]
     matrices = []
     eigh = np.linalg.eigh
@@ -245,10 +249,90 @@ def test_only_designs_using_every_treatment_reach_eigh(
         matrices.append(len(a))
         return eigh(a, *args, **kwargs)
 
+    def search() -> str:
+        del matrices[:]
+        return nd.exhaustive_search(
+            net, ModelSpec.for_network(net, m),
+            cfg(use_automorphisms=automorphisms)).to_json(exclude_wall_time=True)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    nd.exhaustive_search(net, ModelSpec.for_network(net, m),
-                         cfg(use_automorphisms=automorphisms))
-    assert sum(matrices) == expected
+    report = search()
+    assert sum(matrices) == screened
+    force_screen_off(monkeypatch)
+    assert search() == report
+    assert sum(matrices) == complete
+
+
+def _stream_chunks(net: nd.Network, m: int):
+    """The chunks exhaustive search evaluates on `net` without a group."""
+    stream = search._stream(None, (), net.n_design, m, True, None)
+    return list(search._chunks(stream, search._Counters()))
+
+
+@pytest.mark.parametrize("example,m,criterion", [
+    (1, 2, "As"), (6, 2, "As"), (2, 4, "As"), (2, 4, "Ds"),
+], ids=["ex1-m2", "ex6-m2", "ex2-m4", "ex2-m4-Ds"])
+def test_chunk_best_matches_first_argmin(examples, monkeypatch, example, m,
+                                         criterion):
+    # on every chunk of the stream (example 6 at m = 2 has hundreds of
+    # near-tied values): the screened kernel gives the valid count, first
+    # least index and value of `_value_array`, bit for bit, with no best so
+    # far and with a best just below, at and just above the chunk's least
+    # value; with no best, a certified design reaches eigh only if its value
+    # is within 2 SCREEN_WINDOW of the least
+    net = examples[example]
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    ev = DesignEvaluator(net, spec)
+    assert not ev._always_singular
+    kernel = lnem._criterion_values
+    reached = []
+
+    def counted(info, spec):
+        reached.append(len(info))
+        return kernel(info, spec)
+
+    monkeypatch.setattr(lnem, "_criterion_values", counted)
+    window = 1 + 2 * lnem.SCREEN_WINDOW
+    for chunk in _stream_chunks(net, m):
+        values = ev._value_array(chunk)
+        valid = (~np.isnan(values)).nonzero()[0]
+        if not len(valid):
+            assert ev._chunk_best(chunk, None) == (0, None, None)
+            continue
+        i = int(valid[values[valid].argmin()])
+        least = float(values[i])
+        expected = (len(valid), i, least)
+        for best in (None, np.nextafter(least, 0), least,
+                     np.nextafter(least, np.inf)):
+            del reached[:]
+            got = ev._chunk_best(chunk, best)
+            assert got == expected and got[2].hex() == least.hex(), best
+            if best is None:
+                rows = ev._using_every_treatment(chunk)
+                certified, _ = lnem._screen(
+                    ev._information_matrices(chunk[rows]), spec)
+                near = int((values[rows][certified] <= least * window).sum())
+                assert sum(reached) <= (~certified).sum() + near
+
+
+@pytest.mark.parametrize("criterion", ["As", "Ds"])
+def test_reports_identical_with_the_screen_off(report_cache, monkeypatch,
+                                               criterion):
+    # the screen changes which designs reach eigh, never a report:
+    # examples 1-6 at m = 2 and example 2 at m = 3 and m = 4
+    cases = [(k, 2) for k in range(1, 7)] + [(2, 3), (2, 4)]
+    screened = {}
+    for k, m in cases:
+        net = report_cache.network(("ex", k))
+        screened[k, m] = nd.exhaustive_search(
+            net, ModelSpec.for_network(net, m, criterion=criterion), cfg())
+    force_screen_off(monkeypatch)
+    for k, m in cases:
+        net = report_cache.network(("ex", k))
+        report = nd.exhaustive_search(
+            net, ModelSpec.for_network(net, m, criterion=criterion), cfg())
+        assert report.to_json(exclude_wall_time=True) == \
+            screened[k, m].to_json(exclude_wall_time=True), (k, m)
 
 
 def test_tie_break_earliest_design(path312):
