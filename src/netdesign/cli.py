@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import sys
 from functools import partial
 
@@ -16,9 +15,8 @@ from .examples import check_example_id, example_network
 from .lnem import ModelSpec
 from .network import (Network, NetworkError, augment_blocks,
                       augment_crossover, augment_row_column, parse_network)
-from .search import (_CHUNK_DESIGNS, _TASKS_PER_WORKER, SearchConfig,
-                     SearchReport, _subtree_sizes, coordinate_descent,
-                     run_search)
+from .search import (SearchConfig, SearchReport, coordinate_descent,
+                     default_workers, run_search)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -132,24 +130,11 @@ def _print_report(report: SearchReport, fmt: str) -> None:
         print(f"{key}: {value}")
 
 
-def _workers(args, net: Network, m: int, exhaustive: bool = True,
-             use_label_symmetry: bool = True, budget: int | None = None) -> int:
-    """--workers when given.  Otherwise all cores, except one for an
-    exhaustive run whose stream (cut to `budget`) holds fewer designs than
-    a pool would split into chunks: _TASKS_PER_WORKER tasks of
-    _CHUNK_DESIGNS designs per core, since starting the pool then costs
-    more than it saves."""
+def _workers(args, net: Network, m: int, **run) -> int:
+    """--workers when given, else `default_workers` for the run."""
     if args.workers is not None:
         return args.workers
-    cores = os.cpu_count() or 1
-    if exhaustive:
-        n = net.n_design
-        designs = _subtree_sizes(n, m, use_label_symmetry)[n][0]
-        if budget is not None:
-            designs = min(designs, budget)
-        if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER * cores:
-            return 1
-    return cores
+    return default_workers(net, m, **run)
 
 
 def cmd_search(args) -> int:

@@ -53,9 +53,9 @@ certified, and chunks skip the screen.  `values`, `value`,
 
 from __future__ import annotations
 
-import math
-import functools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+import math
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +140,7 @@ class ModelSpec:
         return self.m + self.total_treatments
 
 
-@functools.lru_cache(maxsize=128)
+@lru_cache(maxsize=128)
 def _pair_contrasts(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows c for every treatment difference j < l (effect l == m is the
     pinned zero, so that column is absent), and per row the estimability
@@ -262,7 +262,7 @@ class DesignEvaluator:
         self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
                               @ self._onehot_rows[fixed])
 
-    @functools.cached_property
+    @cached_property
     def _always_singular(self) -> bool:
         """Whether F is singular for every design, so that the screen of
         `_chunk_best` could certify none.  F's network columns sum to the

@@ -51,6 +51,7 @@ import functools
 import itertools
 import json
 import multiprocessing
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -443,6 +444,27 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
         tasks[i:i + 1] = cut([prefix + (label,) for label in range(1, last + 1)],
                              local)
     return tasks, budget is not None and budget < size(())
+
+
+def default_workers(net: Network, m: int, *, exhaustive: bool = True,
+                    use_label_symmetry: bool = True,
+                    budget: int | None = None) -> int:
+    """The worker count for a run that names none: all cores, except one
+    for an exhaustive stream (cut to `budget`) of fewer than
+    _CHUNK_DESIGNS * _TASKS_PER_WORKER designs.  On a 2-core machine a
+    pool takes about 25 ms to start, and the costliest streams timed there
+    (row-column networks without a group, about 30 us a design) break even
+    near that size, cheaper ones later.  The cut does not grow with the
+    core count: a pool saves at most the stream's serial time, about 60 ms
+    at this size even for those streams."""
+    if exhaustive:
+        n = net.n_design
+        designs = _subtree_sizes(n, m, use_label_symmetry)[n][0]
+        if budget is not None:
+            designs = min(designs, budget)
+        if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER:
+            return 1
+    return os.cpu_count() or 1
 
 
 def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],

@@ -253,22 +253,28 @@ def test_reproduce_t4_default_rows(capsys):
 @pytest.mark.parametrize("argv,expected", [
     # path312 at m = 2: 4 label-canonical designs, so a pool would only cost
     (("search", "--network", "PATH", "-m", "2"), 1),
-    # example 3 at m = 2: 524,288 designs, over 256 * 8 * 4
+    # example 3 at m = 2: 524,288 designs, over 256 * 8
     (("search", "--example", "3", "-m", "2"), 4),
-    # a budget below 256 * 8 * 4 cuts the same stream to one worker's size
-    (("search", "--example", "3", "-m", "2", "--max-designs", "8000"), 1),
+    # a budget cuts the same stream; the cut is 256 * 8 whatever the cores
+    (("search", "--example", "3", "-m", "2", "--max-designs", "2047"), 1),
+    (("search", "--example", "3", "-m", "2", "--max-designs", "2048"), 4),
+    # 11 units in blocks at m = 2: 1,024 label-canonical designs, 2,048
+    # without label symmetry
+    (("search", "--blocks", "4,4,3", "-m", "2"), 1),
+    (("search", "--blocks", "4,4,3", "-m", "2", "--no-label-symmetry"), 4),
     # coordinate descent has no stream to size: all cores
     (("search", "--network", "PATH", "-m", "2", "--algorithm", "cd"), 4),
     # an explicit count wins in either direction
     (("search", "--network", "PATH", "-m", "2", "--workers", "3"), 3),
     (("search", "--example", "3", "-m", "2", "--workers", "1"), 1),
-], ids=["tiny", "large", "budget", "cd", "explicit-up", "explicit-down"])
+], ids=["tiny", "large", "budget-under", "budget-at", "labels", "no-labels",
+        "cd", "explicit-up", "explicit-down"])
 def test_default_workers_follow_the_stream_size(tmp_path, capsys, monkeypatch,
                                                 argv, expected):
     path = tmp_path / "path312.txt"
     path.write_text("n=3 directed=0\n1-2, 1-3\n")
     seen = []
-    monkeypatch.setattr("netdesign.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
     monkeypatch.setattr("netdesign.cli.run_search",
                         lambda net, spec, config: seen.append(config.workers)
                         or nd.SearchReport("x", None, None, 0, 0, 0, 0, 0,
@@ -288,7 +294,7 @@ def test_reproduce_default_workers_per_row(capsys, monkeypatch):
         seen.append((net.n_design, config.workers))
         return real(net, spec, dataclasses.replace(config, max_designs=64))
 
-    monkeypatch.setattr("netdesign.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
     monkeypatch.setattr("netdesign.cli.run_search", record)
     run_cli(capsys, "reproduce", "t1", "--examples", "1,3")
     assert seen == [(10, 1), (10, 1), (20, 4), (20, 4)]
