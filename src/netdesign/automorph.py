@@ -13,20 +13,22 @@ of one transversal element per level.
 
 Designs related by an automorphism have equal criterion values, so a search
 only needs each orbit's lexicographically smallest member.  Every
-canonicity question is integer arithmetic on packed image keys: x @ W holds
-one key per element, the base-B number whose digits are x's image, so
-integer order of keys is lexicographic order of images.  Each W is built
-on first use, in the narrowest integer dtype that holds its keys exactly,
-so a group that no search consults never pays for one.  The exhaustive
-walk reads its own W in base m + 2, the least that holds the labels 1..m
-and a digit for unassigned positions, so its keys are int32 wherever
-(m+2)^d <= 2^31.  Everywhere else W is in the widest base whose keys fit
-int64, and int64 keys come from two float64 BLAS products, one per half
-of W's digit places, whose sums stay below 2^53 and so are exact,
-recombined in int64 (numpy's integer matmul does not use BLAS).  A
-representative is the image under the element with the least key, and
-images are x permuted through the group's elements, so no key is ever
-decoded.  Also here: a brute-force orbit counter used as a test oracle.
+canonicity question is arithmetic on packed image keys: x @ W holds one
+key per element, the base-B number whose digits are x's image, so the
+order of keys is lexicographic order of images.  The group keeps one kind
+of W, `weights(m)` in base m + 2: the least base that holds the labels
+1..m and a digit m + 1 for a position the exhaustive walk has not yet
+assigned.  Each table is built on first use and cached per m, in the
+narrowest dtype whose sums of place values stay exact: int32 while
+(m+2)^d <= 2^31, float64 while it is at most 2^53, int64 below 2^63, and
+Python integers past that.  A batch outside the walk is read as the
+digits x - min(x) against the narrowest cached table whose base exceeds
+its top digit (any such base orders images alike); below 2^53 its keys
+are one float64 BLAS product, since numpy's integer matmul does not use
+BLAS.  A representative is the image under the element with the least
+key, and images are x permuted through the group's elements, so no key is
+ever decoded.  Also here: a brute-force orbit counter used as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -73,32 +75,15 @@ def _refined_colors(net: Network) -> list[int]:
         colors = new
 
 
-def _base(d: int) -> int:
-    """The largest base B >= 2 with B^d < 2^63 (2 if none), and at most
-    2^53: keys of d base-B digits then fit in int64, and each of their two
-    halves (see `AutomorphismGroup._keys`), below B^ceil(d/2), is exact in
-    float64.  From d = 2 on the first bound implies the second."""
-    b = int(2 ** (63 / max(d, 1))) + 1  # one above the float estimate
-    while b > 2 and b ** d >= 2 ** 63:
-        b -= 1
-    return min(b, 2 ** 53)
-
-
 class AutomorphismGroup:
     """The full automorphism group of a network, as one array of elements.
 
     Elements are node permutations in one-line notation (p[i] = image of
     node i), kept as the rows of a read-only (z, n) array sorted
     lexicographically, so the identity, which is always present, is row 0.
-    `elements` and iteration give them as tuples.  `weights` is the
-    read-only (d, z) matrix W with W[p, k] = base^(d-1-q) when element k
-    takes design position p to column q: key k of x @ W packs x's image
-    under element k, and smaller keys are lexicographically smaller images.
-    `base`, the largest with base^d < 2^63 (and at most 2^53), depends on d
-    alone.  W is built on first use, and so are the two float64 halves of
-    it through which `_keys` computes int64 keys (`halves`) and the
-    exhaustive walk's W in base m + 2 (`walk_weights`).  Instances are
-    immutable and safe to share.
+    `elements` and iteration give them as tuples.  `weights(m)` is the
+    group's key table (see the module docstring), built on first use.
+    Instances are immutable and safe to share.
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
@@ -121,59 +106,37 @@ class AutomorphismGroup:
         self._column[list(design)] = np.arange(len(design))
         if (self._column[perms[:, blocks]] >= 0).any():
             raise ValueError("an element maps a block node to a design node")
-        self.base = _base(len(design))
-        self._weights = self._halves = None  # built on first use
-        self._walk: dict[int, np.ndarray] = {}  # walk_weights, per base
+        self._weights: dict[int, np.ndarray] = {}  # weights(m), per m
 
-    @property
-    def weights(self) -> np.ndarray:
-        """W (see the class docstring), read-only, built on first use."""
-        if self._weights is None:
-            w = self._weights_in(self.base)
-            w.setflags(write=False)
-            self._weights = w
-        return self._weights
-
-    def _weights_in(self, base: int) -> np.ndarray:
-        """W in the given base, in the narrowest dtype that holds its keys
-        (below base^d) exactly: int32 when base^d <= 2^31, int64 in other
-        bases up to `self.base` whose keys fit (base^d < 2^63), else Python
-        integers."""
-        d = self.network.n_design
-        dtype = (object if base > self.base or base ** d >= 2 ** 63
-                 else np.int32 if base ** d <= 2 ** 31 else np.int64)
-        place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
-        return self._placed(place)[0]
-
-    def walk_weights(self, m: int) -> np.ndarray:
-        """W in base m + 2, read-only, built on first use and cached per
-        base: the exhaustive walk's keys, whose digits are the labels 1..m
-        and m + 1 for an unassigned position.  Its dtype is `_weights_in`'s,
-        so these keys are int32 up to (m+2)^d = 2^31."""
-        w = self._walk.get(m + 2)
+    def weights(self, m: int) -> np.ndarray:
+        """W in base m + 2, read-only, built on first use and cached per m:
+        the (d, z) matrix with W[p, k] = (m+2)^(d-1-q) when element k takes
+        design position p to column q, so that key k of x @ W packs x's
+        image under element k, with digits 1..m and m + 1 for an unassigned
+        position.  Its dtype is `_weights_in`'s."""
+        w = self._weights.get(m)
         if w is None:
-            w = self._walk[m + 2] = self._weights_in(m + 2)
+            if m < 0:  # base m + 2 < 2 would give every image the same key
+                raise ValueError(f"key tables need m >= 0, not {m}")
+            w = self._weights[m] = self._weights_in(m + 2)
             w.setflags(write=False)
         return w
 
-    def _placed(self, *places: np.ndarray) -> list[np.ndarray]:
-        """For each (d,) array `place`, the (d, z) array whose entry (p, k)
-        is place[q] when element k takes design position p to column q.
-        Filled per design position: no (z, d) temporary."""
-        z = len(self._perms)
-        out = [np.empty((len(place), z), dtype=place.dtype) for place in places]
+    def _weights_in(self, base: int) -> np.ndarray:
+        """W in the given base, in the narrowest dtype in which every sum of
+        its place values times digits below `base` (keys below base^d) is
+        exact: int32 when base^d <= 2^31, float64 up to 2^53, int64 below
+        2^63, else Python integers.  Filled per design position: no (z, d)
+        temporary."""
+        d = self.network.n_design
+        span = base ** d
+        dtype = (np.int32 if span <= 2 ** 31 else np.float64 if span <= 2 ** 53
+                 else np.int64 if span < 2 ** 63 else object)
+        place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
+        w = np.empty((d, len(self._perms)), dtype=dtype)
         for p, node in enumerate(self.network.design_nodes):
-            column = self._column[self._perms[:, node]]
-            for w, place in zip(out, places):
-                w[p] = place[column]
-        return out
-
-    def weights_for(self, top: int) -> tuple[np.ndarray, int]:
-        """(W, base) for digits 0..top: `weights` when top < `base`, else
-        W on Python integers in base top + 1, so that keys stay exact."""
-        if top < self.base:
-            return self.weights, self.base
-        return self._weights_in(top + 1), top + 1
+            w[p] = place[self._column[self._perms[:, node]]]
+        return w
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -200,39 +163,20 @@ class AutomorphismGroup:
 
     def _keys(self, xs) -> np.ndarray:
         """Keys of the (B, d) batch xs: row b packs the z images of xs[b]
-        from the digits xs - xs.min().
-
-        int64 keys are two float64 BLAS products, one per half of W: with
-        s = base^(d // 2), W = H s + L, where H holds the upper ceil(d/2)
-        places and L the lower d // 2.  Each product's sums are integers
-        below base^ceil(d/2) <= 2^53, so they are exact in any summation
-        order, and keys = (digits @ H) s + digits @ L is recombined in
-        int64.  Python-integer weights take their own exact product."""
+        from the digits xs - xs.min(), read against the narrowest cached
+        `weights` table whose base exceeds the top digit (`weights(top)`
+        when none does).  Keys below 2^53 are one float64 BLAS product (an
+        int32 table is cast for it), exact since every partial sum is an
+        integer below 2^53; wider tables take one exact product in their
+        own dtype."""
         xs = self._batch(xs)
         low = int(xs.min())
-        w, _ = self.weights_for(int(xs.max()) - low)
-        if w.dtype == object:
+        top = int(xs.max()) - low
+        w = self.weights(min((m for m in self._weights if m + 2 > top),
+                             default=top))
+        if w.dtype == np.int64 or w.dtype == object:
             return (xs - low) @ w
-        upper, lower, scale = self.halves()  # int64 weights are `weights`
-        digits = (xs - low).astype(np.float64)
-        # the int64 loops take the exact float sums as int64 first
-        keys = np.multiply(digits @ upper, scale, dtype=np.int64,
-                           casting="unsafe")
-        np.add(keys, digits @ lower, out=keys, dtype=np.int64, casting="unsafe")
-        return keys
-
-    def halves(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(H, L, s): the float64 halves of `weights` through which `_keys`
-        computes int64 keys, and the scale that joins them, built on first
-        use."""
-        if self._halves is None:
-            d, base = self.network.n_design, self.base
-            scale = base ** (d // 2)
-            place = [base ** e for e in range(d - 1, -1, -1)]
-            self._halves = (*self._placed(
-                np.array([v // scale for v in place], dtype=np.float64),
-                np.array([v % scale for v in place], dtype=np.float64)), scale)
-        return self._halves
+        return (xs - low).astype(np.float64) @ w.astype(np.float64, copy=False)
 
     def _images(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Row i: the image of design xs[i] under element ks[i], which puts
@@ -365,7 +309,6 @@ def count_orbits_bruteforce(net: Network, m: int,
     space = m ** d
     if space > max_space:
         raise ValueError(f"design space {m}^{d} exceeds {max_space}")
-    to_codes = group._weights_in(m)  # digits @ to_codes: each image's code
     seen = bytearray(space)
     count = 0
     shape = (m,) * d
@@ -373,8 +316,9 @@ def count_orbits_bruteforce(net: Network, m: int,
         if seen[code]:
             continue
         count += 1
-        digits = np.array(np.unravel_index(code, shape), dtype=np.int64)
-        for c in (digits @ to_codes).tolist():
+        # the design whose digits 0..m-1 spell `code`, and its images' codes
+        images = group.design_images(np.unravel_index(code, shape))
+        for c in np.ravel_multi_index(tuple(images.T), shape).tolist():
             seen[c] = 1
     return count
 

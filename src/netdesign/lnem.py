@@ -46,8 +46,8 @@ best value so far.  The other certified designs cannot be the best: they
 count as valid, and so in `num_eval`, though no eigendecomposition valued
 them.  The best value and design are the kernel's, bit for bit.  When F is
 singular for every design (one-way blocks, row-column, crossover and
-regular networks: see `DesignEvaluator.__init__`) nothing could be
-certified, and chunks skip the screen.  `values`, `value`,
+regular networks: see `DesignEvaluator._always_singular`) nothing could
+be certified, and chunks skip the screen.  `values`, `value`,
 `evaluate_criterion` and coordinate descent use the kernel alone.
 """
 

@@ -19,12 +19,14 @@ maps to a smaller one, and a table's rows are gated by their own keys:
 the designs of closed subtrees and gated-out rows are counted as
 considered and skipped, so every counter equals that of gating each
 design.  The test reads the group's packed image keys in base m + 2
-(`walk_weights`), int32 where they fit, kept per walked depth: each prefix
+(`AutomorphismGroup.weights`), kept per walked depth: each prefix
 costs one update of the z keys and one minimum, and the update is a
 single add when the prefix's last label is one above that of a sibling
-already tested.  A network whose only automorphism is the identity gives
-the searches no group at all (`_group_for`), so none of them asks a
-canonicity question that only the identity could answer.
+already tested.  Coordinate descent and `run_with_plugins` read the same
+table through the group's representative and canonicity calls.  A network
+whose only automorphism is the identity gives the searches no group at all
+(`_group_for`), so none of them asks a canonicity question that only the
+identity could answer.
 With a group or without, the evaluator answers designs that leave a
 treatment unused as INVALID without an eigendecomposition.
 
@@ -215,7 +217,7 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     each prefix it reaches, the given one first, and a prefix that some
     element maps to a smaller one closes its subtree unvisited, as one
     segment.  keys[i] packs each element's image of x[:i] in base m + 2
-    (`walk_weights`), unassigned positions read as m + 1 (above every
+    (`weights(m)`), unassigned positions read as m + 1 (above every
     label): the prefix has a smaller image iff the first least key is not
     the identity's, key 0.  An image that ties the prefix draws on its
     positions alone, so it ties the unassigned rest too, and the answer
@@ -239,7 +241,7 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     fresh = stop  # the first position to test; none without a group
     if group is not None:
         sizes = _subtree_sizes(n, m, use_label_symmetry)
-        w, unset, gates = group.walk_weights(m), m + 1, {}
+        w, unset, gates = group.weights(m), m + 1, {}
         fresh = max(start - 1, 0)
         keys = np.empty((stop + 1, z), dtype=w.dtype)
         keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
@@ -353,22 +355,18 @@ def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
     )
 
 
-def _group_for(net: Network, config: SearchConfig, walk_m: int | None = None
+def _group_for(net: Network, config: SearchConfig, m: int
                ) -> AutomorphismGroup | None:
     """The group a search prunes with: None when automorphisms are off or
     the network has none but the identity, which would prune nothing.  The
-    key tables the search reads are built here, once, not in each pool
-    worker: the walk's W for labels 1..walk_m when walk_m is given, else
-    `weights` and its float halves, which `_keys` reads."""
+    key table every search reads for labels 1..m, `weights(m)`, is built
+    here, once, not in each pool worker."""
     if not config.use_automorphisms:
         return None
     group = find_automorphisms(net, config.max_group_size)
     if group.size == 1:
         return None
-    if walk_m is not None:
-        group.walk_weights(walk_m)
-    else:
-        group.weights, group.halves()
+    group.weights(m)
     return group
 
 
@@ -614,7 +612,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     restart index), so results are identical for any worker count."""
     config = config or SearchConfig(algorithm="coordinate_descent")
     t0 = time.perf_counter()
-    group = _group_for(net, config)
+    group = _group_for(net, config, spec.m)
     starts = [_start_design(config.seed, r, net.n_design, spec.m)
               for r in range(config.restarts)]
     blocks = min(config.workers, config.restarts)
@@ -653,10 +651,12 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     with empty histories to supply the initial design.  stop_fn(xs, ds,
     num_eval) is consulted after each candidate is processed.  A safety
     budget (max_designs, else 10^7) guards non-terminating rules; hitting it
-    flags the report partial."""
+    flags the report partial.  A candidate of the wrong length or with a
+    label outside 1..m raises before the canonicity gate, so the outcome
+    does not depend on the group."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
-    group = _group_for(net, config)
+    group = _group_for(net, config, spec.m)
     ev = DesignEvaluator(net, spec)
     counters = _Counters()
     best_value = best_design = None
@@ -666,6 +666,7 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     partial = False
     x = next_fn(xs, ds)
     while x is not None:
+        ev._batch([x])
         counters.considered += 1
         if group is not None and not group.is_canonical(x):
             counters.skipped += 1

@@ -52,7 +52,7 @@ def test_block_group_size_4_blocks_of_3():
     group = nd.find_automorphisms(net)
     assert group.size == factorial(3) ** 4 * factorial(4)
     # 5^12 <= 2^31: the walk over labels 1..3 packs int32 keys
-    assert group.walk_weights(3).dtype == np.int32
+    assert group.weights(3).dtype == np.int32
 
 
 @pytest.mark.parametrize("rows,cols,expected", [
@@ -178,39 +178,78 @@ def test_canonical_representative_matches_pure_python_orbit_min(net, m):
         == minima
 
 
-@pytest.mark.parametrize("n,labels,base", [
-    (24, 6, 6),  # digits 0..5: keys reach 6^24 - 1, just below 2^63
-    (24, 7, 6),  # one label more than base 6 holds: Python-integer keys
-    (40, 2, 2),
-    (40, 4, 2),  # past base 2: Python-integer keys
-    (64, 3, 2),  # no base fits int64 at d = 64: Python-integer weights
-    # top digit base - 1, the largest the two float64 halves carry, and
-    # one past it; at d = 1 the base is capped at 2^53 for the halves
-    pytest.param(1, 2 ** 53, 2 ** 53, id="d1-top-below-base"),
-    pytest.param(1, 2 ** 53 + 2, 2 ** 53, id="d1-past-base"),  # 2^53 + 1: odd
-    pytest.param(2, 3037000499, 3037000499, id="d2-top-below-base"),
-    pytest.param(3, 2097151, 2097151, id="d3-top-below-base"),
-    pytest.param(16, 15, 15, id="d16-top-below-base"),
-    pytest.param(16, 16, 15, id="d16-past-base"),
+def python_keys(group: nd.AutomorphismGroup, designs, base: int) -> list:
+    """Per design, its images' keys in element order, digits x - min(x) in
+    `base`, built in pure Python from group.elements."""
+    design = group.network.design_nodes
+    column = {node: q for q, node in enumerate(design)}
+    low = min(min(x) for x in designs)
+    out = []
+    for x in designs:
+        row = []
+        for perm in group.elements:
+            image = [0] * len(design)
+            for p, node in enumerate(design):
+                image[column[perm[node]]] = x[p]
+            key = 0
+            for v in image:
+                key = key * base + v - low
+            row.append(key)
+        out.append(row)
+    return out
+
+
+# (d, labels, base, dtype): a table in `base` is cached first, and the
+# batch's digits 0..labels-1 read it when labels <= base, else the table of
+# their top digit, `weights(labels - 1)` in base labels + 1; `dtype` is the
+# dtype of the table read.  The cases sit on either side of each dtype
+# edge: base^d <= 2^31 int32, <= 2^53 float64, < 2^63 int64, else Python
+# integers.
+@pytest.mark.parametrize("n,labels,base,dtype", [
+    pytest.param(24, 6, 6, np.int64, id="24-6-6"),
+    pytest.param(24, 7, 6, object, id="24-7-6"),
+    pytest.param(40, 2, 2, np.float64, id="40-2-2"),
+    pytest.param(40, 4, 2, object, id="40-4-2"),
+    pytest.param(64, 3, 2, object, id="64-3-2"),
+    pytest.param(1, 2 ** 53, 2 ** 53, np.float64, id="d1-top-below-base"),
+    pytest.param(1, 2 ** 53 + 2, 2 ** 53, np.int64, id="d1-past-base"),
+    pytest.param(1, 2 ** 63 - 1, 2 ** 63 - 1, np.int64, id="d1-int64-edge"),
+    pytest.param(1, 2 ** 63 - 1, 2, object, id="d1-past-int64"),
+    pytest.param(2, 46340, 46340, np.int32, id="d2-int32-edge"),
+    pytest.param(2, 46341, 46340, np.float64, id="d2-past-int32"),
+    pytest.param(2, 94906265, 94906265, np.float64, id="d2-float64-edge"),
+    pytest.param(2, 94906266, 2, np.int64, id="d2-past-float64"),
+    pytest.param(2, 3037000499, 3037000499, np.int64,
+                 id="d2-top-below-base"),
+    pytest.param(2, 3037000499, 2, object, id="d2-past-int64"),
+    pytest.param(3, 208063, 208063, np.float64, id="d3-float64-edge"),
+    pytest.param(3, 208064, 208063, np.int64, id="d3-past-float64"),
+    pytest.param(3, 2097151, 2097151, np.int64, id="d3-top-below-base"),
+    pytest.param(3, 2097152, 2097151, object, id="d3-past-int64"),
+    pytest.param(16, 3, 3, np.int32, id="d16-int32-edge"),
+    pytest.param(16, 9, 9, np.float64, id="d16-float64-edge"),
+    pytest.param(16, 9, 3, np.int64, id="d16-past-float64"),
+    pytest.param(16, 15, 15, np.int64, id="d16-top-below-base"),
+    pytest.param(16, 16, 15, object, id="d16-past-base"),
 ])
-def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
+def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base, dtype):
     # d = 1 and 2 have no cycle: one unit in a 1x1 row-column layout (row
     # and column blocks swap), and one edge
     net = {1: nd.augment_row_column(1, 1, 2),
            2: nd.parse_edge_list("1-2", 2)}.get(n) or cycle_network(n)
     group = nd.find_automorphisms(net)
-    assert group.size == (2 * n if n > 2 else 2) and group.base == base
-    assert group.weights.dtype == (object if n == 64 else np.int64)
+    assert group.size == (2 * n if n > 2 else 2)
+    group.weights(base - 2)
     rng = np.random.default_rng(n + labels)
     designs = [tuple(int(v) for v in row)
-               for row in rng.integers(1, labels + 1, size=(60, n))]
+               for row in rng.integers(1, labels, size=(60, n),
+                                       endpoint=True)]
     designs += [(labels,) * n, (labels,) * (n - 1) + (1,),
                 (1,) + (labels,) * (n - 1)]
-    # the keys of the whole batch, digits 0..labels-1, against Python
-    # integers
-    w = group.weights_for(labels - 1)[0].astype(object)
-    expected = (np.array(designs, dtype=object) - 1) @ w
-    assert group._keys(designs).tolist() == expected.tolist()
+    read = base if labels <= base else labels + 1
+    assert group._keys(designs).tolist() == python_keys(group, designs, read)
+    assert sorted(group._weights) == sorted({base - 2, read - 2})
+    assert group.weights(read - 2).dtype == dtype
     minima = oracle_orbit_minima(group, designs)
     assert [group.canonical_representative(x) for x in designs] == minima
     assert list(map(tuple, group.canonical_representatives(designs).tolist())) \
@@ -223,18 +262,22 @@ def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base):
 def test_weights_are_built_on_first_use(examples):
     for net in (examples[2], examples[4]):  # z = 1 and z = 384
         group = nd.find_automorphisms(net)
-        assert group._weights is None and group._halves is None
-        walk = group.walk_weights(3)
-        assert walk is group.walk_weights(3) and not walk.flags.writeable
-        assert group._weights is None  # the exhaustive walk reads its own W
-        w = group.weights
-        assert w is group.weights and not w.flags.writeable
-        with pytest.raises(AttributeError):
-            group.weights = w
-        assert group._halves is None
-        group.is_canonical((1,) * net.n_design)
-        assert group._halves is not None
-        assert list(group._walk) == [5]
+        assert group._weights == {}
+        w = group.weights(3)
+        assert w is group.weights(3) and not w.flags.writeable
+        # labels 1..3 have top digit 2: the cached base-5 table serves them
+        group.is_canonical((1, 2, 3) + (1,) * (net.n_design - 3))
+        group.canonical_representatives([(3,) * net.n_design])
+        assert list(group._weights) == [3]
+        # digits 0..5 need a base above 5: the narrowest cached table that
+        # has one, else a new one for top digit 5
+        group.is_canonical((0, 5) + (1,) * (net.n_design - 2))
+        assert list(group._weights) == [3, 5]
+        group.weights(4)
+        group.is_canonical((-1, 4) + (1,) * (net.n_design - 2))
+        assert list(group._weights) == [3, 5, 4]
+        with pytest.raises(ValueError, match="m >= 0"):
+            group.weights(-1)
 
 
 def test_canonical_representative_is_orbit_min(path312, examples):
@@ -381,7 +424,7 @@ def test_chain_matches_frozen_leaf_listing(net):
     group = nd.find_automorphisms(net)
     frozen = frozen_find_automorphisms(net)
     assert group._perms.tobytes() == frozen._perms.tobytes()
-    assert group.weights.tobytes() == frozen.weights.tobytes()
+    assert group.weights(2).tobytes() == frozen.weights(2).tobytes()
 
 
 @st.composite
@@ -425,3 +468,29 @@ def test_chain_matches_frozen_and_networkx_on_random_networks(net):
     matcher = (DiGraphMatcher if net.directed else GraphMatcher)(
         graph, graph, node_match=lambda u, v: u["cls"] == v["cls"])
     assert group.size == sum(1 for _ in matcher.isomorphisms_iter())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_networks(), st.integers(0, 3), st.integers(-3, 1),
+       st.integers(0, 6), st.data())
+def test_keys_answer_as_pure_python_orbit_minima(net, cached, low, span,
+                                                 data):
+    # labels low..low + span, 0 and negative ones among them, are read as
+    # digits from the batch's least label, against a cached table for
+    # labels 1..cached that is often too narrow for them
+    try:
+        group = nd.find_automorphisms(net, 5000)
+    except GroupSizeLimitError:
+        return
+    group.weights(cached)
+    labels = st.integers(low, low + span)
+    designs = data.draw(st.lists(st.tuples(*[labels] * net.n_design),
+                                 min_size=1, max_size=8))
+    minima = oracle_orbit_minima(group, designs)
+    assert [group.canonical_representative(x) for x in designs] == minima
+    assert list(map(tuple, group.canonical_representatives(designs).tolist())) \
+        == minima
+    assert [group.is_canonical(x) for x in designs] == \
+        [x == least for x, least in zip(designs, minima)]
+    top = max(max(x) - min(x) for x in designs)
+    assert max(group._weights) + 2 > top  # some table's base exceeds it

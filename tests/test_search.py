@@ -531,7 +531,7 @@ def test_pruned_search_past_the_int64_keys_matches_oracle(workers):
     # d = 40 that is 80 bits, past int64, so its keys are Python integers
     net = cycle_network(40)
     group = nd.find_automorphisms(net)
-    assert group.base == 2 and group.walk_weights(2).dtype == object
+    assert group.weights(2).dtype == object
     expected = oracle_report(oracle_outcomes(net, 2, True, limit=2000))
     expected["partial"] = True
     report = nd.exhaustive_search(net, ModelSpec.for_network(net, 2),
@@ -541,13 +541,15 @@ def test_pruned_search_past_the_int64_keys_matches_oracle(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("n,m,dtype", [(15, 2, np.int32), (16, 2, np.int64),
-                                       (13, 3, np.int32), (14, 3, np.int64)])
+@pytest.mark.parametrize("n,m,dtype", [(15, 2, np.int32), (16, 2, np.float64),
+                                       (26, 2, np.float64), (27, 2, np.int64),
+                                       (13, 3, np.int32), (14, 3, np.float64)])
 def test_pruned_search_at_the_int32_walk_keys_edge_matches_oracle(
         n, m, dtype, workers, monkeypatch):
-    # the walk's keys lie below (m+2)^n, which straddles 2^31 between each
-    # pair of cases; the 3-worker plan starts tasks below the root, so
-    # sibling steps also run after a prefix
+    # the walk's keys lie below (m+2)^n, which straddles 2^31 between 15
+    # and 16 and between 13 and 14, and 2^53 between 26 (4^26 = 2^52) and
+    # 27; the 3-worker plan starts tasks below the root, so sibling steps
+    # also run after a prefix
     net = cycle_network(n)
     group = nd.find_automorphisms(net)
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
@@ -557,29 +559,37 @@ def test_pruned_search_at_the_int32_walk_keys_edge_matches_oracle(
                                   cfg(max_designs=2000, workers=workers))
     assert report_fields(report) == expected
     assert report.num_skipped_noncanonical > 0
-    assert group.walk_weights(m).dtype == dtype
+    assert group.weights(m).dtype == dtype
 
 
 def test_searches_build_their_key_tables_before_the_pool(examples,
                                                          monkeypatch):
-    # exhaustive search reads the walk's W alone; coordinate descent reads
-    # `weights` and its float halves.  Each is built before tasks run, so
-    # pool workers inherit it instead of building their own.
+    # every search reads `weights(m)` alone, and it is built before tasks
+    # run, so pool workers inherit it instead of building their own; the
+    # plugin loop reads it too
     net = examples[4]
     spec = ModelSpec.for_network(net, 2)
     run_tasks = search._run_tasks
     built = []
 
     def record(state, fn, tasks, workers):
-        group = state[1]
-        built.append((group._weights is not None, group._halves is not None,
-                      set(group._walk)))
+        built.append(list(state[1]._weights))
         return run_tasks(state, fn, tasks, workers)
 
     monkeypatch.setattr(search, "_run_tasks", record)
     nd.exhaustive_search(net, spec, cfg(max_designs=1))
     nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=1))
-    assert built == [(False, False, {4}), (True, True, set())]
+    assert built == [[2], [2]]
+    groups = []
+
+    def find(net, cap):
+        groups.append(nd.find_automorphisms(net, cap))
+        return groups[-1]
+
+    monkeypatch.setattr(search, "find_automorphisms", find)
+    nd.run_with_plugins(net, spec, lex_stream_next(net.n_design, 2), None,
+                        cfg(max_designs=50))
+    assert list(groups[0]._weights) == [2]
 
 
 @st.composite
@@ -829,6 +839,24 @@ def test_plugin_safety_budget(path312):
                                  cfg(max_designs=25))
     assert report.partial
     assert report.num_considered == 25
+
+
+@pytest.mark.parametrize("use", [True, False])
+@pytest.mark.parametrize("bad,match", [
+    ((1, 1, 1, 1, 1, 2, 1, 3, 1, 1), r"treatments must lie in 1\.\.2"),
+    ((1, 2, 1), "design length 3 does not match"),
+], ids=["label", "length"])
+def test_plugin_rejects_a_malformed_candidate_with_or_without_a_group(
+        examples, use, bad, match):
+    # a candidate is checked before the canonicity gate: the label case is
+    # not canonical under example 1's group, and is refused all the same
+    net = examples[1]
+    if len(bad) == net.n_design:
+        assert not nd.find_automorphisms(net).is_canonical(bad)
+    with pytest.raises(ValueError, match=match):
+        nd.run_with_plugins(net, ModelSpec.for_network(net, 2),
+                            lambda xs, ds: None if xs else bad, None,
+                            cfg(use_automorphisms=use))
 
 
 def test_plugin_cd_formulation_matches_cd(path312):
