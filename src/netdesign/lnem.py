@@ -34,21 +34,30 @@ and the contrast e_j of (j, m) has e_j . v = 1.
 
 Exhaustive search keeps only each chunk's count of valid designs and its
 first least value, so it evaluates chunks with `_chunk_best`, which runs
-the eigh kernel only where its bits matter (certify-then-eigh).  One
-batched inverse of M + s I, s a tiny ridge, certifies a matrix far from
-singular (`_screen`): such a design is valid, and the criterion read off
-that inverse is a lower bound on its value, within a relative
-(m - 1) 1e-8 of it.
+the eigh kernel only where its bits matter (certify-then-eigh).  F has a
+null space N common to every design, worked out exactly once per
+evaluator (`DesignEvaluator._null_basis`).  It is zero where F can be
+nonsingular.  On one-way block, row-column, crossover and regular networks
+it holds the treatments' network columns when no two design nodes are
+linked, block columns that sum to the intercept, and on a regular network
+the treatments' network columns, which sum to the degree times the
+intercept.  No pairwise contrast meets N.
+One batched inverse of R + s I, R = Q'(F'F)Q with Q an orthonormal basis
+of N's complement and s a tiny ridge, certifies R far from singular
+(`_screen`): then F'F's null space is N exactly, the design is valid, and
+the criterion read off that inverse is a lower bound on its value,
+within a relative (m - 1) 1e-8 of it.
 Designs the screen does not certify go to the kernel, so every INVALID
 decision is the kernel's; so do the certified designs whose bound comes
 within a factor 1 + SCREEN_WINDOW of the chunk's least bound or of the
 best value so far.  The other certified designs cannot be the best: they
 count as valid, and so in `num_eval`, though no eigendecomposition valued
-them.  The best value and design are the kernel's, bit for bit.  When F is
-singular for every design (one-way blocks, row-column, crossover and
-regular networks: see `DesignEvaluator._always_singular`) nothing could
-be certified, and chunks skip the screen.  `values`, `value`,
-`evaluate_criterion` and coordinate descent use the kernel alone.
+them, and their nuisance coordinates are never put in canonical order.
+The best value and design are the kernel's, bit for bit.  Coordinate
+descent screens each new orbit representative once (`_bounds`), and
+sends to the kernel only those whose bound could make them `_better` than
+the value of a descent that asks for them (`search._restart_task`).
+`values`, `value` and `evaluate_criterion` use the kernel alone.
 """
 
 from __future__ import annotations
@@ -68,29 +77,36 @@ Design = tuple[int, ...]
 # contrast is estimable when its row-space residual is below the same
 # relative tolerance
 RANK_TOL = 1e-8
-# The screen of exhaustive search (`_screen`) inverts M + s I with
-# s = SCREEN_RIDGE * tr(M) > 0, so that a singular M meets no exact zero
-# pivot.  M + s I has condition at most 1 + 1 / SCREEN_RIDGE ~ 1e14 (the
-# largest eigenvalue is at most tr(M)), so even for a singular M the
-# computed trace of G = inv(M + s I) is within a few percent of the true
-# one.
+# The screen (`_screen`) inverts R + s I, R = Q'MQ the information matrix
+# M on the complement of its design-independent null space N (R = M when
+# N = 0), with s = SCREEN_RIDGE * tr(R) > 0, so that a singular R meets no
+# exact zero pivot.  R + s I has condition at most 1 + 1 / SCREEN_RIDGE
+# ~ 1e14 (the largest eigenvalue is at most tr(R)), so even for a singular
+# R the computed trace of G = inv(R + s I) is within a few percent of the
+# true one.
 SCREEN_RIDGE = 1e-14
-# M is certified when diag(G) > 0 and tr(M) tr(G) <= SCREEN_CERTIFY.  Since
-# tr(M) tr(G) >= lmax / (lmin + s), a certified M has lmin / lmax >=
-# 1 / SCREEN_CERTIFY - SCREEN_RIDGE ~ 1e-6, a hundred times RANK_TOL: eigh
-# keeps every eigenvalue and every contrast is estimable.  Its condition is
-# at most SCREEN_CERTIFY, so G's forward error is of order
-# SCREEN_CERTIFY * eps ~ 2e-10, times a small dimension factor (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2002, ch. 14).
+# R is certified when diag(G) > 0 and tr(R) tr(G) <= SCREEN_CERTIFY.  Since
+# tr(R) tr(G) >= lmax / (lmin + s), a certified R has lmin / lmax >=
+# 1 / SCREEN_CERTIFY - SCREEN_RIDGE ~ 1e-6, a hundred times RANK_TOL.  M's
+# eigenvalues are R's and k = dim N zeros, which eigh computes within a
+# few eps * lmax of zero: it drops exactly those k.  The eigenvectors it
+# keeps span N's complement to within an angle of about eps * lmax /
+# lmin <= 2e-10 (Davis-Kahan), and every contrast lies in that complement,
+# so its residual is some 50 times below the RANK_TOL estimability test:
+# every contrast is estimable.  R's condition is at most SCREEN_CERTIFY,
+# so G's forward error is of order SCREEN_CERTIFY * eps ~ 2e-10, times a
+# small dimension factor (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 14).
 SCREEN_CERTIFY = 1e6
-# (M + s I)^-1 <= M^-1, so the screen's value is a lower bound; per
+# (R + s I)^-1 <= R^-1, so the screen's value is a lower bound; per
 # eigenvalue 1/(l + s) >= (1 - s / (lmin + s)) / l and s / (lmin + s) <=
 # SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8 low and Ds
 # (a determinant of order m - 1) at most (m - 1) 1e-8, plus rounding.  A
 # certified design is evaluated exactly only when its bound lies within a
-# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far;
-# SCREEN_WINDOW covers the gap with a factor ten to spare up to m = 10 and
-# still covers it up to m = 50.
+# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far
+# (in coordinate descent: of the value it must beat); SCREEN_WINDOW covers
+# the gap with a factor ten to spare up to m = 10 and still covers it up
+# to m = 50.
 SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")
@@ -183,7 +199,7 @@ def _canonicalize_nuisance(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """
     fixed, p = 2 * spec.m, spec.n_params
     nb = p - fixed
-    if nb < 2:
+    if nb < 2 or not len(info):
         return info
     batch = len(info)
     n = batch * nb
@@ -238,6 +254,42 @@ def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, order
 
 
+def _integer_null_space(matrix: list[list[int]]) -> list[list[int]]:
+    """A basis of the integer vectors a with matrix @ a = 0, in exact
+    integer arithmetic: fraction-free Gauss-Jordan elimination (each other
+    row is cross-multiplied against the pivot row, then divided by the gcd
+    of its entries), then one vector per free column, scaled so that every
+    entry is a whole number, and divided by their gcd."""
+    rows = [list(row) for row in matrix]
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                row = [a * top[col] - b * row[col] for a, b in zip(row, top)]
+                divisor = math.gcd(*row) or 1
+                rows[i] = [v // divisor for v in row]
+        pivots.append(col)
+    # row r is zero at every pivot column but its own, so a free column's
+    # vector is scale there and -scale * row[free] / row[pivot] at each pivot
+    scale = math.lcm(*(rows[r][col] for r, col in enumerate(pivots)))
+    basis = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        v = [0] * width
+        v[free] = scale
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free] * scale // rows[r][col]
+        divisor = math.gcd(*v)
+        basis.append([x // divisor for x in v])
+    return basis
+
+
 class DesignEvaluator:
     """Reusable criterion evaluator for one (network, spec) pair.
 
@@ -263,19 +315,55 @@ class DesignEvaluator:
                               @ self._onehot_rows[fixed])
 
     @cached_property
-    def _always_singular(self) -> bool:
-        """Whether F is singular for every design, so that the screen of
-        `_chunk_best` could certify none.  F's network columns sum to the
-        row sums of the design nodes' adjacency rows whatever the design,
-        so that holds when the intercept, the block columns and those sums
-        are linearly dependent.  Worked out on first use, so that a run
-        that never screens (coordinate descent, or a one-design chunk)
-        pays for no rank decision."""
-        a_meas = self.net.adjacency[list(self.net.design_nodes), :]
-        columns = np.column_stack([np.ones(len(a_meas)),
-                                   self._gamma_blocks[:, self.spec.m:],
-                                   a_meas.sum(axis=1)])
-        return bool(np.linalg.matrix_rank(columns) < columns.shape[1])
+    def _null_basis(self) -> np.ndarray:
+        """The (p, k) integer basis of the vectors v with F(x) v = 0 for
+        every design x, exact.
+
+        Row i of F(x) v is v_0, plus the indicator coefficient of x_i (zero
+        for treatment m), plus sum_k A_d[i, k] w_{x_k} over the design
+        nodes, plus (Gamma w)_i for the block nodes, where w holds the
+        network coefficients.  A_d has a zero diagonal, so changing x_k
+        alone changes row k by an indicator coefficient and row i by
+        A_d[i, k] w_{x_k}.  Hence the indicator coefficients are zero, and
+        w_1 = ... = w_m unless A_d = 0.  The rest does not depend on x: it
+        is the null space of the integer columns 1, A_d 1 for the common w
+        (when A_d != 0; otherwise w_1..w_m each bring their own Gamma
+        column) and Gamma's block columns (`_integer_null_space`).  Worked
+        out on first use, so that building an evaluator stays cheap."""
+        m, p = self.spec.m, self.spec.n_params
+        gamma = np.rint(self._gamma_blocks).astype(np.int64)
+        network = list(range(m, p))  # w_1..w_total
+        if self._a_design.any():
+            degrees = np.rint(self._a_design.sum(axis=1)).astype(np.int64)
+            groups = [[0], network[:m]] + [[j] for j in network[m:]]
+            columns = [np.ones_like(degrees),
+                       degrees + gamma[:, :m].sum(axis=1), *gamma[:, m:].T]
+        else:
+            groups = [[0]] + [[j] for j in network]
+            columns = [np.ones(len(gamma), dtype=np.int64), *gamma.T]
+        coefficients = np.column_stack(columns).tolist()
+        null = _integer_null_space(coefficients)
+        basis = np.zeros((p, len(null)), dtype=np.int64)
+        for j, a in enumerate(null):
+            for group, value in zip(groups, a):
+                basis[group, j] = value
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def _complement(self) -> np.ndarray | None:
+        """An orthonormal (p, p - k) basis Q of the complement of
+        `_null_basis`, the coordinates `_screen` works in; None when k = 0,
+        where the screen works in F'F's own coordinates."""
+        null = self._null_basis.astype(np.float64)
+        p, k = null.shape
+        if not k:
+            return None
+        # N N' has p - k zero eigenvalues, which eigh lists first, and k at
+        # least the least eigenvalue of the integer N'N: far from zero
+        q = np.ascontiguousarray(np.linalg.eigh(null @ null.T)[1][:, :p - k])
+        q.setflags(write=False)
+        return q
 
     def _batch(self, designs) -> np.ndarray:
         """The designs as a (B, d) int64 batch.  A design of the wrong
@@ -335,11 +423,24 @@ class DesignEvaluator:
         xs = self._batch(designs)
         rows = self._using_every_treatment(xs)
         if len(rows) == len(xs):
-            return _criterion_values(self._information_matrices(xs), self.spec)
+            return _canonical_values(self._information_matrices(xs), self.spec)
         out = np.full(len(xs), np.nan)
         if len(rows):
-            out[rows] = _criterion_values(self._information_matrices(xs[rows]),
+            out[rows] = _canonical_values(self._information_matrices(xs[rows]),
                                           self.spec)
+        return out
+
+    def _bounds(self, designs) -> np.ndarray:
+        """`_screen`'s lower bound on the value of each design of a
+        non-empty chunk, as a float64 array with NaN where the screen does
+        not certify the design valid (those that leave a treatment unused
+        among them)."""
+        xs = self._batch(designs)
+        rows = self._using_every_treatment(xs)
+        certified, bound = _screen(self._information_matrices(xs[rows]),
+                                   self.spec, self._complement)
+        out = np.full(len(xs), np.nan)
+        out[rows[certified]] = bound[certified]
         return out
 
     def _chunk_best(self, chunk, best: float | None
@@ -352,30 +453,31 @@ class DesignEvaluator:
 
         Certify-then-eigh: a design that leaves a treatment unused is
         INVALID as in `_value_array`; the others' matrices go through
-        `_screen`.  The uncertified ones, and the certified ones whose lower
-        bound is within a factor 1 + SCREEN_WINDOW of min(best, least
-        bound), get `_criterion_values` as one stack, so their values and
-        INVALID decisions are those of `_value_array` bit for bit.  The
-        other certified designs are valid but worse than the least bound's
-        design or than `best`, so none holds a first least value that is at
-        most `best`: they count as valid with no eigendecomposition.  A
+        `_screen`, on every network.  The uncertified ones, and the
+        certified ones whose lower bound is within a factor
+        1 + SCREEN_WINDOW of min(best, least bound), get their nuisance
+        coordinates put in canonical order and `_criterion_values` as one
+        stack, so their values and INVALID decisions are those of
+        `_value_array` bit for bit.  The other certified designs are valid
+        but worse than the least bound's design or than `best`, so none
+        holds a first least value that is at most `best`: they count as
+        valid with no canonicalization and no eigendecomposition.  A
         one-design chunk gains nothing from the screen, since its design
-        reaches eigh either way, and when F is singular for every design
-        the screen could certify none: such chunks go to `_value_array`."""
-        if len(chunk) < 2 or self._always_singular:
+        reaches eigh either way, and goes to `_value_array`."""
+        if len(chunk) < 2:
             values = self._value_array(chunk)
             rows, skipped = np.arange(len(values)), 0
         else:
             xs = self._batch(chunk)
             rows = self._using_every_treatment(xs)
             info = self._information_matrices(xs[rows])
-            certified, bound = _screen(info, self.spec)
+            certified, bound = _screen(info, self.spec, self._complement)
             exact = ~certified
             if certified.any():
                 least = bound[certified].min()
                 window = least if best is None else min(best, least)
                 exact |= bound <= window * (1 + SCREEN_WINDOW)
-            values = _criterion_values(info[exact], self.spec)
+            values = _canonical_values(info[exact], self.spec)
             rows, skipped = rows[exact], int((certified & ~exact).sum())
         valid = (~np.isnan(values)).nonzero()[0]
         if not len(valid):
@@ -391,12 +493,11 @@ class DesignEvaluator:
         return used[:, 1:].all(axis=1).nonzero()[0]
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
-        """F'F of each design of the batch, nuisance coordinates canonical."""
+        """F'F of each design of the checked batch `xs`, in the order of
+        F's columns: `_canonical_values` orders the nuisance coordinates of
+        those that go to the kernel."""
         f = self._model_matrices(xs)
-        info = f.transpose(0, 2, 1) @ f
-        if self.spec.block_classes:
-            info = _canonicalize_nuisance(info, self.spec)
-        return info
+        return f.transpose(0, 2, 1) @ f
 
 
 def _label_array(designs) -> np.ndarray:
@@ -433,28 +534,37 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
         raise ValueError(f"information matrix shape {info.shape}, expected {(p, p)}")
     if not np.isfinite(info).all():
         raise ValueError("information matrix entries must be finite")
-    info = info[None, :, :]
-    if spec.block_classes:
-        info = _canonicalize_nuisance(info, spec)
-    value = float(_criterion_values(info, spec)[0])
+    value = float(_canonical_values(info[None, :, :], spec)[0])
     return value if value == value else None
 
 
-def _screen(info: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a (B, p, p) stack of finite information matrices
-    `_criterion_values` would find full rank with every contrast estimable,
-    certified from one batched inverse G = inv(M + s I) without an
-    eigendecomposition, and for each a lower bound on its criterion value
-    (meaningless where not certified).  The bound is the criterion read off
-    G in place of M^-1: As is the mean of G_jj + G_ll - 2 G_jl over the
-    pairs, that is (m tr(G_tt) - sum(G_tt)) / (m(m-1)/2) on the treatment
-    coordinates t = 1..m-1, and Ds is det(G_tt); both times the powers of
-    sigma2 that `_criterion_values` applies.  SCREEN_RIDGE,
-    SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate and the bound
-    hold."""
+def _screen(info: np.ndarray, spec: ModelSpec,
+            basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices M of a (B, p, p) stack of finite information matrices
+    `_criterion_values` would find with every contrast estimable, certified
+    from one batched inverse without an eigendecomposition, and for each a
+    lower bound on its criterion value (meaningless where not certified).
+
+    `basis` is an orthonormal basis Q of the complement of a null space N
+    that every matrix of the stack has, and that no pairwise contrast
+    meets (`DesignEvaluator._complement`); None means N = 0, Q = I.  The
+    screen inverts R + s I, R = Q'MQ: G = inv(R + s I).  A certified R is
+    far from singular, so null(M) is N exactly, every contrast c
+    (orthogonal to N) is estimable, and c'M^+c = (Q'c)' R^-1 (Q'c) (Rao
+    and Mitra, Generalized Inverse of Matrices and its Applications,
+    1971).  The bound is the criterion read off G in place of R^-1, from
+    the treatment block C = Q_t G Q_t' on the coordinates t = 1..m-1
+    (C = G_tt when Q = I): As is the mean of C_jj + C_ll - 2 C_jl over the
+    pairs, that is (m tr(C) - sum(C)) / (m(m-1)/2), and Ds is det(C); both
+    times the powers of sigma2 that `_criterion_values` applies.
+    SCREEN_RIDGE, SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate
+    and the bound hold."""
     m, batch = spec.m, len(info)
+    if basis is not None:
+        info = basis.T @ info @ basis
     trace = np.trace(info, axis1=1, axis2=2)
-    shifted = info + (SCREEN_RIDGE * trace)[:, None, None] * np.eye(spec.n_params)
+    ridge = (SCREEN_RIDGE * trace)[:, None, None] * np.eye(info.shape[-1])
+    shifted = info + ridge
     # a matrix certified far from singular has a finite, well-conditioned
     # G; the others may overflow or come out garbage, and are not certified
     with np.errstate(all="ignore"):
@@ -465,7 +575,10 @@ def _screen(info: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         diag = g.diagonal(axis1=1, axis2=2)
         certified = ((diag > 0).all(axis=1)
                      & (trace * diag.sum(axis=1) <= SCREEN_CERTIFY))
-        block = g[:, 1:m, 1:m]
+        if basis is None:
+            block = g[:, 1:m, 1:m]
+        else:
+            block = basis[1:m] @ g @ basis[1:m].T
         if spec.criterion == "As":
             bound = ((m * np.trace(block, axis1=1, axis2=2)
                       - block.sum(axis=(1, 2))) / (m * (m - 1) / 2)
@@ -473,6 +586,12 @@ def _screen(info: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         else:
             bound = np.linalg.det(block) * spec.sigma2 ** (m - 1)
     return certified, bound
+
+
+def _canonical_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """`_criterion_values` of a (B, p, p) stack of finite matrices, its
+    nuisance coordinates first put in canonical order."""
+    return _criterion_values(_canonicalize_nuisance(info, spec), spec)
 
 
 def _criterion_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:

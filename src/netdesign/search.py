@@ -32,11 +32,17 @@ treatment unused as INVALID without an eigendecomposition.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep: each descent is a generator that
-yields one candidate at a time, and each step finds the representatives of
-all live descents' candidates in one call and evaluates the uncached ones
-in batched calls of at most _CHUNK_DESIGNS.  Trajectories depend only on values, which are pure
-functions of the key, so the counters equal those of running the restarts
-one after another.
+yields one candidate at a time with its current value, and each step finds
+the representatives of all live descents' candidates in one call.  A new
+representative is screened once, in batched calls of at most
+_CHUNK_DESIGNS; it gets the kernel's value, once, only when a descent that
+asks for it could adopt it: when that descent starts there or has an
+INVALID value, or when the screen does not certify it or its bound comes
+within a factor 1 + SCREEN_WINDOW of that descent's value.  Other descents
+are sent +inf, which no `_better` comparison adopts, just as it would not
+adopt the exact value.  Trajectories depend only on those comparisons, and
+values are pure functions of the key, so the counters equal those of
+running the restarts one after another with exact values.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 whose live rows are joined into chunks of at least _CHUNK_DESIGNS designs,
@@ -52,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -61,7 +68,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .automorph import AutomorphismGroup, find_automorphisms
-from .lnem import Design, DesignEvaluator, ModelSpec
+from .lnem import SCREEN_WINDOW, Design, DesignEvaluator, ModelSpec
 from .network import Network
 
 _SAFETY_BUDGET = 10_000_000
@@ -542,13 +549,14 @@ def _start_design(seed: int, restart: int, n: int, m: int) -> Design:
 
 
 def _descend(start: Design, n: int, m: int):
-    """One descent, as a generator that yields each candidate and is sent
-    back its (value, orbit-representative design): sweep nodes in index
-    order trying every other treatment; adopt the first strict improvement
-    and restart the sweep from node 1; stop after a full improvement-free
-    sweep.  Returns the final (value, representative)."""
+    """One descent, as a generator that yields each candidate with the
+    descent's current value (None for the start design) and is sent back
+    the candidate's (value, orbit-representative design): sweep nodes in
+    index order trying every other treatment; adopt the first strict
+    improvement and restart the sweep from node 1; stop after a full
+    improvement-free sweep.  Returns the final (value, representative)."""
     x = list(start)
-    vx, kx = yield tuple(x)
+    vx, kx = yield tuple(x), None
     while True:
         for node in range(n):
             current = x[node]
@@ -556,7 +564,7 @@ def _descend(start: Design, n: int, m: int):
                 if t == current:
                     continue
                 x[node] = t
-                vy, ky = yield tuple(x)
+                vy, ky = yield tuple(x), vx
                 if _better(vy, vx):
                     vx, kx = vy, ky
                     break
@@ -571,35 +579,61 @@ def _descend(start: Design, n: int, m: int):
 def _restart_task(state, starts: Sequence[Design]):
     """The descents from a block of start designs, run in lockstep on one
     cache keyed by orbit representative.  Each step takes the live
-    descents' pending candidates, their orbit representatives in one call,
-    and the values of the representatives not yet cached in batched
-    kernel calls of at most _CHUNK_DESIGNS (one call for up to that many
-    live descents), then sends each descent its result.
-    Returns the cache, the candidates the task considered and each
-    descent's final (value, design); values are floats, NaN for INVALID."""
+    descents' pending candidates and their orbit representatives in one
+    call.  A representative is screened once (`DesignEvaluator._bounds`),
+    in batched calls of at most _CHUNK_DESIGNS, when it first comes up and
+    every descent that asks for it has a valid current value v.  A
+    certified representative whose bound exceeds v times
+    1 + SCREEN_WINDOW for every such descent is valid and cannot be
+    `_better` than v, so those descents are sent +inf and it reaches no
+    eigh.  The others (start designs, descents whose v is INVALID,
+    uncertified representatives, bounds inside the window) get the
+    kernel's value, once, in batched `_value_array` calls of at most
+    _CHUNK_DESIGNS; a representative known only by its bound gets it
+    when a later descent needs it.  Every `_better` comparison thus gets
+    the answer that exact values would give.  Returns the cache (the
+    exact value, NaN for INVALID, else the certified bound), the
+    candidates the task considered and each descent's final (value,
+    design)."""
     ev, group = state
-    cache: dict[Design, float] = {}
+    exact: dict[Design, float] = {}
+    bounds: dict[Design, float] = {}  # NaN where not certified
     walks = [_descend(x, ev.net.n_design, ev.spec.m) for x in starts]
     live = [(i, walk, next(walk)) for i, walk in enumerate(walks)]
     finals: list = [None] * len(walks)
     considered = 0
     while live:
-        keys = [x for _, _, x in live]
+        keys = [x for _, _, (x, _) in live]
         if group is not None:
             keys = list(map(tuple, group.canonical_representatives(keys).tolist()))
-        new = list(dict.fromkeys(key for key in keys if key not in cache))
-        for i in range(0, len(new), _CHUNK_DESIGNS):
-            chunk = new[i:i + _CHUNK_DESIGNS]
-            cache.update(zip(chunk, ev._value_array(chunk).tolist()))
+        # per representative without an exact value: the largest current
+        # value of a descent that asks for it, +inf for None or INVALID
+        ceiling: dict[Design, float] = {}
+        for (_, _, (_, v)), key in zip(live, keys):
+            if key not in exact:
+                v = math.inf if v is None or v != v else v
+                ceiling[key] = max(ceiling.get(key, v), v)
+        fresh = [key for key, v in ceiling.items()
+                 if key not in bounds and v < math.inf]
+        for i in range(0, len(fresh), _CHUNK_DESIGNS):
+            chunk = fresh[i:i + _CHUNK_DESIGNS]
+            bounds.update(zip(chunk, ev._bounds(chunk).tolist()))
+        needed = [key for key, v in ceiling.items()
+                  if not bounds.get(key, math.nan) > v * (1 + SCREEN_WINDOW)]
+        for i in range(0, len(needed), _CHUNK_DESIGNS):
+            chunk = needed[i:i + _CHUNK_DESIGNS]
+            exact.update(zip(chunk, ev._value_array(chunk).tolist()))
         considered += len(live)
         still = []
         for (i, walk, _), key in zip(live, keys):
             try:
-                still.append((i, walk, walk.send((cache[key], key))))
+                still.append((i, walk, walk.send((exact.get(key, math.inf),
+                                                  key))))
             except StopIteration as done:
                 finals[i] = done.value
         live = still
-    return cache, considered, finals
+    bounds.update(exact)
+    return bounds, considered, finals
 
 
 def coordinate_descent(net: Network, spec: ModelSpec,

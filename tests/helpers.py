@@ -7,6 +7,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from itertools import islice
+import math
 from operator import itemgetter
 from typing import Sequence
 
@@ -466,30 +467,37 @@ def exact_estimable(net: nd.Network, x, m: int) -> bool:
     return True
 
 
-def exact_full_rank(info: np.ndarray) -> bool:
-    """Whether the integer matrix `info` is nonsingular, decided by
-    fraction-free (Bareiss) elimination in exact integers: every division
-    is exact, and the last pivot is the determinant up to sign."""
-    a = np.rint(info).astype(np.int64).tolist()
-    n, prev = len(a), 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
+def exact_rank(matrix: np.ndarray) -> int:
+    """The rank of the integer matrix `matrix`, by fraction-free
+    elimination in exact integers: the rows below each pivot are cross-
+    multiplied against it, then divided by the gcd of their entries."""
+    rows = np.rint(matrix).astype(np.int64).tolist()
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            return False
-        a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                row = [a * top[col] - b * rows[i][col]
+                       for a, b in zip(rows[i], top)]
+                divisor = math.gcd(*row) or 1
+                rows[i] = [v // divisor for v in row]
+        rank += 1
+    return rank
 
 
-def pinv_criterion(info: np.ndarray, spec: nd.ModelSpec) -> np.ndarray:
-    """The criterion of each matrix of a (B, p, p) stack of full-rank
-    matrices, read off the Moore-Penrose pseudoinverse (an SVD, not the
-    library's eigh): the mean pairwise contrast variance for As, the
-    determinant of the treatment block for Ds."""
-    g = np.linalg.pinv(info)
+def pinv_criterion(info: np.ndarray, spec: nd.ModelSpec,
+                   rcond: float | None = None) -> np.ndarray:
+    """The criterion of each matrix of a (B, p, p) stack of matrices whose
+    contrasts are all estimable, read off the Moore-Penrose pseudoinverse
+    (an SVD, not the library's eigh), with singular values below `rcond`
+    times the largest cut (numpy's default cut when None): the mean
+    pairwise contrast variance for As, the determinant of the treatment
+    block for Ds."""
+    g = np.linalg.pinv(info, rcond=rcond)
     m = spec.m
     if spec.criterion == "Ds":
         return np.linalg.det(g[:, 1:m, 1:m]) * spec.sigma2 ** (m - 1)
@@ -502,16 +510,15 @@ def pinv_criterion(info: np.ndarray, spec: nd.ModelSpec) -> np.ndarray:
 
 
 def force_screen_off(monkeypatch) -> None:
-    """Make every DesignEvaluator built from now on take the path it takes
-    when F is singular for every design: each chunk through `_value_array`,
-    every matrix that uses all treatments through the eigh kernel."""
-    init = nd.DesignEvaluator.__init__
+    """Make the screen certify nothing, so that every design that uses all
+    treatments reaches the eigh kernel: in exhaustive search through
+    `_chunk_best`, and in coordinate descent, which then values every new
+    orbit representative exactly."""
 
-    def without_screen(self, net, spec):
-        init(self, net, spec)
-        self._always_singular = True
+    def certify_nothing(info, spec, basis=None):
+        return np.zeros(len(info), dtype=bool), np.full(len(info), np.inf)
 
-    monkeypatch.setattr(nd.DesignEvaluator, "__init__", without_screen)
+    monkeypatch.setattr(nd.lnem, "_screen", certify_nothing)
 
 
 def oracle_coordinate_descent(net: nd.Network, m: int, seed: int,

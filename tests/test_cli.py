@@ -165,6 +165,25 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_search_on_blocks_that_leave_units_uncovered(tmp_path, capsys):
+    # two block nodes that cover five of the six units: the budget's four
+    # designs use at most two of the three treatments, so no chunk holds a
+    # design to evaluate; the run ends with a partial report, no traceback
+    f = tmp_path / "partial-blocks.txt"
+    f.write_text("n=8 directed=1\n"
+                 "1->2, 1->7, 2->3, 2->7, 3->7, 4->6, 4->8, 5->8, 6->1, 7->1, "
+                 "7->2, 7->3, 8->4, 8->5\n"
+                 "B7: class=0 fixed=4 units=1,2,3\n"
+                 "B8: class=0 fixed=5 units=4,5\n")
+    code = main(["search", "--network", str(f), "--treatments", "3",
+                 "--max-designs", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3 and "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert (report["num_considered"], report["num_invalid"],
+            report["num_eval"], report["partial"]) == (4, 4, 0, True)
+
+
 def test_parse_error_surfaces_token(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("n=4 directed=0\n1-2, 9-9\n")

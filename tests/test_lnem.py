@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
+from netdesign import search
 from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_WINDOW,
                             DesignEvaluator, ModelSpec,
                             _canonicalize_nuisance, _screen)
 
-from helpers import (cycle_network, exact_estimable, exact_full_rank,
+from helpers import (cycle_network, exact_estimable, exact_rank,
                      frozen_canonicalize_nuisance, frozen_criterion,
                      oracle_model_matrix, oracle_value, pinv_criterion)
 
@@ -595,20 +596,26 @@ def test_screened_designs_are_invalid_on_random_networks(case):
 # ------------------------------------------------------ the screen's oracles
 
 def _assert_screen_sound(info: np.ndarray, spec: ModelSpec, designs=None,
-                         net=None) -> int:
-    """Every matrix `_screen` certifies is nonsingular in exact integer
-    arithmetic (so every contrast is estimable: the design is valid), and
-    its bound is at most the pseudoinverse's value times 1 + 1e-9 and at
-    least that value times 1 - SCREEN_WINDOW / 2.  With `designs` and `net`
-    the certified designs are also estimable by `exact_estimable`.  Returns
-    the number certified."""
-    certified, bound = _screen(info, spec)
+                         net=None, basis=None) -> int:
+    """Every matrix `_screen` certifies on `basis` (an orthonormal basis of
+    the complement of a null space that every matrix of the stack shares,
+    of dimension k; None for k = 0) has rank p - k in exact integer
+    arithmetic, so that its null space is that one, and its bound is at
+    most the pseudoinverse's value times 1 + 1e-9 and at least that value
+    times 1 - SCREEN_WINDOW / 2.  With `designs` and `net` the certified
+    designs are also estimable by `exact_estimable`, so they are valid.
+    Returns the number certified."""
+    certified, bound = _screen(info, spec, basis)
+    rank = spec.n_params if basis is None else basis.shape[1]
     for i in certified.nonzero()[0]:
-        assert exact_full_rank(info[i]), i
+        assert exact_rank(info[i]) == rank, i
         if designs is not None:
             assert exact_estimable(net, designs[i], spec.m), designs[i]
     if certified.any():
-        exact = pinv_criterion(info[certified], spec)
+        # the pseudoinverse's cut lies between the computed zero
+        # eigenvalues (about 1e-15 of the largest) and the least nonzero
+        # one of a certified matrix (at least 1e-6 of it)
+        exact = pinv_criterion(info[certified], spec, rcond=1e-10)
         assert (bound[certified] <= exact * (1 + 1e-9)).all()
         assert (bound[certified] >= exact * (1 - SCREEN_WINDOW / 2)).all()
     return int(certified.sum())
@@ -694,21 +701,80 @@ def test_screen_of_a_stack_that_inv_cannot_factor():
     assert _screen(info[:1], spec)[0].all()
 
 
-@pytest.mark.parametrize("net,always", [
-    (nd.augment_blocks([3, 3, 3], 3), True),
-    (nd.augment_row_column(3, 3, 3), True),
-    (nd.augment_crossover(4, 3, 3), True),
-    (nd.augment_crossover(4, 3, 3, period_blocks=True), True),
-    (cycle_network(7), True),
-    (nd.example_network(2), False),
-], ids=["blocks333", "rc3x3", "crossover4x3", "crossover4x3-periods",
-        "cycle7", "ex2"])
-def test_rank_rule_finds_networks_singular_for_every_design(net, always):
-    # block indicators that sum to the intercept, or a constant degree,
-    # make F singular whatever the design, so the screen is skipped; the
-    # rule agrees with exact arithmetic on a few seeded designs
+_NULL_NETWORKS = {
+    "blocks333": (nd.augment_blocks([3, 3, 3], 3), 4),
+    "rc3x3": (nd.augment_row_column(3, 3, 3), 5),
+    "crossover4x3": (nd.augment_crossover(4, 3, 3), 1),
+    "crossover4x3-periods": (nd.augment_crossover(4, 3, 3, period_blocks=True),
+                             3),
+    "cycle7": (cycle_network(7), 1),
+    "ex2": (nd.example_network(2), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NULL_NETWORKS))
+def test_null_basis_is_the_null_space_every_design_shares(name):
+    # block indicators that sum to the intercept, treatments' network
+    # columns with no two design nodes linked, or a constant degree make F
+    # singular whatever the design.  The integer basis is exact: F(x) N = 0
+    # in integers for the oracle's F on seeded designs.  It is all of that
+    # shared null space: p minus the largest exact rank of F(x) over them
+    # is k.  It is zero on the treatment indicators, so no pairwise
+    # contrast meets it, and Q is an orthonormal basis of its complement.
+    # Neither is built with the evaluator.
+    net, k = _NULL_NETWORKS[name]
     spec = ModelSpec.for_network(net, 3)
-    assert DesignEvaluator(net, spec)._always_singular is always
-    xs = np.random.default_rng(5).integers(1, 4, (20, net.n_design))
-    full = [exact_full_rank(_oracle_info(net, x, 3)) for x in xs]
-    assert not any(full) if always else any(full)
+    ev = DesignEvaluator(net, spec)
+    ev.values([((1, 2, 3) * net.n_design)[:net.n_design]])
+    assert "_null_basis" not in vars(ev) and "_complement" not in vars(ev)
+    null, p = ev._null_basis, spec.n_params
+    assert null.dtype == np.int64 and null.shape == (p, k)
+    assert not null[1:3].any()
+    ranks = []
+    for x in np.random.default_rng(5).integers(1, 4, (20, net.n_design)):
+        f = np.rint(oracle_model_matrix(net, x, 3)).astype(np.int64)
+        assert not (f @ null).any(), x
+        ranks.append(exact_rank(f))
+    assert p - max(ranks) == k
+    q = ev._complement
+    if k == 0:
+        assert q is None
+    else:
+        assert q.shape == (p, p - k)
+        assert np.allclose(q.T @ q, np.eye(p - k), atol=1e-13)
+        assert np.allclose(null.T @ q, 0, atol=1e-13)
+
+
+_STREAM_NETWORKS = {
+    "rc4x4-m4": (nd.augment_row_column(4, 4, 4), 4),
+    "blocks4x3-m4": (nd.augment_blocks([3, 3, 3, 3], 4), 4),
+    "crossover4x3-m3": (nd.augment_crossover(4, 3, 3), 3),
+    "crossover4x3-periods-m3": (
+        nd.augment_crossover(4, 3, 3, period_blocks=True), 3),
+}
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("name", sorted(_STREAM_NETWORKS))
+def test_screen_is_sound_on_stream_chunks_of_block_networks(name, criterion):
+    # two chunks of the label-canonical stream after seeded prefixes: on
+    # the complement of the shared null space, every design the screen
+    # certifies is valid by exact arithmetic, with a tight bound, and
+    # most designs that use every treatment are certified
+    net, m = _STREAM_NETWORKS[name]
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    ev = DesignEvaluator(net, spec)
+    rng = np.random.default_rng(16)
+    certified = screened = 0
+    for _ in range(2):
+        prefix = [1]
+        while len(prefix) < net.n_design - 4:
+            prefix.append(int(rng.integers(1, min(max(prefix) + 1, m) + 1)))
+        stream = search._stream(None, tuple(prefix), net.n_design, m, True,
+                                None)
+        chunk = next(search._chunks(stream, search._Counters()))
+        xs = chunk[ev._using_every_treatment(chunk)]
+        certified += _assert_screen_sound(ev._information_matrices(xs), spec,
+                                          xs, net, ev._complement)
+        screened += len(xs)
+    assert certified > screened / 2

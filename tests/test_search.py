@@ -269,21 +269,24 @@ def _stream_chunks(net: nd.Network, m: int):
     return list(search._chunks(stream, search._Counters()))
 
 
-@pytest.mark.parametrize("example,m,criterion", [
-    (1, 2, "As"), (6, 2, "As"), (2, 4, "As"), (2, 4, "Ds"),
-], ids=["ex1-m2", "ex6-m2", "ex2-m4", "ex2-m4-Ds"])
-def test_chunk_best_matches_first_argmin(examples, monkeypatch, example, m,
+@pytest.mark.parametrize("key,m,criterion", [
+    (("ex", 1), 2, "As"), (("ex", 6), 2, "As"), (("ex", 2), 4, "As"),
+    (("ex", 2), 4, "Ds"), (("blocks", (3, 3, 3), 3), 3, "As"),
+    (("rowcol", 3, 3, 3), 3, "As"), (("rowcol", 3, 3, 3), 3, "Ds"),
+], ids=["ex1-m2", "ex6-m2", "ex2-m4", "ex2-m4-Ds", "blocks333-m3",
+        "rc3x3-m3", "rc3x3-m3-Ds"])
+def test_chunk_best_matches_first_argmin(report_cache, monkeypatch, key, m,
                                          criterion):
     # on every chunk of the stream (example 6 at m = 2 has hundreds of
-    # near-tied values): the screened kernel gives the valid count, first
-    # least index and value of `_value_array`, bit for bit, with no best so
-    # far and with a best just below, at and just above the chunk's least
-    # value; with no best, a certified design reaches eigh only if its value
-    # is within 2 SCREEN_WINDOW of the least
-    net = examples[example]
+    # near-tied values; on the block networks F'F is singular for every
+    # design, and many designs tie): the screened kernel gives the valid
+    # count, first least index and value of `_value_array`, bit for bit,
+    # with no best so far and with a best just below, at and just above the
+    # chunk's least value; with no best, a certified design reaches eigh
+    # only if its value is within 2 SCREEN_WINDOW of the least
+    net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
-    assert not ev._always_singular
     kernel = lnem._criterion_values
     reached = []
 
@@ -310,29 +313,76 @@ def test_chunk_best_matches_first_argmin(examples, monkeypatch, example, m,
             if best is None:
                 rows = ev._using_every_treatment(chunk)
                 certified, _ = lnem._screen(
-                    ev._information_matrices(chunk[rows]), spec)
+                    ev._information_matrices(chunk[rows]), spec,
+                    ev._complement)
                 near = int((values[rows][certified] <= least * window).sum())
                 assert sum(reached) <= (~certified).sum() + near
+
+
+PARTIAL_BLOCKS = """n=8 directed=1
+1->2, 1->7, 2->3, 2->7, 3->7, 4->6, 4->8, 5->8, 6->1, 7->1, 7->2, 7->3, 8->4, 8->5
+B7: class=0 fixed=4 units=1,2,3
+B8: class=0 fixed=5 units=4,5
+"""
+
+
+def test_chunk_best_of_a_chunk_with_no_design_using_every_treatment():
+    # two block nodes that do not cover every unit: a chunk in which no
+    # design uses all three treatments sends an empty stack on, and gets no
+    # valid design, whatever the best so far
+    net = nd.parse_network(PARTIAL_BLOCKS)
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, 3))
+    chunk = np.array([[1] * 6, [1] * 5 + [2], [1, 2] * 3])
+    for best in (None, 1.0):
+        assert ev._chunk_best(chunk, best) == (0, None, None)
+    p = ev.spec.n_params
+    empty = np.empty((0, p, p))
+    assert lnem._canonicalize_nuisance(empty, ev.spec).shape == (0, p, p)
+
+
+def _screened_runs(report_cache, criterion: str) -> dict:
+    """Reports, wall time excluded, of the runs the screen must leave as
+    they are: exhaustive search on examples 1-6 at m = 2, example 2 at
+    m = 3 and 4, and at m = 3 on blocks [3,3,3] and [3,3,3,3], row-column
+    3x3 and crossover 4x3 with and without period blocks; coordinate
+    descent from 7 restarts, seeds 0-4, on example 4 at m = 2 and on
+    row-column 3x3 and blocks [3,3,3] at m = 3."""
+    exhaustive = {f"ex{k}-m2": (report_cache.network(("ex", k)), 2)
+                  for k in range(1, 7)}
+    exhaustive.update({
+        "ex2-m3": (report_cache.network(("ex", 2)), 3),
+        "ex2-m4": (report_cache.network(("ex", 2)), 4),
+        "blocks333": (report_cache.network(("blocks", (3, 3, 3), 3)), 3),
+        "blocks3333": (nd.augment_blocks([3, 3, 3, 3], 3), 3),
+        "rc3x3": (report_cache.network(("rowcol", 3, 3, 3)), 3),
+        "crossover4x3": (nd.augment_crossover(4, 3, 3), 3),
+        "crossover4x3-periods": (
+            nd.augment_crossover(4, 3, 3, period_blocks=True), 3),
+    })
+    descents = {"ex4-m2": (report_cache.network(("ex", 4)), 2),
+                "rc3x3": (report_cache.network(("rowcol", 3, 3, 3)), 3),
+                "blocks333": (report_cache.network(("blocks", (3, 3, 3), 3)),
+                              3)}
+    runs = {}
+    for name, (net, m) in exhaustive.items():
+        spec = ModelSpec.for_network(net, m, criterion=criterion)
+        runs[name] = nd.exhaustive_search(net, spec, cfg())
+    for name, (net, m) in descents.items():
+        spec = ModelSpec.for_network(net, m, criterion=criterion)
+        for seed in range(5):
+            runs[f"cd-{name}-{seed}"] = nd.coordinate_descent(net, spec, cfg(
+                algorithm="coordinate_descent", seed=seed, restarts=7))
+    return {name: report.to_json(exclude_wall_time=True)
+            for name, report in runs.items()}
 
 
 @pytest.mark.parametrize("criterion", ["As", "Ds"])
 def test_reports_identical_with_the_screen_off(report_cache, monkeypatch,
                                                criterion):
-    # the screen changes which designs reach eigh, never a report:
-    # examples 1-6 at m = 2 and example 2 at m = 3 and m = 4
-    cases = [(k, 2) for k in range(1, 7)] + [(2, 3), (2, 4)]
-    screened = {}
-    for k, m in cases:
-        net = report_cache.network(("ex", k))
-        screened[k, m] = nd.exhaustive_search(
-            net, ModelSpec.for_network(net, m, criterion=criterion), cfg())
+    # the screen changes which designs reach eigh, never a report
+    screened = _screened_runs(report_cache, criterion)
     force_screen_off(monkeypatch)
-    for k, m in cases:
-        net = report_cache.network(("ex", k))
-        report = nd.exhaustive_search(
-            net, ModelSpec.for_network(net, m, criterion=criterion), cfg())
-        assert report.to_json(exclude_wall_time=True) == \
-            screened[k, m].to_json(exclude_wall_time=True), (k, m)
+    assert _screened_runs(report_cache, criterion) == screened
 
 
 def test_tie_break_earliest_design(path312):
@@ -492,30 +542,29 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     # budgets 1..3281 cover every cut point of the stream, including cuts
     # inside subtrees closed by a prefix test, once as the one root task and
     # once as the subtree tasks planned for 4 workers (run in this process).
-    # The group and the criterion of each design are memoized across the
-    # runs; the unbudgeted comparison above checks their answers against the
-    # oracle.
+    # The group and each chunk's `_chunk_best` answer are memoized across
+    # the runs; the unbudgeted comparison above checks their answers
+    # against the oracle.
     key = ("blocks", (3, 3, 3), 3)
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
-    evaluate = DesignEvaluator._value_array
+    chunk_best = DesignEvaluator._chunk_best
     run_tasks = search._run_tasks
-    values: dict = {}
+    answers: dict = {}
 
-    def memo_values(self, designs):
-        designs = list(map(tuple, np.asarray(designs).tolist()))
-        missing = [x for x in designs if x not in values]
-        if missing:
-            values.update(zip(missing, evaluate(self, missing).tolist()))
-        return np.array([values[x] for x in designs])
+    def memo_chunk_best(self, chunk, best):
+        key = chunk.shape, chunk.tobytes(), best
+        if key not in answers:
+            answers[key] = chunk_best(self, chunk, best)
+        return answers[key]
 
     def in_process(state, fn, tasks, workers):
         return run_tasks(state, fn, tasks, 1)
 
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
-    monkeypatch.setattr(DesignEvaluator, "_value_array", memo_values)
+    monkeypatch.setattr(DesignEvaluator, "_chunk_best", memo_chunk_best)
     monkeypatch.setattr(search, "_run_tasks", in_process)
     for budget in range(1, len(outcomes) + 1):
         expected = oracle_report(outcomes, budget)
@@ -694,28 +743,36 @@ def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
     key, m = _CD_ORACLE_CASES[case]
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m)
-    evaluated = []
-    values = DesignEvaluator._value_array
+    screened, valued = [], []
+    bounds, values = DesignEvaluator._bounds, DesignEvaluator._value_array
 
-    def counted(self, designs):
-        evaluated.extend(designs)
+    def counted_bounds(self, designs):
+        screened.extend(designs)
+        return bounds(self, designs)
+
+    def counted_values(self, designs):
+        valued.extend(designs)
         return values(self, designs)
 
-    monkeypatch.setattr(DesignEvaluator, "_value_array", counted)
+    monkeypatch.setattr(DesignEvaluator, "_bounds", counted_bounds)
+    monkeypatch.setattr(DesignEvaluator, "_value_array", counted_values)
     for seed in range(5):
         if (case, seed) not in _cd_oracle_reports:
             _cd_oracle_reports[case, seed] = oracle_coordinate_descent(
                 net, m, seed, 7)
-        del evaluated[:]
+        del screened[:], valued[:]
         report = nd.coordinate_descent(net, spec, cfg(
             algorithm="coordinate_descent", seed=seed, restarts=7,
             workers=workers))
         assert _report_without_wall_time(report) == \
             _cd_oracle_reports[case, seed], seed
         if workers == 1:
-            # every evaluation is of a new orbit: none speculative, none
-            # repeated
-            assert len(evaluated) == len(set(evaluated)) == \
+            # each orbit is screened at most once and valued by the kernel
+            # at most once, and the orbits the descents asked for are
+            # those screened or valued: none speculative, none repeated
+            assert len(screened) == len(set(screened))
+            assert len(valued) == len(set(valued))
+            assert len(set(screened) | set(valued)) == \
                 report.num_eval + report.num_invalid
 
 
