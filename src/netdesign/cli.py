@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "exhaustive stream too small to split); results are "
                         "identical for any value")
     p.add_argument("--max-designs", type=int, default=None,
-                   help="candidate budget; exceeding it flags the report "
-                        "partial and exits 3")
+                   help="candidate budget, exhaustive search only; "
+                        "exceeding it flags the report partial and exits 3")
     p.add_argument("--max-group-size", type=int, default=1_000_000)
     p.add_argument("--count-invalid-as-eval", action="store_true",
                    help="fold non-estimable evaluations into num_eval")

@@ -54,9 +54,12 @@ best value so far.  The other certified designs cannot be the best: they
 count as valid, and so in `num_eval`, though no eigendecomposition valued
 them, and their nuisance coordinates are never put in canonical order.
 The best value and design are the kernel's, bit for bit.  Coordinate
-descent screens each new orbit representative once (`_bounds`), and
-sends to the kernel only those whose bound could make them `_better` than
-the value of a descent that asks for them (`search._restart_task`).
+descent screens each orbit representative it plans to reach once
+(`_bounds`), and reads each certified bound as an interval, a factor
+1 +- SCREEN_WINDOW wide, that holds the kernel's value.  It compares
+designs on those intervals and sends to the kernel only the uncertified
+orbits, both sides of a comparison whose intervals overlap, and each
+descent's final orbit (`search._restart_task`).
 `values`, `value` and `evaluate_criterion` use the kernel alone.
 """
 
@@ -103,10 +106,11 @@ SCREEN_CERTIFY = 1e6
 # SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8 low and Ds
 # (a determinant of order m - 1) at most (m - 1) 1e-8, plus rounding.  A
 # certified design is evaluated exactly only when its bound lies within a
-# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far
-# (in coordinate descent: of the value it must beat); SCREEN_WINDOW covers
-# the gap with a factor ten to spare up to m = 10 and still covers it up
-# to m = 50.
+# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far;
+# SCREEN_WINDOW covers the gap with a factor ten to spare up to m = 10 and
+# still covers it up to m = 50.  So the kernel's value of a certified
+# design lies within a factor 1 +- SCREEN_WINDOW of its bound, the interval
+# that coordinate descent compares on (`search._bound_interval`).
 SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")

@@ -31,18 +31,21 @@ With a group or without, the evaluator answers designs that leave a
 treatment unused as INVALID without an eigendecomposition.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
-instead.  Its restarts run in lockstep: each descent is a generator that
-yields one candidate at a time with its current value, and each step finds
-the representatives of all live descents' candidates in one call.  A new
-representative is screened once, in batched calls of at most
-_CHUNK_DESIGNS; it gets the kernel's value, once, only when a descent that
-asks for it could adopt it: when that descent starts there or has an
-INVALID value, or when the screen does not certify it or its bound comes
-within a factor 1 + SCREEN_WINDOW of that descent's value.  Other descents
-are sent +inf, which no `_better` comparison adopts, just as it would not
-adopt the exact value.  Trajectories depend only on those comparisons, and
-values are pure functions of the key, so the counters equal those of
-running the restarts one after another with exact values.
+instead.  Its restarts run in lockstep rounds, and compare on intervals
+that hold each orbit's kernel value: a certified orbit's value lies within
+a factor 1 +- SCREEN_WINDOW of its screen bound, and a kernel value is a
+point.  Each round plans every walking descent's next candidates as if none
+improves, _LOOKAHEAD of them in all, finds their representatives in one
+call and screens the new ones in one batch.  Each descent then walks its
+plan until it improves, runs out of plan, or needs the kernel: for an
+orbit the screen does not certify, so that every INVALID decision is the
+kernel's, or for both sides of a comparison whose intervals overlap, which
+covers every tie.  It then waits, and once half the live descents wait,
+the kernel values what they need in one batch.  Each descent's final orbit
+is valued at the end, so reported values are the kernel's.  The decisions
+are those of exact values, and planned orbits that no descent reached are
+not counted, so the counters equal those of running the restarts one after
+another with exact values.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 whose live rows are joined into chunks of at least _CHUNK_DESIGNS designs,
@@ -58,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import time
@@ -74,6 +76,9 @@ from .network import Network
 _SAFETY_BUDGET = 10_000_000
 # designs per batched criterion call
 _CHUNK_DESIGNS = 256
+# coordinate-descent candidates planned per lockstep round, shared among the
+# walking descents
+_LOOKAHEAD = _CHUNK_DESIGNS // 4
 # exhaustive subtree tasks planned per pool worker, so that uneven subtrees
 # even out across the pool
 _TASKS_PER_WORKER = 8
@@ -85,8 +90,9 @@ class SearchConfig:
     """Knobs shared by the search algorithms.
 
     max_designs bounds the number of candidates drawn from an enumeration
-    stream (exhaustive and plugin runs; coordinate descent terminates on its
-    own).  count_invalid_as_eval folds non-estimable evaluations into
+    stream: exhaustive search only, plus the plugin loop's safety budget.
+    Coordinate descent ends on its own and raises ValueError when it is
+    set.  count_invalid_as_eval folds non-estimable evaluations into
     num_eval for auditing against external counts.  reference_value, when
     set, fills the report's efficiency field (reference / best found).
     """
@@ -548,92 +554,166 @@ def _start_design(seed: int, restart: int, n: int, m: int) -> Design:
     return tuple(int(v) for v in rng.integers(1, m + 1, size=n))
 
 
-def _descend(start: Design, n: int, m: int):
-    """One descent, as a generator that yields each candidate with the
-    descent's current value (None for the start design) and is sent back
-    the candidate's (value, orbit-representative design): sweep nodes in
-    index order trying every other treatment; adopt the first strict
-    improvement and restart the sweep from node 1; stop after a full
-    improvement-free sweep.  Returns the final (value, representative)."""
-    x = list(start)
-    vx, kx = yield tuple(x), None
-    while True:
-        for node in range(n):
-            current = x[node]
-            for t in range(1, m + 1):
-                if t == current:
-                    continue
-                x[node] = t
-                vy, ky = yield tuple(x), vx
-                if _better(vy, vx):
-                    vx, kx = vy, ky
-                    break
-                x[node] = current
-            else:
-                continue
-            break  # improved: sweep again from node 1
-        else:
-            return vx, kx
+def _better_by(y: tuple[float, float], x: tuple[float, float]) -> bool | None:
+    """`_better(vy, vx)` decided from intervals (lo, hi) that hold the two
+    values: (v, v) for a kernel value, (NaN, NaN) for INVALID.  None when
+    the intervals overlap and are not both points, so that only the kernel
+    can decide; two values that tie always land here unless both are the
+    kernel's."""
+    ly, hy = y
+    lx, hx = x
+    if ly != ly:
+        return False
+    if lx != lx or hy < lx:
+        return True
+    if ly > hx or (ly == hy and lx == hx):
+        return False
+    return None
+
+
+def _bound_interval(bound: float) -> tuple[float, float] | None:
+    """The interval that holds the kernel value of a design whose
+    `DesignEvaluator._bounds` value is `bound`: within a factor
+    1 +- SCREEN_WINDOW of it, by the screen's error argument (`lnem`).
+    None when the screen did not certify the design (`bound` is NaN)."""
+    if bound != bound:
+        return None
+    return bound * (1 - SCREEN_WINDOW), bound * (1 + SCREEN_WINDOW)
+
+
+def _sweep_plan(xs: np.ndarray, cursors: np.ndarray, width: int, m: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The next `width` candidates of each descent's sweep, as if none
+    improves: descent i is at design xs[i] and its cursor, -1 for the start
+    design itself, else the index in sweep order (node j // (m - 1), then
+    the other labels in increasing order) of its next candidate.  Returns
+    the candidates as one (N, n) array, each descent's in sweep order, and
+    how many each descent got; a plan stops at the end of its sweep."""
+    steps = xs.shape[1] * (m - 1)
+    js = cursors[:, None] + np.arange(width)
+    counts = np.minimum(steps - cursors, width)
+    js = js[np.arange(width) < counts[:, None]]
+    owner = np.repeat(np.arange(len(xs)), counts)
+    plan = xs[owner]
+    moves = (js >= 0).nonzero()[0]
+    nodes, r = np.divmod(js[moves], m - 1)
+    labels = r + 1 + (r + 1 >= plan[moves, nodes])
+    plan[moves, nodes] = labels
+    return plan, counts
 
 
 def _restart_task(state, starts: Sequence[Design]):
-    """The descents from a block of start designs, run in lockstep on one
-    cache keyed by orbit representative.  Each step takes the live
-    descents' pending candidates and their orbit representatives in one
-    call.  A representative is screened once (`DesignEvaluator._bounds`),
-    in batched calls of at most _CHUNK_DESIGNS, when it first comes up and
-    every descent that asks for it has a valid current value v.  A
-    certified representative whose bound exceeds v times
-    1 + SCREEN_WINDOW for every such descent is valid and cannot be
-    `_better` than v, so those descents are sent +inf and it reaches no
-    eigh.  The others (start designs, descents whose v is INVALID,
-    uncertified representatives, bounds inside the window) get the
-    kernel's value, once, in batched `_value_array` calls of at most
-    _CHUNK_DESIGNS; a representative known only by its bound gets it
-    when a later descent needs it.  Every `_better` comparison thus gets
-    the answer that exact values would give.  Returns the cache (the
-    exact value, NaN for INVALID, else the certified bound), the
-    candidates the task considered and each descent's final (value,
-    design)."""
+    """The descents from a block of start designs, in lockstep on one cache
+    keyed by orbit representative.  Each descent sweeps nodes in index
+    order trying every other treatment, adopts the first strict
+    improvement (`_better`), sweeps again from node 1, and stops after a
+    full sweep without one.
+
+    Comparisons run on intervals that hold each orbit's kernel value
+    (`_better_by`): a certified orbit's `_bound_interval`, or the kernel's
+    value as a point.  Each round plans every walking descent's next
+    max(1, _LOOKAHEAD // walking) candidates (`_sweep_plan`), finds their
+    representatives in one call and screens the new ones
+    (`DesignEvaluator._bounds`), in calls of at most _CHUNK_DESIGNS.  Then
+    it walks each descent along its plan until it improves, runs out of
+    plan, or needs the kernel: for an uncertified orbit, so that every
+    INVALID decision is the kernel's, or for each side of a comparison
+    whose intervals overlap, which covers every tie.  That descent waits
+    at the candidate until at least half the live descents wait; then
+    `_value_array` values every orbit they need, at most _CHUNK_DESIGNS a
+    call, and they walk again.  A start design is adopted on its bound
+    alone.  Each descent's final orbit is valued once at the end, so
+    reported values are the kernel's bit for bit.  The decisions are those
+    of exact values, so the counters equal those of running the restarts
+    one after another with exact values.
+
+    Returns the orbits the descents reached (planned ones no descent
+    reached are left out), each with whether it is valid; the candidates
+    the task considered; and each descent's final (value, design)."""
     ev, group = state
-    exact: dict[Design, float] = {}
-    bounds: dict[Design, float] = {}  # NaN where not certified
-    walks = [_descend(x, ev.net.n_design, ev.spec.m) for x in starts]
-    live = [(i, walk, next(walk)) for i, walk in enumerate(walks)]
-    finals: list = [None] * len(walks)
+    n, m = ev.net.n_design, ev.spec.m
+    steps = n * (m - 1)  # candidates in one sweep
+    # orbits are keyed by their representative's labels as bytes, which
+    # hash faster and take less memory than tuples
+    dtype = np.min_scalar_type(m)
+    # each screened or valued orbit's interval, None while it is neither
+    # certified nor valued
+    known: dict[bytes, tuple[float, float] | None] = {}
+    reached: dict[bytes, bool] = {}
+    xs = np.array(starts, dtype=np.int64)
+    cursors = np.full(len(starts), -1)
+    current: list = [None] * len(starts)  # each descent's orbit
+    live = np.arange(len(starts))
+    waiting = np.zeros(len(starts), dtype=bool)  # for the kernel
+    needed: dict[bytes, None] = {}
     considered = 0
-    while live:
-        keys = [x for _, _, (x, _) in live]
+    while len(live):
+        if 2 * waiting[live].sum() >= len(live):
+            _kernel_values(ev, known, list(needed), dtype)
+            needed.clear()
+            waiting[:] = False
+        walking = live[~waiting[live]]
+        plan, counts = _sweep_plan(xs[walking], cursors[walking],
+                                   max(1, _LOOKAHEAD // len(walking)), m)
         if group is not None:
-            keys = list(map(tuple, group.canonical_representatives(keys).tolist()))
-        # per representative without an exact value: the largest current
-        # value of a descent that asks for it, +inf for None or INVALID
-        ceiling: dict[Design, float] = {}
-        for (_, _, (_, v)), key in zip(live, keys):
-            if key not in exact:
-                v = math.inf if v is None or v != v else v
-                ceiling[key] = max(ceiling.get(key, v), v)
-        fresh = [key for key, v in ceiling.items()
-                 if key not in bounds and v < math.inf]
-        for i in range(0, len(fresh), _CHUNK_DESIGNS):
-            chunk = fresh[i:i + _CHUNK_DESIGNS]
-            bounds.update(zip(chunk, ev._bounds(chunk).tolist()))
-        needed = [key for key, v in ceiling.items()
-                  if not bounds.get(key, math.nan) > v * (1 + SCREEN_WINDOW)]
-        for i in range(0, len(needed), _CHUNK_DESIGNS):
-            chunk = needed[i:i + _CHUNK_DESIGNS]
-            exact.update(zip(chunk, ev._value_array(chunk).tolist()))
-        considered += len(live)
-        still = []
-        for (i, walk, _), key in zip(live, keys):
-            try:
-                still.append((i, walk, walk.send((exact.get(key, math.inf),
-                                                  key))))
-            except StopIteration as done:
-                finals[i] = done.value
-        live = still
-    bounds.update(exact)
-    return bounds, considered, finals
+            plan = group.canonical_representatives(plan)
+        raw = plan.astype(dtype).tobytes()
+        keys = [raw[i:i + n * dtype.itemsize]
+                for i in range(0, len(raw), n * dtype.itemsize)]
+        fresh = {key: i for i, key in enumerate(keys) if key not in known}
+        rows = np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh))
+        for i in range(0, len(rows), _CHUNK_DESIGNS):
+            chunk = rows[i:i + _CHUNK_DESIGNS]
+            bounds = ev._bounds(plan[chunk]).tolist()
+            known.update(zip([keys[row] for row in chunk.tolist()],
+                             map(_bound_interval, bounds)))
+        end = 0
+        for i, count in zip(walking.tolist(), counts.tolist()):
+            j, start = int(cursors[i]), end
+            end += count
+            for key in keys[start:end]:
+                y = known[key]
+                if y is None:
+                    needed[key] = None
+                    waiting[i] = True
+                    break
+                better = j < 0 or _better_by(y, known[current[i]])
+                if better is None:
+                    for k in (key, current[i]):
+                        if known[k][0] < known[k][1]:
+                            needed[k] = None
+                    waiting[i] = True
+                    break
+                considered += 1
+                reached[key] = y[0] == y[0]
+                if j < 0:  # the start design
+                    current[i], j = key, 0
+                    continue
+                if better:
+                    node, r = divmod(j, m - 1)
+                    xs[i, node] = r + 1 + (r + 1 >= xs[i, node])
+                    current[i], j = key, 0
+                    break  # the rest of the plan is stale
+                j += 1
+            cursors[i] = j
+        live = live[cursors[live] < steps]
+    bounded = [k for k in dict.fromkeys(current) if known[k][0] < known[k][1]]
+    _kernel_values(ev, known, bounded, dtype)
+    return reached, considered, [
+        (known[k][0], tuple(np.frombuffer(k, dtype=dtype).tolist()))
+        for k in current]
+
+
+def _kernel_values(ev: DesignEvaluator, known: dict, keys: list[bytes],
+                   dtype: np.dtype) -> None:
+    """Put the kernel's value of each orbit of `keys` (labels as bytes of
+    `dtype`) into `known`, as the point (v, v), in calls of at most
+    _CHUNK_DESIGNS."""
+    for i in range(0, len(keys), _CHUNK_DESIGNS):
+        chunk = keys[i:i + _CHUNK_DESIGNS]
+        xs = np.frombuffer(b"".join(chunk), dtype=dtype).reshape(len(chunk), -1)
+        values = ev._value_array(xs.astype(np.int64))
+        known.update((k, (v, v)) for k, v in zip(chunk, values.tolist()))
 
 
 def coordinate_descent(net: Network, spec: ModelSpec,
@@ -643,8 +723,12 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     (orbit representatives when automorphisms are on); the reported best
     design is the evaluated representative.  The restarts run as one
     contiguous block per worker; a trajectory depends only on (seed,
-    restart index), so results are identical for any worker count."""
+    restart index), so results are identical for any worker count.
+    max_designs is refused: a descent has no stream to cut."""
     config = config or SearchConfig(algorithm="coordinate_descent")
+    if config.max_designs is not None:
+        raise ValueError("max_designs applies to exhaustive search only; "
+                         "coordinate descent ends on its own")
     t0 = time.perf_counter()
     group = _group_for(net, config, spec.m)
     starts = [_start_design(config.seed, r, net.n_design, spec.m)
@@ -653,17 +737,17 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     tasks = [starts[len(starts) * i // blocks:len(starts) * (i + 1) // blocks]
              for i in range(blocks)]
     best_value = best_design = None
-    merged: dict[Design, float] = {}
+    merged: dict[bytes, bool] = {}
     counters = _Counters()
     state = (DesignEvaluator(net, spec), group)
-    for cache, considered, finals in _run_tasks(state, _restart_task, tasks,
-                                                config.workers):
-        merged.update(cache)
+    for reached, considered, finals in _run_tasks(state, _restart_task, tasks,
+                                                  config.workers):
+        merged.update(reached)
         counters.considered += considered
         for value, design in finals:
             if _better(value, best_value):
                 best_value, best_design = value, design
-    counters.evals = sum(1 for v in merged.values() if v == v)  # not NaN
+    counters.evals = sum(merged.values())
     counters.invalid = len(merged) - counters.evals
     counters.hits = counters.considered - len(merged)
     return _make_report("coordinate_descent", config, counters, best_design,

@@ -12,10 +12,12 @@ from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 import netdesign as nd
 from netdesign.automorph import (AutomorphismGroup, GroupSizeLimitError,
                                  _refined_colors, _search_order)
+from netdesign.lnem import CRITERIA
 from netdesign.network import BlockRole, Network, NetworkError
 from netdesign.search import _start_design
 
@@ -522,14 +524,16 @@ def force_screen_off(monkeypatch) -> None:
 
 
 def oracle_coordinate_descent(net: nd.Network, m: int, seed: int,
-                              restarts: int) -> dict:
+                              restarts: int, orbits: set | None = None
+                              ) -> dict:
     """The report fields of coordinate descent, from a sequential loop that
     shares no canonicity or batching code with the library: restarts run
     one after another on one dict keyed by each candidate's orbit minimum
     (every group element applied in pure Python), valued by per-design
     `DesignEvaluator.value`.  A descent sweeps nodes in index order, adopts
     the first strict improvement, sweeps again from node 1 and stops after
-    a full sweep without one; the first strictly best final value wins."""
+    a full sweep without one; the first strictly best final value wins.
+    `orbits`, when given, receives the orbit minima the descents reached."""
     group = nd.find_automorphisms(net)
     ev = nd.DesignEvaluator(net, nd.ModelSpec.for_network(net, m))
     images = _position_getters(group)
@@ -570,9 +574,25 @@ def oracle_coordinate_descent(net: nd.Network, m: int, seed: int,
         if better(vx, best_value):
             best_value, best_design = vx, kx
     evals = sum(value is not None for value in cache.values())
+    if orbits is not None:
+        orbits.update(cache)
     return {"algorithm": "coordinate_descent", "best_design": best_design,
             "best_value": best_value, "num_eval": evals,
             "num_considered": considered, "num_skipped_noncanonical": 0,
             "num_invalid": len(cache) - evals,
             "num_cache_hits": considered - len(cache), "seed": seed,
             "efficiency": None, "partial": False}
+
+
+@st.composite
+def screened_networks(draw):
+    """(network, m, design, criterion): a graph on at most 10 nodes and a
+    design over its design nodes that uses every one of m treatments."""
+    n = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    net = nd.parse_edge_list(", ".join(f"{i}-{j}" for i, j in edges), n)
+    m = draw(st.integers(2, min(4, n)))
+    rest = draw(st.lists(st.integers(1, m), min_size=n - m, max_size=n - m))
+    x = draw(st.permutations(list(range(1, m + 1)) + rest))
+    return net, m, tuple(x), draw(st.sampled_from(CRITERIA))

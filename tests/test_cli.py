@@ -207,6 +207,16 @@ def test_budget_below_one_is_invalid():
                      budget, "--workers", "1"]) == 2
 
 
+def test_coordinate_descent_refuses_a_budget(capsys):
+    # --max-designs sizes exhaustive search only; coordinate descent says so
+    # rather than ignoring it
+    code = main(["search", "--example", "1", "-m", "2", "--algorithm", "cd",
+                 "--restarts", "3", "--workers", "1", "--max-designs", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "exhaustive" in captured.err
+
+
 def test_exactly_one_source_required(capsys):
     code = main(["search", "-m", "2"])
     assert code == 2

@@ -14,7 +14,8 @@ from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_WINDOW,
 
 from helpers import (cycle_network, exact_estimable, exact_rank,
                      frozen_canonicalize_nuisance, frozen_criterion,
-                     oracle_model_matrix, oracle_value, pinv_criterion)
+                     oracle_model_matrix, oracle_value, pinv_criterion,
+                     screened_networks)
 
 
 def test_model_matrix_path_worked_example(path312):
@@ -637,20 +638,6 @@ def test_screen_certifies_only_valid_designs_with_tight_bounds(examples, m,
     certified = _assert_screen_sound(info, spec)
     # most designs are certified: the screen is not vacuous
     assert certified > len(xs) / 2
-
-
-@st.composite
-def screened_networks(draw):
-    """(network, m, design, criterion): a graph on at most 10 nodes and a
-    design over its design nodes that uses every one of m treatments."""
-    n = draw(st.integers(2, 10))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
-    net = nd.parse_edge_list(", ".join(f"{i}-{j}" for i, j in edges), n)
-    m = draw(st.integers(2, min(4, n)))
-    rest = draw(st.lists(st.integers(1, m), min_size=n - m, max_size=n - m))
-    x = draw(st.permutations(list(range(1, m + 1)) + rest))
-    return net, m, tuple(x), draw(st.sampled_from(CRITERIA))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -17,7 +17,8 @@ from netdesign.search import SearchConfig, _start_design
 
 from helpers import (cycle_network, force_screen_off,
                      oracle_coordinate_descent, oracle_outcomes,
-                     oracle_report, report_fields, stirling2)
+                     oracle_report, report_fields, screened_networks,
+                     stirling2)
 
 
 def cfg(**kw) -> SearchConfig:
@@ -735,6 +736,19 @@ def _report_without_wall_time(report) -> dict:
             if f.name != "wall_time"}
 
 
+def _count_evaluator_calls(monkeypatch) -> dict[str, list]:
+    """Patch `_bounds` and `_value_array` to record, per method, the designs
+    of each call as a list of tuples."""
+    calls: dict[str, list] = {"_bounds": [], "_value_array": []}
+    for name, seen in calls.items():
+        def counted(self, designs, _real=getattr(DesignEvaluator, name),
+                    _seen=seen):
+            _seen.append(list(map(tuple, np.asarray(designs).tolist())))
+            return _real(self, designs)
+        monkeypatch.setattr(DesignEvaluator, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(_CD_ORACLE_CASES))
 def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
@@ -743,56 +757,142 @@ def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
     key, m = _CD_ORACLE_CASES[case]
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m)
-    screened, valued = [], []
-    bounds, values = DesignEvaluator._bounds, DesignEvaluator._value_array
-
-    def counted_bounds(self, designs):
-        screened.extend(designs)
-        return bounds(self, designs)
-
-    def counted_values(self, designs):
-        valued.extend(designs)
-        return values(self, designs)
-
-    monkeypatch.setattr(DesignEvaluator, "_bounds", counted_bounds)
-    monkeypatch.setattr(DesignEvaluator, "_value_array", counted_values)
+    calls = _count_evaluator_calls(monkeypatch)
     for seed in range(5):
         if (case, seed) not in _cd_oracle_reports:
-            _cd_oracle_reports[case, seed] = oracle_coordinate_descent(
-                net, m, seed, 7)
-        del screened[:], valued[:]
+            orbits: set = set()
+            _cd_oracle_reports[case, seed] = (
+                oracle_coordinate_descent(net, m, seed, 7, orbits), orbits)
+        oracle, orbits = _cd_oracle_reports[case, seed]
+        for seen in calls.values():
+            del seen[:]
         report = nd.coordinate_descent(net, spec, cfg(
             algorithm="coordinate_descent", seed=seed, restarts=7,
             workers=workers))
-        assert _report_without_wall_time(report) == \
-            _cd_oracle_reports[case, seed], seed
+        assert _report_without_wall_time(report) == oracle, seed
         if workers == 1:
-            # each orbit is screened at most once and valued by the kernel
-            # at most once, and the orbits the descents asked for are
-            # those screened or valued: none speculative, none repeated
+            # one task: each orbit is screened at most once and valued by
+            # the kernel at most once, and every orbit a descent reached,
+            # num_eval + num_invalid of them, was screened or valued
+            screened = [x for call in calls["_bounds"] for x in call]
+            valued = [x for call in calls["_value_array"] for x in call]
             assert len(screened) == len(set(screened))
             assert len(valued) == len(set(valued))
-            assert len(set(screened) | set(valued)) == \
-                report.num_eval + report.num_invalid
+            assert len(orbits) == report.num_eval + report.num_invalid
+            assert orbits <= set(screened) | set(valued)
 
 
 def test_cd_lockstep_evaluates_in_chunks(examples, monkeypatch):
-    # 300 live descents: the first step's start designs go to the kernel in
-    # chunks of at most _CHUNK_DESIGNS, and the report still matches
+    # 300 live descents: the first round screens their start designs in
+    # calls of at most _CHUNK_DESIGNS, and the report still matches
     net, m, restarts = examples[2], 3, 300
-    sizes = []
-    values = DesignEvaluator._value_array
-
-    def counted(self, designs):
-        sizes.append(len(designs))
-        return values(self, designs)
-
-    monkeypatch.setattr(DesignEvaluator, "_value_array", counted)
+    calls = _count_evaluator_calls(monkeypatch)
     report = nd.coordinate_descent(net, ModelSpec.for_network(net, m), cfg(
         algorithm="coordinate_descent", seed=3, restarts=restarts))
-    assert sizes[0] == max(sizes) == search._CHUNK_DESIGNS
+    sizes = {name: [len(call) for call in seen] for name, seen in calls.items()}
+    assert sizes["_bounds"][0] == search._CHUNK_DESIGNS
+    assert max(sizes["_bounds"] + sizes["_value_array"]) <= search._CHUNK_DESIGNS
     assert _report_without_wall_time(report) == \
         oracle_coordinate_descent(net, m, 3, restarts)
+
+
+def test_cd_values_few_orbits_in_few_calls(monkeypatch):
+    # rc 4x4 at m = 4, 20 restarts: the descents reach 4,644 orbits; the
+    # kernel values few of them, and the evaluator is called in few batches
+    net = nd.augment_row_column(4, 4, 4)
+    calls = _count_evaluator_calls(monkeypatch)
+    report = nd.coordinate_descent(net, ModelSpec.for_network(net, 4), cfg(
+        algorithm="coordinate_descent", seed=0, restarts=20))
+    assert (report.num_eval, report.num_invalid) == (4631, 13)
+    valued = [x for call in calls["_value_array"] for x in call]
+    assert len(valued) == len(set(valued)) <= 150
+    assert len(calls["_bounds"]) + len(calls["_value_array"]) <= 200
+
+
+def test_cd_refuses_a_design_budget(examples):
+    # a descent has no stream to cut: a budget is an error, not ignored
+    spec = ModelSpec.for_network(examples[1], 2)
+    config = cfg(algorithm="coordinate_descent", restarts=3, max_designs=5)
+    for run in (nd.coordinate_descent, nd.run_search):
+        with pytest.raises(ValueError, match="exhaustive search only"):
+            run(examples[1], spec, config)
+
+
+def _assert_interval_rule_matches_kernel(ev: DesignEvaluator, designs) -> int:
+    """For every ordered pair of `designs` and every interval a descent can
+    hold for each (the kernel's value as a point, and the certified bound's
+    interval), `_better_by` agrees with `_better` on `_value_array` values
+    wherever it decides, and leaves every tie to the kernel unless both
+    sides are points.  Returns how many decisions it checked."""
+    xs = np.array(designs, dtype=np.int64)
+    values = ev._value_array(xs).tolist()
+    held = [[(v, v)] for v in values]
+    for options, b in zip(held, ev._bounds(xs).tolist()):
+        interval = search._bound_interval(b)
+        if interval is not None:
+            assert interval[0] <= options[0][0] <= interval[1]
+            options.append(interval)
+    decided = 0
+    for vy, ys in zip(values, held):
+        for vx, xs_ in zip(values, held):
+            exact = search._better(vy, vx)
+            for y in ys:
+                for x in xs_:
+                    rule = search._better_by(y, x)
+                    if vy == vx and (y[0] < y[1] or x[0] < x[1]):
+                        assert rule is None, (vy, y, x)
+                    if rule is not None:
+                        assert rule == exact, (vy, vx, y, x)
+                        decided += 1
+    return decided
+
+
+@st.composite
+def _screened_pairs(draw):
+    """(network, m, x, y, criterion): x from `screened_networks`, and y
+    x with up to two labels redrawn, which may leave a treatment unused."""
+    net, m, x, criterion = draw(screened_networks())
+    y = list(x)
+    for _ in range(draw(st.integers(0, 2))):
+        y[draw(st.integers(0, len(y) - 1))] = draw(st.integers(1, m))
+    return net, m, x, tuple(y), criterion
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_screened_pairs())
+def test_interval_rule_matches_kernel_on_random_networks(case):
+    net, m, x, y, criterion = case
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m, criterion=criterion))
+    _assert_interval_rule_matches_kernel(ev, [x, y])
+
+
+# distinct orbits of rc 4x4 at m = 4 whose kernel values are all
+# 0.5555555555555557, and one just above it
+_RC4X4_TIES = [(1, 1, 3, 4, 2, 3, 4, 1, 3, 4, 1, 2, 4, 2, 2, 3),
+               (1, 2, 3, 3, 2, 3, 1, 4, 3, 1, 4, 2, 4, 4, 2, 1),
+               (1, 2, 3, 3, 2, 3, 1, 4, 3, 4, 2, 1, 4, 1, 4, 2)]
+_RC4X4_NEAR_TIE = (1, 2, 2, 4, 2, 1, 4, 3, 3, 4, 1, 2, 4, 3, 3, 1)
+
+
+@pytest.mark.parametrize("criterion", ["As", "Ds"])
+def test_interval_rule_matches_kernel_on_rc4x4(criterion):
+    net = nd.augment_row_column(4, 4, 4)
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, 4, criterion=criterion))
+    group = nd.find_automorphisms(net)
+    # certified, so that each tie meets the rule as two bound intervals
+    assert not np.isnan(ev._bounds(np.array(_RC4X4_TIES))).any()
+    if criterion == "As":
+        values = ev._value_array(np.array(_RC4X4_TIES)).tolist()
+        assert values == [0.5555555555555557] * 3
+        assert len({tuple(r) for r in group.canonical_representatives(
+            _RC4X4_TIES).tolist()}) == 3
+    # seeded start designs, each with its first few sweep neighbours
+    designs = list(_RC4X4_TIES) + [_RC4X4_NEAR_TIE]
+    for restart in range(8):
+        x = _start_design(11, restart, net.n_design, 4)
+        designs.append(x)
+        designs += [x[:i] + (x[i] % 4 + 1,) + x[i + 1:] for i in range(4)]
+    assert _assert_interval_rule_matches_kernel(ev, designs) > len(designs) ** 2
 
 
 def test_cd_start_designs_are_seed_and_index_determined():
