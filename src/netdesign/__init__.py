@@ -32,7 +32,6 @@ from .lnem import (
     DesignEvaluator,
     ModelSpec,
     RANK_TOL,
-    build_model_matrix,
     criterion_for_design,
     evaluate_criterion,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "augment_blocks",
     "augment_crossover",
     "augment_row_column",
-    "build_model_matrix",
     "coordinate_descent",
     "count_orbits_bruteforce",
     "criterion_for_design",

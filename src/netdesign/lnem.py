@@ -110,7 +110,7 @@ SCREEN_CERTIFY = 1e6
 # SCREEN_WINDOW covers the gap with a factor ten to spare up to m = 10 and
 # still covers it up to m = 50.  So the kernel's value of a certified
 # design lies within a factor 1 +- SCREEN_WINDOW of its bound, the interval
-# that coordinate descent compares on (`search._bound_interval`).
+# that `DesignEvaluator._bounds` gives and coordinate descent compares on.
 SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")
@@ -435,16 +435,18 @@ class DesignEvaluator:
         return out
 
     def _bounds(self, designs) -> np.ndarray:
-        """`_screen`'s lower bound on the value of each design of a
-        non-empty chunk, as a float64 array with NaN where the screen does
-        not certify the design valid (those that leave a treatment unused
-        among them)."""
+        """The interval that holds the kernel's value of each design of a
+        non-empty chunk, as a (B, 2) float64 array of rows (lo, hi): the
+        factor 1 +- SCREEN_WINDOW about `_screen`'s lower bound, NaN where
+        the screen does not certify the design valid (those that leave a
+        treatment unused among them)."""
         xs = self._batch(designs)
         rows = self._using_every_treatment(xs)
         certified, bound = _screen(self._information_matrices(xs[rows]),
                                    self.spec, self._complement)
-        out = np.full(len(xs), np.nan)
-        out[rows[certified]] = bound[certified]
+        out = np.full((len(xs), 2), np.nan)
+        out[rows[certified]] = (bound[certified, None]
+                                * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
         return out
 
     def _chunk_best(self, chunk, best: float | None
@@ -515,10 +517,6 @@ def _label_array(designs) -> np.ndarray:
                                     & (xs == np.trunc(xs))).all():
         raise ValueError("treatments must be whole numbers")
     return xs.astype(np.int64)
-
-
-def build_model_matrix(net: Network, x: Sequence[int], spec: ModelSpec) -> np.ndarray:
-    return DesignEvaluator(net, spec).model_matrix(x)
 
 
 def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:

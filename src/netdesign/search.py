@@ -32,11 +32,11 @@ treatment unused as INVALID without an eigendecomposition.
 
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep rounds, and compare on intervals
-that hold each orbit's kernel value: a certified orbit's value lies within
-a factor 1 +- SCREEN_WINDOW of its screen bound, and a kernel value is a
-point.  Each round plans every walking descent's next candidates as if none
-improves, _LOOKAHEAD of them in all, finds their representatives in one
-call and screens the new ones in one batch.  Each descent then walks its
+that hold each orbit's kernel value: a certified orbit's screen interval
+(`DesignEvaluator._bounds`), and a kernel value as a point.  Each round
+plans every walking descent's next candidates as if none improves,
+_LOOKAHEAD of them in all, finds their representatives in one call and
+screens the new ones in one batch.  Each descent then walks its
 plan until it improves, runs out of plan, or needs the kernel: for an
 orbit the screen does not certify, so that every INVALID decision is the
 kernel's, or for both sides of a comparison whose intervals overlap, which
@@ -70,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .automorph import AutomorphismGroup, find_automorphisms
-from .lnem import SCREEN_WINDOW, Design, DesignEvaluator, ModelSpec
+from .lnem import Design, DesignEvaluator, ModelSpec
 from .network import Network
 
 _SAFETY_BUDGET = 10_000_000
@@ -92,9 +92,9 @@ class SearchConfig:
     max_designs bounds the number of candidates drawn from an enumeration
     stream: exhaustive search only, plus the plugin loop's safety budget.
     Coordinate descent ends on its own and raises ValueError when it is
-    set.  count_invalid_as_eval folds non-estimable evaluations into
-    num_eval for auditing against external counts.  reference_value, when
-    set, fills the report's efficiency field (reference / best found).
+    set.  workers=None lets the search choose: all cores, except one for
+    an exhaustive stream too small to split (`_plan`).  reference_value,
+    when set, fills the report's efficiency field (reference / best found).
     """
 
     algorithm: str = "exhaustive"
@@ -102,16 +102,15 @@ class SearchConfig:
     use_label_symmetry: bool = True
     restarts: int = 100
     seed: int = 0
-    count_invalid_as_eval: bool = False
     max_designs: int | None = None
-    workers: int = 1
+    workers: int | None = 1
     max_group_size: int = 1_000_000
     reference_value: float | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.max_designs is not None and self.max_designs < 1:
             raise ValueError("max_designs must be at least 1")
@@ -124,9 +123,8 @@ class SearchReport:
     """Outcome of one search run.
 
     Counter identity: num_considered = num_eval + num_skipped_noncanonical +
-    num_invalid + num_cache_hits (with count_invalid_as_eval, the invalid
-    count is folded into num_eval and drops out of the identity).  Exhaustive
-    runs never produce cache hits; coordinate descent never skips.
+    num_invalid + num_cache_hits.  Exhaustive runs never produce cache hits;
+    coordinate descent never skips.
     num_skipped_noncanonical includes the designs of subtrees that exhaustive
     search proved non-canonical from their prefix: they are counted (in
     num_considered too) but never enumerated.
@@ -346,9 +344,6 @@ class _Counters:
 def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
                  best_design: Design | None, best_value: float | None,
                  wall_time: float, partial: bool = False) -> SearchReport:
-    num_eval = counters.evals
-    if config.count_invalid_as_eval:
-        num_eval += counters.invalid
     efficiency = None
     if config.reference_value is not None and best_value is not None:
         efficiency = config.reference_value / best_value
@@ -356,7 +351,7 @@ def _make_report(algorithm: str, config: SearchConfig, counters: _Counters,
         algorithm=algorithm,
         best_design=best_design,
         best_value=best_value,
-        num_eval=num_eval,
+        num_eval=counters.evals,
         num_considered=counters.considered,
         num_skipped_noncanonical=counters.skipped,
         num_invalid=counters.invalid,
@@ -420,14 +415,24 @@ def _run_tasks(state, fn: Callable, tasks: Sequence, workers: int) -> Iterator:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
-          budget: int | None) -> tuple[list[tuple[Design, int | None]], bool]:
-    """Subtree tasks (prefix, local budget) in stream order, and whether the
-    budget cuts the stream short.  One worker gets the root alone; for a
-    pool, the subtree with the most designs within the budget is split until
-    each worker has _TASKS_PER_WORKER tasks or only full designs are left.
-    The budget is the local budget of the task it cuts (None elsewhere), and
-    the tasks after that one are dropped."""
+def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
+          budget: int | None
+          ) -> tuple[list[tuple[Design, int | None]], int, bool]:
+    """Subtree tasks (prefix, local budget) in stream order, the worker
+    count, and whether the budget cuts the stream short.  One worker gets
+    the root alone; for a pool, the subtree with the most designs within
+    the budget is split until each worker has _TASKS_PER_WORKER tasks or
+    only full designs are left.  The budget is the local budget of the
+    task it cuts (None elsewhere), and the tasks after that one are
+    dropped.
+
+    workers=None means all cores, except one for a stream (cut to the
+    budget) of fewer than _CHUNK_DESIGNS * _TASKS_PER_WORKER designs.  On a
+    2-core machine a pool takes about 25 ms to start, and the costliest
+    streams timed there (row-column networks without a group, about 30 us
+    a design) break even near that size, cheaper ones later.  The cut does
+    not grow with the core count: a pool saves at most the stream's serial
+    time, about 60 ms at this size even for those streams."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     sizes = _subtree_sizes(n, m, use_label_symmetry)
@@ -444,6 +449,11 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
             left = None if left is None else left - size(prefix)
         return tasks
 
+    partial = budget is not None and budget < size(())
+    if workers is None:
+        designs = budget if partial else size(())
+        workers = (1 if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER
+                   else os.cpu_count() or 1)
     tasks = cut([()], budget)
     while workers > 1 and len(tasks) < _TASKS_PER_WORKER * workers:
         open_ = [i for i, (prefix, _) in enumerate(tasks) if len(prefix) < n]
@@ -454,28 +464,7 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int,
         last = min(max(prefix, default=0) + 1, m) if use_label_symmetry else m
         tasks[i:i + 1] = cut([prefix + (label,) for label in range(1, last + 1)],
                              local)
-    return tasks, budget is not None and budget < size(())
-
-
-def default_workers(net: Network, m: int, *, exhaustive: bool = True,
-                    use_label_symmetry: bool = True,
-                    budget: int | None = None) -> int:
-    """The worker count for a run that names none: all cores, except one
-    for an exhaustive stream (cut to `budget`) of fewer than
-    _CHUNK_DESIGNS * _TASKS_PER_WORKER designs.  On a 2-core machine a
-    pool takes about 25 ms to start, and the costliest streams timed there
-    (row-column networks without a group, about 30 us a design) break even
-    near that size, cheaper ones later.  The cut does not grow with the
-    core count: a pool saves at most the stream's serial time, about 60 ms
-    at this size even for those streams."""
-    if exhaustive:
-        n = net.n_design
-        designs = _subtree_sizes(n, m, use_label_symmetry)[n][0]
-        if budget is not None:
-            designs = min(designs, budget)
-        if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER:
-            return 1
-    return os.cpu_count() or 1
+    return tasks, workers, partial
 
 
 def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],
@@ -530,15 +519,16 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config, spec.m)
-    tasks, partial = _plan(net.n_design, spec.m, config.use_label_symmetry,
-                           config.workers, config.max_designs)
+    tasks, workers, partial = _plan(net.n_design, spec.m,
+                                    config.use_label_symmetry,
+                                    config.workers, config.max_designs)
     state = (DesignEvaluator(net, spec), group, config.use_label_symmetry)
     counters = _Counters()
     best_value = best_design = None
     # tasks come back in stream order, so keeping the first strict
     # improvement gives the earliest best design
     for task_counters, (value, design) in _run_tasks(
-            state, _subtree_task, tasks, config.workers):
+            state, _subtree_task, tasks, workers):
         counters.add(task_counters)
         if _better(value, best_value):
             best_value, best_design = value, design
@@ -571,16 +561,6 @@ def _better_by(y: tuple[float, float], x: tuple[float, float]) -> bool | None:
     return None
 
 
-def _bound_interval(bound: float) -> tuple[float, float] | None:
-    """The interval that holds the kernel value of a design whose
-    `DesignEvaluator._bounds` value is `bound`: within a factor
-    1 +- SCREEN_WINDOW of it, by the screen's error argument (`lnem`).
-    None when the screen did not certify the design (`bound` is NaN)."""
-    if bound != bound:
-        return None
-    return bound * (1 - SCREEN_WINDOW), bound * (1 + SCREEN_WINDOW)
-
-
 def _sweep_plan(xs: np.ndarray, cursors: np.ndarray, width: int, m: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The next `width` candidates of each descent's sweep, as if none
@@ -610,12 +590,12 @@ def _restart_task(state, starts: Sequence[Design]):
     full sweep without one.
 
     Comparisons run on intervals that hold each orbit's kernel value
-    (`_better_by`): a certified orbit's `_bound_interval`, or the kernel's
-    value as a point.  Each round plans every walking descent's next
-    max(1, _LOOKAHEAD // walking) candidates (`_sweep_plan`), finds their
-    representatives in one call and screens the new ones
-    (`DesignEvaluator._bounds`), in calls of at most _CHUNK_DESIGNS.  Then
-    it walks each descent along its plan until it improves, runs out of
+    (`_better_by`): a certified orbit's interval from
+    `DesignEvaluator._bounds`, or the kernel's value as a point.  Each
+    round plans every walking descent's next max(1, _LOOKAHEAD // walking)
+    candidates (`_sweep_plan`), finds their representatives in one call
+    and screens the new ones, in calls of at most _CHUNK_DESIGNS.  Then it
+    walks each descent along its plan until it improves, runs out of
     plan, or needs the kernel: for an uncertified orbit, so that every
     INVALID decision is the kernel's, or for each side of a comparison
     whose intervals overlap, which covers every tie.  That descent waits
@@ -664,9 +644,10 @@ def _restart_task(state, starts: Sequence[Design]):
         rows = np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh))
         for i in range(0, len(rows), _CHUNK_DESIGNS):
             chunk = rows[i:i + _CHUNK_DESIGNS]
-            bounds = ev._bounds(plan[chunk]).tolist()
-            known.update(zip([keys[row] for row in chunk.tolist()],
-                             map(_bound_interval, bounds)))
+            known.update(
+                (keys[row], None if lo != lo else (lo, hi))
+                for row, (lo, hi) in zip(chunk.tolist(),
+                                         ev._bounds(plan[chunk]).tolist()))
         end = 0
         for i, count in zip(walking.tolist(), counts.tolist()):
             j, start = int(cursors[i]), end
@@ -723,8 +704,9 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     (orbit representatives when automorphisms are on); the reported best
     design is the evaluated representative.  The restarts run as one
     contiguous block per worker; a trajectory depends only on (seed,
-    restart index), so results are identical for any worker count.
-    max_designs is refused: a descent has no stream to cut."""
+    restart index), so results are identical for any worker count;
+    workers=None means all cores.  max_designs is refused: a descent has no
+    stream to cut."""
     config = config or SearchConfig(algorithm="coordinate_descent")
     if config.max_designs is not None:
         raise ValueError("max_designs applies to exhaustive search only; "
@@ -733,7 +715,8 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     group = _group_for(net, config, spec.m)
     starts = [_start_design(config.seed, r, net.n_design, spec.m)
               for r in range(config.restarts)]
-    blocks = min(config.workers, config.restarts)
+    workers = (os.cpu_count() or 1) if config.workers is None else config.workers
+    blocks = min(workers, config.restarts)
     tasks = [starts[len(starts) * i // blocks:len(starts) * (i + 1) // blocks]
              for i in range(blocks)]
     best_value = best_design = None
@@ -741,7 +724,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     counters = _Counters()
     state = (DesignEvaluator(net, spec), group)
     for reached, considered, finals in _run_tasks(state, _restart_task, tasks,
-                                                  config.workers):
+                                                  workers):
         merged.update(reached)
         counters.considered += considered
         for value, design in finals:

@@ -32,7 +32,7 @@ def oracle_value(net: nd.Network, x, m: int) -> float | None:
     """Criterion via Moore-Penrose pseudoinverse of the full information
     matrix plus an explicit projection test per contrast."""
     spec = nd.ModelSpec.for_network(net, m)
-    f = nd.build_model_matrix(net, x, spec)
+    f = nd.DesignEvaluator(net, spec).model_matrix(x)
     info = f.T @ f
     pinv = np.linalg.pinv(info)
     total = 0.0

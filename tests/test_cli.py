@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -12,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import netdesign as nd
-from netdesign.cli import main
+from netdesign.cli import _T1_REFERENCE, main
+
+from helpers import exact_rank, oracle_model_matrix, oracle_orbit_minima
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -254,13 +255,21 @@ def test_reproduce_t2_subset(capsys):
     ("reproduce", "t1", "--examples", "7"),
     ("reproduce", "t2", "--examples", "0"),
     ("search", "--example", "0", "-m", "2"),
+    # a bad count is refused before the CSV header too, and t2 runs no
+    # exhaustive search first
+    ("reproduce", "t1", "--examples", "1", "--workers", "0"),
+    ("reproduce", "t4", "--workers", "-1"),
+    ("reproduce", "t2", "--examples", "1", "--restarts", "0"),
 ])
 def test_unknown_example_id_exits_invalid_before_any_output(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "no bundled example" in captured.err and "1..6" in captured.err
+    if "--workers" in argv or "--restarts" in argv:
+        assert "must be at least 1" in captured.err
+    else:
+        assert "no bundled example" in captured.err and "1..6" in captured.err
 
 
 def test_reproduce_t4_default_rows(capsys):
@@ -273,10 +282,28 @@ def test_reproduce_t4_default_rows(capsys):
     assert blocks33["automorphisms"] == "1296"
     assert blocks33["evals_without"] == "2925"
     assert blocks33["evals_with"] == "94"
+    # the reference's layout, 3 blocks of 4 units: z = 3! (4!)^3, and its
+    # row exactly
+    blocks44 = rows[1]
+    assert (blocks44["automorphisms"], blocks44["evals_without"],
+            blocks44["evals_with"]) == ("82944", "86126", "379")
+    assert blocks44["delta_evals_without"] == blocks44["delta_evals_with"] == "0"
     rc = rows[2]
     assert rc["automorphisms"] == "72"
     assert rc["evals_without"] == "2807"
     assert rc["evals_with"] == "241"
+
+
+def _record_workers(monkeypatch) -> list[tuple[int, int]]:
+    """Patch `os.cpu_count` to 4 and the search's task runner to record
+    (design nodes, the worker count it is handed) and run no task."""
+    seen = []
+    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        "netdesign.search._run_tasks",
+        lambda state, fn, tasks, workers:
+            seen.append((state[0].net.n_design, workers)) or iter(()))
+    return seen
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -302,39 +329,41 @@ def test_default_workers_follow_the_stream_size(tmp_path, capsys, monkeypatch,
                                                 argv, expected):
     path = tmp_path / "path312.txt"
     path.write_text("n=3 directed=0\n1-2, 1-3\n")
-    seen = []
-    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
-    monkeypatch.setattr("netdesign.cli.run_search",
-                        lambda net, spec, config: seen.append(config.workers)
-                        or nd.SearchReport("x", None, None, 0, 0, 0, 0, 0,
-                                           0.0, 0))
+    seen = _record_workers(monkeypatch)
     run_cli(capsys, *[str(path) if a == "PATH" else a for a in argv])
-    assert seen == [expected]
+    assert [workers for _, workers in seen] == [expected]
 
 
 def test_reproduce_default_workers_per_row(capsys, monkeypatch):
-    # t1 sizes each row's stream: examples 1 and 2 (512 designs) run at one
+    # t1 sizes each row's stream: example 1 (512 designs) runs at one
     # worker, example 3 (524,288) on all cores; t2's coordinate descent
     # always gets all cores
-    seen = []
-    real = nd.search.run_search
-
-    def record(net, spec, config):
-        seen.append((net.n_design, config.workers))
-        return real(net, spec, dataclasses.replace(config, max_designs=64))
-
-    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
-    monkeypatch.setattr("netdesign.cli.run_search", record)
+    seen = _record_workers(monkeypatch)
     run_cli(capsys, "reproduce", "t1", "--examples", "1,3")
     assert seen == [(10, 1), (10, 1), (20, 4), (20, 4)]
-    cd = []
-    monkeypatch.setattr("netdesign.cli.coordinate_descent",
-                        lambda net, spec, config: cd.append(config.workers)
-                        or real(net, spec, dataclasses.replace(
-                            config, algorithm="exhaustive", max_designs=64)))
     seen.clear()
     run_cli(capsys, "reproduce", "t2", "--examples", "1")
-    assert seen[0] == (10, 1) and cd == [4]
+    assert seen == [(10, 1), (10, 4)]
+    # an explicit count reaches every run
+    seen.clear()
+    run_cli(capsys, "reproduce", "t2", "--examples", "1", "--workers", "3")
+    assert seen == [(10, 3), (10, 3)]
+
+
+def test_reference_counts_full_rank_designs(examples):
+    # the published t1 row of example 1 at m = 2 counts the stream designs
+    # whose model matrix has full column rank, by exact integer rank, and
+    # the canonical ones among them, by the group's images applied in pure
+    # Python; num_eval also counts the valid designs of lower rank
+    net = examples[1]
+    full = []
+    for x in nd.enumerate_designs(net.n_design, 2):
+        f = oracle_model_matrix(net, x, 2)
+        if exact_rank(f) == f.shape[1]:
+            full.append(x)
+    minima = oracle_orbit_minima(nd.find_automorphisms(net), full)
+    canonical = [x for x, least in zip(full, minima) if least == x]
+    assert (len(full), len(canonical)) == _T1_REFERENCE[1][2:4] == (507, 236)
 
 
 def test_console_entry_point():

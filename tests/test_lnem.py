@@ -20,7 +20,7 @@ from helpers import (cycle_network, exact_estimable, exact_rank,
 
 def test_model_matrix_path_worked_example(path312):
     spec = ModelSpec.for_network(path312, 2)
-    f = nd.build_model_matrix(path312, (1, 2, 2), spec)
+    f = DesignEvaluator(path312, spec).model_matrix((1, 2, 2))
     expected = np.array([
         [1, 1, 0, 2],
         [1, 0, 1, 0],
@@ -35,19 +35,19 @@ def test_model_matrix_path_worked_example(path312):
 
 def test_model_matrix_shapes(examples):
     spec = ModelSpec.for_network(examples[1], 2)
-    f = nd.build_model_matrix(examples[1], (1,) * 10, spec)
+    f = DesignEvaluator(examples[1], spec).model_matrix((1,) * 10)
     assert f.shape == (10, 4)  # intercept, tau_1, gamma_1, gamma_2
 
     b4 = nd.augment_blocks([4, 4, 4, 4], 2)
     spec4 = ModelSpec.for_network(b4, 2)
-    f4 = nd.build_model_matrix(b4, (1, 2) * 8, spec4)
+    f4 = DesignEvaluator(b4, spec4).model_matrix((1, 2) * 8)
     assert f4.shape == (16, 8)  # 16 measured rows, 1 + 1 + 6 columns
 
 
 def test_block_rows_excluded_from_model_matrix():
     net = nd.augment_blocks([2, 2], 2)
     spec = ModelSpec.for_network(net, 2)
-    f = nd.build_model_matrix(net, (1, 2, 1, 2), spec)
+    f = DesignEvaluator(net, spec).model_matrix((1, 2, 1, 2))
     assert f.shape == (4, 1 + 1 + 4)
     # every unit sees exactly its own block's pseudo-treatment effect
     assert np.array_equal(f[:, 4], np.array([1, 1, 0, 0.]))
@@ -77,7 +77,7 @@ def test_rank_deficient_but_estimable_design(examples):
 
 def test_m2_criterion_is_single_contrast_variance(path312):
     spec = ModelSpec.for_network(path312, 2)
-    f = nd.build_model_matrix(path312, (1, 1, 2), spec)
+    f = DesignEvaluator(path312, spec).model_matrix((1, 1, 2))
     info = f.T @ f
     value = nd.evaluate_criterion(info, spec)
     c = np.array([0.0, 1.0, 0.0, 0.0])
@@ -196,7 +196,8 @@ def test_generalized_inverse_matches_plain_inverse(examples):
 
 def test_duplicated_runs_halve_the_criterion(examples):
     spec = ModelSpec.for_network(examples[1], 2)
-    f = nd.build_model_matrix(examples[1], (1, 1, 2, 2, 1, 2, 1, 1, 2, 1), spec)
+    f = DesignEvaluator(examples[1], spec).model_matrix(
+        (1, 1, 2, 2, 1, 2, 1, 1, 2, 1))
     single = nd.evaluate_criterion(f.T @ f, spec)
     doubled = nd.evaluate_criterion(np.vstack([f, f]).T @ np.vstack([f, f]), spec)
     assert doubled == single / 2
@@ -224,13 +225,13 @@ def test_rcbd_beats_every_other_design_on_3_blocks_of_3():
 
 def test_ds_criterion(path312):
     spec = ModelSpec.for_network(path312, 2, criterion="Ds")
-    f = nd.build_model_matrix(path312, (1, 1, 2), spec)
+    f = DesignEvaluator(path312, spec).model_matrix((1, 1, 2))
     info = f.T @ f
     value = nd.evaluate_criterion(info, spec)
     # m=2: determinant of a 1x1 covariance = the contrast variance itself
     as_value = nd.evaluate_criterion(info, ModelSpec.for_network(path312, 2))
     assert abs(value - as_value) <= 1e-12
-    f = nd.build_model_matrix(path312, (1, 1, 1), spec)
+    f = DesignEvaluator(path312, spec).model_matrix((1, 1, 1))
     assert nd.evaluate_criterion(f.T @ f, spec) is None
 
 

@@ -25,12 +25,10 @@ def cfg(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
-def assert_counter_identity(report, count_invalid_as_eval=False):
-    total = (report.num_eval + report.num_skipped_noncanonical
-             + report.num_cache_hits)
-    if not count_invalid_as_eval:
-        total += report.num_invalid
-    assert report.num_considered == total
+def assert_counter_identity(report):
+    assert report.num_considered == (report.num_eval + report.num_invalid
+                                     + report.num_skipped_noncanonical
+                                     + report.num_cache_hits)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -94,7 +92,7 @@ def test_block_stream_matches_product_oracle(m, symmetry):
                   search._stream(None, (), n, m, symmetry, None)]
         for budget in _stream_budgets(len(designs), blocks):
             for workers in (1, 2, 3):
-                tasks, _ = search._plan(n, m, symmetry, workers, budget)
+                tasks, _, _ = search._plan(n, m, symmetry, workers, budget)
                 got, counters = [], search._Counters()
                 for prefix, local in tasks:
                     chunks = list(search._chunks(search._stream(
@@ -160,7 +158,7 @@ def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
             cut = outcomes[:budget]
             expected = [x for x, value in cut if value != "skipped"]
             for workers in (1, 2, 3):
-                tasks, _ = search._plan(n, m, True, workers, budget)
+                tasks, _, _ = search._plan(n, m, True, workers, budget)
                 got, counters = [], search._Counters()
                 for prefix, local in tasks:
                     parts = list(segments(prefix, local))
@@ -413,13 +411,26 @@ def test_budget_flags_partial(examples):
     assert full.num_considered == 512
 
 
-def test_count_invalid_as_eval_flag(examples):
-    spec = ModelSpec.for_network(examples[1], 2)
-    base = nd.exhaustive_search(examples[1], spec, cfg())
-    folded = nd.exhaustive_search(examples[1], spec, cfg(count_invalid_as_eval=True))
-    assert folded.num_eval == base.num_eval + base.num_invalid
-    assert folded.num_invalid == base.num_invalid
-    assert_counter_identity(folded, count_invalid_as_eval=True)
+def test_library_default_is_one_worker(examples, monkeypatch):
+    # a library call that names no worker count runs at one; None lets the
+    # search choose: by stream size for exhaustive search, all cores for
+    # coordinate descent
+    seen = []
+    run_tasks = search._run_tasks
+
+    def record(state, fn, tasks, workers):
+        seen.append(workers)
+        return run_tasks(state, fn, tasks, 1)
+
+    monkeypatch.setattr(search, "_run_tasks", record)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    net = examples[3]
+    spec = ModelSpec.for_network(net, 2)
+    for workers in (SearchConfig.workers, None):
+        nd.exhaustive_search(net, spec, cfg(max_designs=4096, workers=workers))
+        nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=2,
+                                             workers=workers))
+    assert seen == [1, 1, 4, 4]
 
 
 def test_workers_bit_identical_exhaustive(examples):
@@ -492,14 +503,20 @@ def _label_canonical(x) -> bool:
 
 @pytest.mark.parametrize("n,m,symmetry", [(9, 3, True), (3, 2, False)],
                          ids=["blocks333-m3", "path312-no-label-symmetry"])
-def test_plan_covers_the_first_budget_designs(n, m, symmetry):
-    # the stream of blocks [3,3,3] at m=3 (9 design nodes) and of path312
-    # without label symmetry, rebuilt from itertools.product
+def test_plan_covers_the_first_budget_designs(n, m, symmetry, monkeypatch):
+    # the stream of blocks [3,3,3] at m=3 (9 design nodes, 3,281 designs)
+    # and of path312 without label symmetry, rebuilt from itertools.product
     designs = [x for x in product(range(1, m + 1), repeat=n)
                if not symmetry or _label_canonical(x)]
-    for workers in (1, 2, 3, 4):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    for workers in (1, 2, 3, 4, None):
         for budget in (None, *range(1, len(designs) + 1)):
-            tasks, partial = search._plan(n, m, symmetry, workers, budget)
+            tasks, planned, partial = search._plan(n, m, symmetry, workers,
+                                                   budget)
+            # None: one worker for a cut stream of fewer than 256 * 8
+            # designs, else all cores
+            cut = len(designs) if budget is None else budget
+            assert planned == (workers or (1 if cut < 2048 else 3))
             # the tasks' designs, concatenated, are designs[:budget]: each
             # subtree is a non-empty run of the sorted stream that starts
             # where the one before ended, and only the last one is cut
@@ -514,10 +531,10 @@ def test_plan_covers_the_first_budget_designs(n, m, symmetry):
                 end = hi
             assert end == (len(designs) if budget is None else budget)
             assert partial == (budget is not None and budget < len(designs))
-            if workers == 1:
+            if planned == 1:
                 assert [prefix for prefix, _ in tasks] == [()]
             else:
-                assert (len(tasks) >= search._TASKS_PER_WORKER * workers
+                assert (len(tasks) >= search._TASKS_PER_WORKER * planned
                         or all(len(prefix) == n for prefix, _ in tasks))
 
 
@@ -827,11 +844,10 @@ def _assert_interval_rule_matches_kernel(ev: DesignEvaluator, designs) -> int:
     xs = np.array(designs, dtype=np.int64)
     values = ev._value_array(xs).tolist()
     held = [[(v, v)] for v in values]
-    for options, b in zip(held, ev._bounds(xs).tolist()):
-        interval = search._bound_interval(b)
-        if interval is not None:
-            assert interval[0] <= options[0][0] <= interval[1]
-            options.append(interval)
+    for options, (lo, hi) in zip(held, ev._bounds(xs).tolist()):
+        if lo == lo:  # certified
+            assert lo <= options[0][0] <= hi
+            options.append((lo, hi))
     decided = 0
     for vy, ys in zip(values, held):
         for vx, xs_ in zip(values, held):
