@@ -19,7 +19,8 @@ stacked array operations, returning a float array with NaN for INVALID.
 batch, or one lockstep step of coordinate descent) and turns NaN into
 None; the searches read the array itself.  `DesignEvaluator.value` and
 `evaluate_criterion` are its one-matrix calls, with the same result bit
-for bit; `evaluate_criterion` rejects a matrix that is not finite.  The
+for bit; `evaluate_criterion` rejects a matrix that is not finite or not
+symmetric.  The
 nuisance coordinates of the whole stack are put in canonical order first,
 in a few calls per refinement pass whatever the stack's size: one
 lexsort of all its coordinates' stacked keys, one step test and one
@@ -33,8 +34,8 @@ c_j != 0 lies in F's row space; if treatment m is unused, the indicators of
 and the contrast e_j of (j, m) has e_j . v = 1.
 
 Exhaustive search keeps only each chunk's count of valid designs and its
-first least value, so it evaluates chunks with `_chunk_best`, which runs
-the eigh kernel only where its bits matter (certify-then-eigh).  F has a
+first least value, so it screens chunks with `_chunk_best` and runs the
+eigh kernel only where its bits matter (certify-then-eigh).  F has a
 null space N common to every design, worked out exactly once per
 evaluator (`DesignEvaluator._null_basis`).  It is zero where F can be
 nonsingular.  On one-way block, row-column, crossover and regular networks
@@ -42,24 +43,33 @@ it holds the treatments' network columns when no two design nodes are
 linked, block columns that sum to the intercept, and on a regular network
 the treatments' network columns, which sum to the degree times the
 intercept.  No pairwise contrast meets N.
-One batched inverse of R + s I, R = Q'(F'F)Q with Q an orthonormal basis
-of N's complement and s a tiny ridge, certifies R far from singular
-(`_screen`): then F'F's null space is N exactly, the design is valid, and
-the criterion read off that inverse is a lower bound on its value,
-within a relative (m - 1) 1e-8 of it.
+One batched Cholesky factor L of R + s I, R = Q'(F'F)Q with Q an
+orthonormal basis of N's complement and s a tiny ridge, and X = L^-1 by
+forward substitution, certify R far from singular (`_screen`): then F'F's
+null space is N exactly, the design is valid, and the criterion read off
+G = X'X = inv(R + s I) is a lower bound on its value, within a relative
+(m - 1) 1e-8 of it.
 Designs the screen does not certify go to the kernel, so every INVALID
 decision is the kernel's; so do the certified designs whose bound comes
 within a factor 1 + SCREEN_WINDOW of the chunk's least bound or of the
-best value so far.  The other certified designs cannot be the best: they
-count as valid, and so in `num_eval`, though no eigendecomposition valued
-them, and their nuisance coordinates are never put in canonical order.
-The best value and design are the kernel's, bit for bit.  Coordinate
-descent screens each orbit representative it plans to reach once
-(`_bounds`), and reads each certified bound as an interval, a factor
-1 +- SCREEN_WINDOW wide, that holds the kernel's value.  It compares
-designs on those intervals and sends to the kernel only the uncertified
-orbits, both sides of a comparison whose intervals overlap, and each
-descent's final orbit (`search._restart_task`).
+best value the kernel has resolved so far.  The search queues them with
+their information matrices and values them at least _CHUNK_DESIGNS at a
+time (`search._subtree_task`).  The other certified designs cannot be the
+best: they count as valid, and so in `num_eval`, though no
+eigendecomposition valued them, and their nuisance coordinates are never
+put in canonical order.  The best value and design are the kernel's, bit
+for bit.
+F is linear in the one-hot labels (`_label_map`), and F'F holds whole
+numbers far below 2^53, exact in float64 in any order of summation.  So
+on the stream, where a table's designs share their walked head, F'F comes
+from tables of the tail's own part and the head's cross terms
+(`_information_matrices` with a `stop`), byte for byte equal to F'F from
+F itself.  Coordinate descent screens each orbit representative it plans
+to reach once (`_bounds`), and reads each certified bound as an interval,
+a factor 1 +- SCREEN_WINDOW wide, that holds the kernel's value.  It
+compares designs on those intervals and sends to the kernel only the
+uncertified orbits, both sides of a comparison whose intervals overlap,
+and each descent's final orbit (`search._restart_task`).
 `values`, `value` and `evaluate_criterion` use the kernel alone.
 """
 
@@ -80,26 +90,32 @@ Design = tuple[int, ...]
 # contrast is estimable when its row-space residual is below the same
 # relative tolerance
 RANK_TOL = 1e-8
-# The screen (`_screen`) inverts R + s I, R = Q'MQ the information matrix
-# M on the complement of its design-independent null space N (R = M when
-# N = 0), with s = SCREEN_RIDGE * tr(R) > 0, so that a singular R meets no
-# exact zero pivot.  R + s I has condition at most 1 + 1 / SCREEN_RIDGE
-# ~ 1e14 (the largest eigenvalue is at most tr(R)), so even for a singular
-# R the computed trace of G = inv(R + s I) is within a few percent of the
-# true one.
+# The screen (`_screen`) factors R + s I = L L' and takes X = L^-1, R = Q'MQ
+# the information matrix M on the complement of its design-independent
+# null space N (R = M when N = 0), with s = SCREEN_RIDGE * tr(R) > 0, so
+# that a singular R meets no zero pivot: the computed factor is exact for
+# R + s I + E, with |E| at most a small multiple of q eps tr(R) and in
+# practice far smaller (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 10), so a pivot rarely comes out not positive.
+# Where one does, np.linalg.cholesky raises for the whole stack, and the
+# screen certifies nothing in it: every design then goes to the kernel.
 SCREEN_RIDGE = 1e-14
-# R is certified when diag(G) > 0 and tr(R) tr(G) <= SCREEN_CERTIFY.  Since
-# tr(R) tr(G) >= lmax / (lmin + s), a certified R has lmin / lmax >=
-# 1 / SCREEN_CERTIFY - SCREEN_RIDGE ~ 1e-6, a hundred times RANK_TOL.  M's
-# eigenvalues are R's and k = dim N zeros, which eigh computes within a
-# few eps * lmax of zero: it drops exactly those k.  The eigenvectors it
-# keeps span N's complement to within an angle of about eps * lmax /
-# lmin <= 2e-10 (Davis-Kahan), and every contrast lies in that complement,
-# so its residual is some 50 times below the RANK_TOL estimability test:
-# every contrast is estimable.  R's condition is at most SCREEN_CERTIFY,
-# so G's forward error is of order SCREEN_CERTIFY * eps ~ 2e-10, times a
-# small dimension factor (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, ch. 14).
+# R is certified when tr(R) tr(G) <= SCREEN_CERTIFY, G = X'X = inv(R + s I)
+# and tr(G) = |X|_F^2 (diag(G) > 0 holds for any finite X, its entries
+# being X's squared column norms).  The computed X is the exact inverse of
+# a factor of R + s I plus a perturbation of order q eps tr(R) (ch. 10
+# and 14 of Higham), so a certified R has lmin / lmax >= 1 /
+# SCREEN_CERTIFY - SCREEN_RIDGE - O(q eps) ~ 1e-6, a hundred times
+# RANK_TOL; for a singular R, tr(R) tr(G) is of order 1 / (SCREEN_RIDGE +
+# O(q eps)), some 1e13, far from certified.  M's eigenvalues are R's and k =
+# dim N zeros, which eigh computes within a few eps * lmax of zero: it
+# drops exactly those k.  The eigenvectors it keeps span N's complement to
+# within an angle of about eps * lmax / lmin <= 2e-10 (Davis-Kahan), and
+# every contrast lies in that complement, so its residual is some 50 times
+# below the RANK_TOL estimability test: every contrast is estimable.  R's
+# condition is at most SCREEN_CERTIFY, so the forward error of G, and of
+# the treatment block read off X, is of order SCREEN_CERTIFY * eps ~
+# 2e-10, times a small dimension factor (Higham, ch. 14).
 SCREEN_CERTIFY = 1e6
 # (R + s I)^-1 <= R^-1, so the screen's value is a lower bound; per
 # eigenvalue 1/(l + s) >= (1 - s / (lmin + s)) / l and s / (lmin + s) <=
@@ -312,11 +328,31 @@ class DesignEvaluator:
         self.net = net
         self.spec = spec
         a_meas = net.adjacency[list(net.design_nodes), :].astype(np.float64)
-        self._onehot_rows = np.eye(spec.total_treatments)
         self._a_design = a_meas[:, list(net.design_nodes)]
         fixed = [net.roles[b].fixed_treatment - 1 for b in net.block_nodes]
         self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
-                              @ self._onehot_rows[fixed])
+                              @ np.eye(spec.total_treatments)[fixed])
+        self._tails: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def _label_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """F as a linear map of the one-hot labels: the (d m, d p) matrix
+        whose row k m + l - 1 is the flattened (d, p) change K_k[l] that
+        label l at position k makes to F (a 1 in row k's indicator column
+        l, and A_d[i, k] in every row i's network column of l), and the
+        flattened (d p) constant: the intercept and the block
+        pseudo-treatments' network counts.  Every entry is a small whole
+        number."""
+        m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
+        changes = np.zeros((d, m, d, p))
+        k = np.arange(d)[:, None]
+        changes[k, np.arange(m - 1), k, np.arange(1, m)] = 1.0
+        for label in range(m):
+            changes[:, label, :, m + label] = self._a_design.T
+        constant = np.zeros((d, p))
+        constant[:, 0] = 1.0
+        constant[:, m:] = self._gamma_blocks
+        return changes.reshape(d * m, d * p), constant.ravel()
 
     @cached_property
     def _null_basis(self) -> np.ndarray:
@@ -385,16 +421,14 @@ class DesignEvaluator:
         return xs
 
     def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
-        """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p):
-        one one-hot gather and one broadcast matmul for the whole batch."""
-        m, d = self.spec.m, self.net.n_design
-        onehot = self._onehot_rows[xs - 1]
-        f = np.empty((len(xs), d, self.spec.n_params))
-        f[:, :, 0] = 1.0
-        f[:, :, 1:m] = onehot[:, :, :m - 1]
-        np.matmul(self._a_design, onehot, out=f[:, :, m:])
-        f[:, :, m:] += self._gamma_blocks
-        return f
+        """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p);
+        given only the first s < d labels of each design, (B, s), the
+        model matrices with positions s..d-1 left empty.  One GEMM of the
+        one-hot labels against `_label_map`, plus its constant."""
+        mapping, constant = self._label_map
+        f = _onehot(xs, self.spec.m) @ mapping[:xs.shape[1] * self.spec.m]
+        f += constant
+        return f.reshape(len(xs), self.net.n_design, self.spec.n_params)
 
     def _check_length(self, length: int) -> None:
         if length != self.net.n_design:
@@ -434,6 +468,11 @@ class DesignEvaluator:
                                           self.spec)
         return out
 
+    def _kernel_values(self, info: np.ndarray) -> np.ndarray:
+        """`_value_array` of designs given by their information matrices (a
+        (B, p, p) stack from `_information_matrices`)."""
+        return _canonical_values(info, self.spec)
+
     def _bounds(self, designs) -> np.ndarray:
         """The interval that holds the kernel's value of each design of a
         non-empty chunk, as a (B, 2) float64 array of rows (lo, hi): the
@@ -449,47 +488,41 @@ class DesignEvaluator:
                                 * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
         return out
 
-    def _chunk_best(self, chunk, best: float | None
-                    ) -> tuple[int, int | None, float | None]:
-        """The number of valid designs in a non-empty chunk, and the index
-        and value of its first least value (None, None if none is valid),
-        as `_value_array` and a first argmin would give them whenever that
-        value is at most `best` (or `best` is None).  Otherwise the index
-        and value may be another valid design's, or None.
+    def _chunk_best(self, chunk, best: float | None, stop: int | None = None
+                    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Screen a non-empty chunk: the number of designs certified valid
+        that can hold neither the chunk's first least value nor one below
+        `best`, and the indices and information matrices (nuisance
+        coordinates not yet canonical) of the designs that need the
+        kernel, in chunk order.  `_kernel_values` of those gives the rest
+        of the valid count and the chunk's first least value, as
+        `_value_array` and a first argmin would, whenever that value is at
+        most `best` (or `best` is None).  The other designs leave a
+        treatment unused and are INVALID.  `stop` is passed on to
+        `_information_matrices`.
 
-        Certify-then-eigh: a design that leaves a treatment unused is
-        INVALID as in `_value_array`; the others' matrices go through
-        `_screen`, on every network.  The uncertified ones, and the
-        certified ones whose lower bound is within a factor
-        1 + SCREEN_WINDOW of min(best, least bound), get their nuisance
-        coordinates put in canonical order and `_criterion_values` as one
-        stack, so their values and INVALID decisions are those of
-        `_value_array` bit for bit.  The other certified designs are valid
-        but worse than the least bound's design or than `best`, so none
-        holds a first least value that is at most `best`: they count as
-        valid with no canonicalization and no eigendecomposition.  A
-        one-design chunk gains nothing from the screen, since its design
-        reaches eigh either way, and goes to `_value_array`."""
-        if len(chunk) < 2:
-            values = self._value_array(chunk)
-            rows, skipped = np.arange(len(values)), 0
-        else:
-            xs = self._batch(chunk)
-            rows = self._using_every_treatment(xs)
-            info = self._information_matrices(xs[rows])
-            certified, bound = _screen(info, self.spec, self._complement)
-            exact = ~certified
-            if certified.any():
-                least = bound[certified].min()
-                window = least if best is None else min(best, least)
-                exact |= bound <= window * (1 + SCREEN_WINDOW)
-            values = _canonical_values(info[exact], self.spec)
-            rows, skipped = rows[exact], int((certified & ~exact).sum())
-        valid = (~np.isnan(values)).nonzero()[0]
-        if not len(valid):
-            return skipped, None, None
-        i = valid[values[valid].argmin()]
-        return len(valid) + skipped, int(rows[i]), float(values[i])
+        Certify-then-eigh: the matrices of the designs that use every
+        treatment go through `_screen`, on every network.  The uncertified
+        ones, and the certified ones whose lower bound is within a factor
+        1 + SCREEN_WINDOW of min(best, least bound), need the kernel
+        (`_canonical_values`), which gives their values and INVALID
+        decisions as `_value_array` does, bit for bit.  The other certified
+        designs are valid but worse than the least bound's design or than
+        `best`, so they count as valid with no canonicalization and no
+        eigendecomposition.  The screen is not run where it could skip
+        nothing: on no design, or on one design with no best."""
+        xs = self._batch(chunk)
+        rows = self._using_every_treatment(xs)
+        info = self._information_matrices(xs[rows], stop)
+        if len(rows) < (1 if best is not None else 2):
+            return 0, rows, info
+        certified, bound = _screen(info, self.spec, self._complement)
+        exact = ~certified
+        if certified.any():
+            least = bound[certified].min()
+            window = least if best is None else min(best, least)
+            exact |= bound <= window * (1 + SCREEN_WINDOW)
+        return int((certified & ~exact).sum()), rows[exact], info[exact]
 
     def _using_every_treatment(self, xs: np.ndarray) -> np.ndarray:
         """Indices of the designs of the checked batch `xs` that use every
@@ -498,12 +531,104 @@ class DesignEvaluator:
         used[np.arange(len(xs))[:, None], xs] = True
         return used[:, 1:].all(axis=1).nonzero()[0]
 
-    def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
+    def _information_matrices(self, xs: np.ndarray, stop: int | None = None
+                              ) -> np.ndarray:
         """F'F of each design of the checked batch `xs`, in the order of
         F's columns: `_canonical_values` orders the nuisance coordinates of
-        those that go to the kernel."""
-        f = self._model_matrices(xs)
-        return f.transpose(0, 2, 1) @ f
+        those that go to the kernel.  Every entry is a whole number far
+        below 2^53, exact in float64 whatever the order of the sums, so
+        both routes below give the same bytes.
+
+        Without `stop` (or with stop = d), F'F of each `_model_matrices`.
+        With it, positions stop..d-1 are each design's tail: F = A + B,
+        with A the model matrix of the head x[:stop] alone (constant c
+        included) and B = sum_k K_k[x_k] over the tail.  Then F'F = A'A +
+        H'B + B'H + [B'B + c'B + B'c], H = A - c.  The bracket depends on
+        the tail alone and is read off `_tail_tables` by the tail's index
+        among all m^(d - stop) strings.  H'B only meets the rows of F that
+        depend on a head label and on a tail label, so it is the sum over
+        the tail positions k that touch those rows of (H'K_k)[x_k].
+        Consecutive designs with the same head share A'A and the
+        (H'K_k)[l], made for all of the batch's heads in a few stacked
+        calls, and each design gathers one block per such position.  A
+        stream segment's designs share their head, so a chunk of segments
+        pays per segment, not per design."""
+        d = self.net.n_design
+        if stop is None or stop >= d or not len(xs):
+            f = self._model_matrices(xs)
+            return f.transpose(0, 2, 1) @ f
+        m, p = self.spec.m, self.spec.n_params
+        grams, place, rows, positions, changes = self._tail_tables(stop)
+        heads, tails = xs[:, :stop], xs[:, stop:] - 1
+        first = np.ones(len(xs), dtype=bool)  # where a head starts
+        np.any(heads[1:] != heads[:-1], axis=1, out=first[1:])
+        segment = np.cumsum(first) - 1
+        f0 = self._model_matrices(heads[first])
+        f0t = f0.transpose(0, 2, 1)
+        out = grams[tails @ place]
+        if not len(positions):
+            out += (f0t @ f0)[segment]
+            return out
+        # H'K_k[l] of every head on the shared rows, with H'K + K'H
+        # symmetric and F0'F0 folded into the first position's blocks
+        width = len(positions)
+        head = f0[:, rows] - self._label_map[1].reshape(d, p)[rows]
+        cross = (head.transpose(0, 2, 1) @ changes).reshape(
+            len(f0), p, width * m, p).transpose(0, 2, 1, 3)
+        cross = cross + cross.transpose(0, 1, 3, 2)
+        cross[:, :m] += (f0t @ f0)[:, None]
+        cross = cross.reshape(-1, p, p)
+        slots = (segment[:, None] * (width * m) + np.arange(width) * m
+                 + tails[:, positions])
+        for k in range(width):
+            out += cross[slots[:, k]]
+        return out
+
+    def _tail_tables(self, stop: int) -> tuple[np.ndarray, ...]:
+        """The tables `_information_matrices` reads for tails at positions
+        stop..d-1, r of them, built once per `stop` (a stream's tails are
+        at most _CHUNK_DESIGNS strings).  With F = A + B, A the model
+        matrix of the head alone (the constant included) and B = sum_k
+        K_k[x_k] over the tail: B'B + c'B + B'c of every one of the m^r
+        tail strings (c the constant part of A), as an (m^r, p, p) stack
+        in lexicographic order, and the place values that give a tail's
+        index in it from its labels minus one; the rows of F that depend
+        on a head label and on a tail label; the tail positions (0..r-1)
+        whose K_k meets those rows; and those positions' K_k[l] on those
+        rows, side by side as an (n_rows, positions m p) array.  Where no
+        two design nodes are linked, no row depends on both."""
+        tables = self._tails.get(stop)
+        if tables is None:
+            m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
+            width = d - stop
+            mapping, constant = self._label_map
+            changes = mapping.reshape(d, m, d, p)
+            # touched[k, i]: label at position k can change row i of F
+            touched = changes.any(axis=(1, 3))
+            rows = (touched[:stop].any(axis=0)
+                    & touched[stop:].any(axis=0)).nonzero()[0]
+            positions = touched[stop:, rows].any(axis=1).nonzero()[0]
+            strings = np.indices((m,) * width).reshape(width, -1).T + 1
+            b = (_onehot(strings, m) @ mapping[stop * m:]).reshape(-1, d, p)
+            c = constant.reshape(d, p)
+            bc = b.transpose(0, 2, 1) @ c
+            grams = b.transpose(0, 2, 1) @ b + bc + bc.transpose(0, 2, 1)
+            place = m ** np.arange(width - 1, -1, -1)
+            shared = changes[stop + positions][:, :, rows]
+            tables = self._tails[stop] = (
+                grams, place, rows, positions,
+                np.ascontiguousarray(shared.transpose(2, 0, 1, 3)).reshape(
+                    len(rows), len(positions) * m * p))
+        return tables
+
+
+def _onehot(xs: np.ndarray, m: int) -> np.ndarray:
+    """The (B, s) labels 1..m as (B, s m) one-hot rows: column k m + l - 1
+    is 1 where position k holds label l."""
+    onehot = np.zeros((len(xs), xs.shape[1] * m))
+    columns = np.arange(xs.shape[1]) * m + xs - 1
+    onehot[np.arange(len(xs))[:, None], columns] = 1.0
+    return onehot
 
 
 def _label_array(designs) -> np.ndarray:
@@ -528,7 +653,9 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
     generalized inverse built by eigendecomposition with relative rank
     tolerance RANK_TOL.  For "Ds": the determinant of the covariance of the
     m-1 free treatment effects.  Lower is better for both.  A matrix of
-    the wrong shape, or with an entry that is NaN or infinite, is an error.
+    the wrong shape, with an entry that is NaN or infinite, or that is not
+    exactly symmetric (the eigendecomposition reads one triangle) is an
+    error.
     """
     info = np.asarray(info, dtype=np.float64)
     p = spec.n_params
@@ -536,6 +663,8 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
         raise ValueError(f"information matrix shape {info.shape}, expected {(p, p)}")
     if not np.isfinite(info).all():
         raise ValueError("information matrix entries must be finite")
+    if not (info == info.T).all():
+        raise ValueError("information matrix must be symmetric")
     value = float(_canonical_values(info[None, :, :], spec)[0])
     return value if value == value else None
 
@@ -544,50 +673,78 @@ def _screen(info: np.ndarray, spec: ModelSpec,
             basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices M of a (B, p, p) stack of finite information matrices
     `_criterion_values` would find with every contrast estimable, certified
-    from one batched inverse without an eigendecomposition, and for each a
-    lower bound on its criterion value (meaningless where not certified).
+    from one batched Cholesky factor without an eigendecomposition, and for
+    each a lower bound on its criterion value (meaningless where not
+    certified).
 
     `basis` is an orthonormal basis Q of the complement of a null space N
     that every matrix of the stack has, and that no pairwise contrast
     meets (`DesignEvaluator._complement`); None means N = 0, Q = I.  The
-    screen inverts R + s I, R = Q'MQ: G = inv(R + s I).  A certified R is
-    far from singular, so null(M) is N exactly, every contrast c
-    (orthogonal to N) is estimable, and c'M^+c = (Q'c)' R^-1 (Q'c) (Rao
-    and Mitra, Generalized Inverse of Matrices and its Applications,
-    1971).  The bound is the criterion read off G in place of R^-1, from
-    the treatment block C = Q_t G Q_t' on the coordinates t = 1..m-1
-    (C = G_tt when Q = I): As is the mean of C_jj + C_ll - 2 C_jl over the
-    pairs, that is (m tr(C) - sum(C)) / (m(m-1)/2), and Ds is det(C); both
-    times the powers of sigma2 that `_criterion_values` applies.
-    SCREEN_RIDGE, SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate
-    and the bound hold."""
+    screen factors R + s I = L L', R = Q'MQ, and takes X = L^-1 by forward
+    substitution, so that G = inv(R + s I) = X'X and tr(G) = |X|_F^2.  A
+    certified R is far from singular, so null(M) is N exactly, every
+    contrast c (orthogonal to N) is estimable, and c'M^+c = (Q'c)' R^-1
+    (Q'c) (Rao and Mitra, Generalized Inverse of Matrices and its
+    Applications, 1971).  The bound is the criterion read off G in place
+    of R^-1, from the treatment block C = Q_t G Q_t' = Y'Y on the
+    coordinates t = 1..m-1, Y = X Q_t' (the columns t of X when Q = I):
+    As is the mean of C_jj + C_ll - 2 C_jl over the pairs, that is
+    (m |Y|_F^2 - |Y 1|^2) / (m(m-1)/2), and Ds is det(Y'Y); both times the
+    powers of sigma2 that `_criterion_values` applies.  A stack that
+    Cholesky cannot factor gets nothing certified.  SCREEN_RIDGE,
+    SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate and the bound
+    hold."""
     m, batch = spec.m, len(info)
     if basis is not None:
         info = basis.T @ info @ basis
+    q = info.shape[-1]
     trace = np.trace(info, axis1=1, axis2=2)
-    ridge = (SCREEN_RIDGE * trace)[:, None, None] * np.eye(info.shape[-1])
-    shifted = info + ridge
+    shifted = info.copy()
+    shifted.reshape(batch, q * q)[:, ::q + 1] += (SCREEN_RIDGE * trace)[:, None]
     # a matrix certified far from singular has a finite, well-conditioned
     # G; the others may overflow or come out garbage, and are not certified
     with np.errstate(all="ignore"):
         try:
-            g = np.linalg.inv(shifted)
-        except np.linalg.LinAlgError:  # an exact zero pivot despite the ridge
+            x = _inverse_factor(np.linalg.cholesky(shifted))
+        except np.linalg.LinAlgError:  # a pivot not positive despite the ridge
             return np.zeros(batch, dtype=bool), np.full(batch, np.inf)
-        diag = g.diagonal(axis1=1, axis2=2)
-        certified = ((diag > 0).all(axis=1)
-                     & (trace * diag.sum(axis=1) <= SCREEN_CERTIFY))
+        # x is X with the batch as its last axis.  diag(G) holds the
+        # squared column norms of X, positive wherever X is finite, and a
+        # NaN fails the test
+        certified = (trace * np.add.reduce(x * x, axis=(0, 1))
+                     <= SCREEN_CERTIFY)
         if basis is None:
-            block = g[:, 1:m, 1:m]
+            y = x[:, 1:m]
         else:
-            block = basis[1:m] @ g @ basis[1:m].T
+            y = np.einsum("ijb,tj->itb", x, basis[1:m])
         if spec.criterion == "As":
-            bound = ((m * np.trace(block, axis1=1, axis2=2)
-                      - block.sum(axis=(1, 2))) / (m * (m - 1) / 2)
+            sums = np.add.reduce(y, axis=1)
+            bound = ((m * np.add.reduce(y * y, axis=(0, 1))
+                      - np.add.reduce(sums * sums, axis=0)) / (m * (m - 1) / 2)
                      * spec.sigma2)
         else:
-            bound = np.linalg.det(block) * spec.sigma2 ** (m - 1)
+            bound = (np.linalg.det(np.einsum("itb,isb->bts", y, y))
+                     * spec.sigma2 ** (m - 1))
     return certified, bound
+
+
+def _inverse_factor(low: np.ndarray) -> np.ndarray:
+    """L^-1 of each lower triangular matrix of the (B, q, q) stack `low`,
+    with a nonzero diagonal, as a (q, q, B) array: the batch is the last
+    axis, so that every step reads contiguous memory.  Forward
+    substitution on the rows of L X = I: row i of X from rows 0..i-1, in
+    one step for the whole stack (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 14)."""
+    q = low.shape[-1]
+    low = np.ascontiguousarray(low.transpose(1, 2, 0))
+    pivots = 1 / low[np.arange(q), np.arange(q)]
+    x = np.zeros_like(low)
+    x[0, 0] = pivots[0]
+    for i in range(1, q):
+        np.multiply(np.einsum("jb,jkb->kb", low[i, :i], x[:i, :i]),
+                    -pivots[i], out=x[i, :i])
+        x[i, i] = pivots[i]
+    return x
 
 
 def _canonical_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:

@@ -48,12 +48,16 @@ not counted, so the counters equal those of running the restarts one after
 another with exact values.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
-whose live rows are joined into chunks of at least _CHUNK_DESIGNS designs,
-one `_chunk_best` call each (the chunk's valid count and first least value,
-with eigh only on the designs that can be the best or are not certified
-estimable), or contiguous blocks of restarts, one per worker.  One worker runs them in this process, more run
-the same code on a process pool, and results merge in task order, so
-reports do not depend on the worker count.
+or contiguous blocks of restarts, one per worker.  A subtree task joins
+its live rows into chunks of at least _CHUNK_DESIGNS designs and screens
+each in one `_chunk_best` call: F'F from the tail tables' exact integer
+parts (a table's designs share their walked head), one batched Cholesky
+certificate, and the count of designs found valid that cannot be the
+best.  The designs that can be the best or are not certified estimable
+wait in a queue, in stream order, which the eigh kernel values at least
+_CHUNK_DESIGNS at a time and once more at the task's end.  One worker runs
+the tasks in this process, more run the same code on a process pool, and
+results merge in task order, so reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -221,8 +225,9 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     k >= 1 to evaluate, or None when none is.
 
     The last s positions (fewer if fewer are left) come from one
-    `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS and
-    m^s z <= _CHUNK_DESIGNS^2 (z = 1 without a group); the odometer walks
+    `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS,
+    m^s z <= _CHUNK_DESIGNS^2 (z = 1 without a group) and m^s <= budget
+    (`_table_start`); the odometer walks
     the positions between the prefix and them, and each of its steps is one
     segment.  Without a group every row is live.  Under one the walk tests
     each prefix it reaches, the given one first, and a prefix that some
@@ -240,12 +245,8 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     least key is key 0.  With no position left for a table (s = 0, or a
     whole design as the prefix) the walk's test of the design is that gate,
     and a design that passes it is live."""
-    z = 1 if group is None else group.size
-    width = 0
-    while m ** (width + 1) <= min(_CHUNK_DESIGNS, _CHUNK_DESIGNS ** 2 // z):
-        width += 1
     start = len(prefix)
-    stop = max(n - width, start)  # the walked positions are start..stop-1
+    stop = _table_start(group, start, n, m, budget)  # walked: start..stop-1
     x = list(prefix) + [1] * (stop - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
     left = budget
@@ -254,7 +255,7 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
         sizes = _subtree_sizes(n, m, use_label_symmetry)
         w, unset, gates = group.weights(m), m + 1, {}
         fresh = max(start - 1, 0)
-        keys = np.empty((stop + 1, z), dtype=w.dtype)
+        keys = np.empty((stop + 1, group.size), dtype=w.dtype)
         keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
                                dtype=w.dtype) @ w
         if fresh < stop:
@@ -301,6 +302,23 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
             fresh = stop
         else:
             keys[fresh + 1] += w[fresh]  # x[fresh] grew by one
+
+
+def _table_start(group: AutomorphismGroup | None, start: int, n: int, m: int,
+                 budget: int | None) -> int:
+    """The first tail-table position of `_stream` after a prefix of
+    `start` labels: n - s, or `start` if that is later, with s the largest
+    for which a table of m^s rows holds at most _CHUNK_DESIGNS rows, at
+    most _CHUNK_DESIGNS^2 / z (z = 1 without a group) and at most the
+    budget.  The budget term keeps a short run from building a table it
+    barely reads."""
+    z = 1 if group is None else group.size
+    rows = min(_CHUNK_DESIGNS, _CHUNK_DESIGNS ** 2 // z,
+               _CHUNK_DESIGNS if budget is None else budget)
+    width = 0
+    while m ** (width + 1) <= rows:
+        width += 1
+    return max(n - width, start)
 
 
 def enumerate_designs(n_design_nodes: int, m: int,
@@ -427,12 +445,15 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     dropped.
 
     workers=None means all cores, except one for a stream (cut to the
-    budget) of fewer than _CHUNK_DESIGNS * _TASKS_PER_WORKER designs.  On a
-    2-core machine a pool takes about 25 ms to start, and the costliest
-    streams timed there (row-column networks without a group, about 30 us
-    a design) break even near that size, cheaper ones later.  The cut does
-    not grow with the core count: a pool saves at most the stream's serial
-    time, about 60 ms at this size even for those streams."""
+    budget) of fewer than 16,384 designs.  On a 2-core machine a pool
+    takes about 25 ms to start.  The costliest streams timed there,
+    row-column networks without a group, take about 5 us a design at one
+    worker, and two workers break even near 10,000-12,000 designs (rc 4x4
+    at m = 4: 43 against 62 ms at 8,192 designs, 103 against 86 ms at
+    16,384); examples 1 and 2, at about 2 us a design, near 20,000.  The
+    cut does not grow with the core count: a pool saves at most the
+    stream's serial time, about 80 ms at this size even for the costliest
+    streams."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     sizes = _subtree_sizes(n, m, use_label_symmetry)
@@ -452,8 +473,7 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     partial = budget is not None and budget < size(())
     if workers is None:
         designs = budget if partial else size(())
-        workers = (1 if designs < _CHUNK_DESIGNS * _TASKS_PER_WORKER
-                   else os.cpu_count() or 1)
+        workers = 1 if designs < 16_384 else os.cpu_count() or 1
     tasks = cut([()], budget)
     while workers > 1 and len(tasks) < _TASKS_PER_WORKER * workers:
         open_ = [i for i, (prefix, _) in enumerate(tasks) if len(prefix) < n]
@@ -487,26 +507,58 @@ def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],
 
 
 def _subtree_task(state, task: tuple[Design, int | None]):
-    """Evaluate one subtree task in chunks of its `_stream`'s live rows, one
-    `_chunk_best` call each; returns its counters and its best (value,
-    design), the earliest design that reaches the best value.  The serial
-    path and every pool worker, with a group or without, run this same
-    loop."""
+    """Evaluate one subtree task in chunks of its `_stream`'s live rows;
+    returns its counters and its best (value, design), the earliest design
+    that reaches the best value.  The serial path and every pool worker,
+    with a group or without, run this same loop.
+
+    Each chunk goes through `_chunk_best`, whose window uses the best value
+    the kernel has resolved so far; the designs it leaves to the kernel
+    wait in a queue, in stream order, and are valued at least
+    _CHUNK_DESIGNS at a time, and once more at the task's end
+    (`_kernel_best`).  A best that is not yet resolved only widens the
+    window, so more designs reach the kernel, never fewer."""
     ev, group, use_label_symmetry = state
     prefix, budget = task
+    n, m = ev.net.n_design, ev.spec.m
     counters = _Counters()
-    stream = _stream(group, prefix, ev.net.n_design, ev.spec.m,
-                     use_label_symmetry, budget)
-    best_value = best_design = None
+    stream = _stream(group, prefix, n, m, use_label_symmetry, budget)
+    stop = _table_start(group, len(prefix), n, m, budget)
+    best = (None, None)
+    queue, queued = [], 0
     for chunk in _chunks(stream, counters):
-        # the chunk's first least value whenever it can beat the best so
-        # far; the strict rule below keeps the earlier design on a tie
-        evals, i, value = ev._chunk_best(chunk, best_value)
-        counters.evals += evals
-        counters.invalid += len(chunk) - evals
-        if i is not None and _better(value, best_value):
-            best_value, best_design = value, tuple(chunk[i].tolist())
-    return counters, (best_value, best_design)
+        valid, rows, info = ev._chunk_best(chunk, best[0], stop)
+        counters.evals += valid
+        counters.invalid += len(chunk) - valid - len(rows)
+        if len(rows):
+            queue.append((chunk[rows], info))
+            queued += len(rows)
+        if queued >= _CHUNK_DESIGNS:
+            best = _kernel_best(ev, queue, counters, best)
+            queue, queued = [], 0
+    if queue:
+        best = _kernel_best(ev, queue, counters, best)
+    return counters, best
+
+
+def _kernel_best(ev: DesignEvaluator, queue: list, counters: _Counters,
+                 best: tuple[float | None, Design | None]
+                 ) -> tuple[float | None, Design | None]:
+    """Value the queued (designs, information matrices) pairs, in stream
+    order, with one kernel call; count them as valid or INVALID, and
+    return the best (value, design): the queue's first least value if it
+    is strictly better (`_better`) than `best`, else `best`, so a tie keeps
+    the earlier design."""
+    designs = np.concatenate([xs for xs, _ in queue])
+    values = ev._kernel_values(np.concatenate([info for _, info in queue]))
+    valid = (~np.isnan(values)).nonzero()[0]
+    counters.evals += len(valid)
+    counters.invalid += len(values) - len(valid)
+    if len(valid):
+        i = valid[values[valid].argmin()]
+        if _better(float(values[i]), best[0]):
+            return float(values[i]), tuple(designs[i].tolist())
+    return best
 
 
 def exhaustive_search(net: Network, spec: ModelSpec,

@@ -309,15 +309,15 @@ def _record_workers(monkeypatch) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("argv,expected", [
     # path312 at m = 2: 4 label-canonical designs, so a pool would only cost
     (("search", "--network", "PATH", "-m", "2"), 1),
-    # example 3 at m = 2: 524,288 designs, over 256 * 8
+    # example 3 at m = 2: 524,288 designs, over 16,384
     (("search", "--example", "3", "-m", "2"), 4),
-    # a budget cuts the same stream; the cut is 256 * 8 whatever the cores
-    (("search", "--example", "3", "-m", "2", "--max-designs", "2047"), 1),
-    (("search", "--example", "3", "-m", "2", "--max-designs", "2048"), 4),
-    # 11 units in blocks at m = 2: 1,024 label-canonical designs, 2,048
+    # a budget cuts the same stream; the cut is 16,384 whatever the cores
+    (("search", "--example", "3", "-m", "2", "--max-designs", "16383"), 1),
+    (("search", "--example", "3", "-m", "2", "--max-designs", "16384"), 4),
+    # 14 units in blocks at m = 2: 8,192 label-canonical designs, 16,384
     # without label symmetry
-    (("search", "--blocks", "4,4,3", "-m", "2"), 1),
-    (("search", "--blocks", "4,4,3", "-m", "2", "--no-label-symmetry"), 4),
+    (("search", "--blocks", "4,4,3,3", "-m", "2"), 1),
+    (("search", "--blocks", "4,4,3,3", "-m", "2", "--no-label-symmetry"), 4),
     # coordinate descent has no stream to size: all cores
     (("search", "--network", "PATH", "-m", "2", "--algorithm", "cd"), 4),
     # an explicit count wins in either direction

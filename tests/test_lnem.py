@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import netdesign as nd
 from netdesign import search
-from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_WINDOW,
-                            DesignEvaluator, ModelSpec,
+from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_CERTIFY, SCREEN_RIDGE,
+                            SCREEN_WINDOW, DesignEvaluator, ModelSpec,
                             _canonicalize_nuisance, _screen)
 
 from helpers import (cycle_network, exact_estimable, exact_rank,
@@ -357,6 +357,23 @@ def test_criterion_rejects_non_finite_matrices(path312, bad, blocked):
             nd.evaluate_criterion(info, spec)
 
 
+def test_criterion_rejects_non_symmetric_matrices(path312):
+    # the eigendecomposition reads one triangle, so 3 I with one entry
+    # above the diagonal changed would get the value of 3 I; it is an
+    # error, and so is a change below the diagonal; a symmetric change is
+    # not
+    spec = ModelSpec(m=2, total_treatments=2)
+    info = 3 * np.eye(4)
+    assert nd.evaluate_criterion(info, spec) == 1 / 3
+    for i, j in [(0, 3), (3, 0), (1, 2)]:
+        bad = info.copy()
+        bad[i, j] = 100.0
+        with pytest.raises(ValueError, match="must be symmetric"):
+            nd.evaluate_criterion(bad, spec)
+    info[1, 2] = info[2, 1] = 1.0
+    assert nd.evaluate_criterion(info, spec) is not None
+
+
 def test_model_spec_validation(path312):
     with pytest.raises(ValueError):
         ModelSpec(m=1, total_treatments=1)
@@ -679,14 +696,148 @@ def test_screen_never_certifies_a_matrix_eigh_calls_singular(p):
     assert certified.any()
 
 
-def test_screen_of_a_stack_that_inv_cannot_factor():
-    # a zero matrix gets no ridge, so the batched inverse meets an exact
-    # zero pivot and raises; the screen then certifies nothing in the stack
+def test_screen_of_a_stack_that_cholesky_cannot_factor():
+    # a zero matrix gets no ridge, and a negative definite one has no
+    # Cholesky factor with it, so the batched factorization raises; the
+    # screen then certifies nothing in the stack
     spec = ModelSpec(m=2, total_treatments=2)
-    info = np.stack([np.eye(4), np.zeros((4, 4))])
-    certified, _ = _screen(info, spec)
-    assert not certified.any()
+    for bad in (np.zeros((4, 4)), -np.eye(4)):
+        info = np.stack([np.eye(4), bad])
+        certified, _ = _screen(info, spec)
+        assert not certified.any()
     assert _screen(info[:1], spec)[0].all()
+
+
+def _inverse_screen(info: np.ndarray, spec: ModelSpec, basis=None):
+    """The screen's certificate and bound from a batched inverse of R + s I
+    in place of the Cholesky factor: diag(G) > 0 and tr(R) tr(G) <=
+    SCREEN_CERTIFY, with the treatment block C = Q_t G Q_t' read directly."""
+    m = spec.m
+    if basis is not None:
+        info = basis.T @ info @ basis
+    trace = np.trace(info, axis1=1, axis2=2)
+    g = np.linalg.inv(info + (SCREEN_RIDGE * trace)[:, None, None]
+                      * np.eye(info.shape[-1]))
+    diag = g.diagonal(axis1=1, axis2=2)
+    certified = ((diag > 0).all(axis=1)
+                 & (trace * diag.sum(axis=1) <= SCREEN_CERTIFY))
+    block = g[:, 1:m, 1:m] if basis is None else basis[1:m] @ g @ basis[1:m].T
+    if spec.criterion == "As":
+        bound = ((m * np.trace(block, axis1=1, axis2=2)
+                  - block.sum(axis=(1, 2))) / (m * (m - 1) / 2))
+    else:
+        bound = np.linalg.det(block)
+    return certified, bound * spec.sigma2 ** (1 if spec.criterion == "As"
+                                              else m - 1)
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("example,m", [(2, 4), (4, 4), (6, 3)])
+def test_screen_certifies_as_the_inverse_route(example, m, criterion):
+    # on chunks of the stream after seeded prefixes, the Cholesky screen
+    # certifies exactly the designs that a batched inverse of R + s I
+    # certifies, with bounds that agree to 1e-11
+    net = nd.example_network(example)
+    spec = ModelSpec.for_network(net, m, criterion=criterion)
+    ev = DesignEvaluator(net, spec)
+    rng = np.random.default_rng(example)
+    certified = 0
+    for _ in range(4):
+        prefix = [1]
+        while len(prefix) < net.n_design - 5:
+            prefix.append(int(rng.integers(1, min(max(prefix) + 1, m) + 1)))
+        stream = search._stream(None, tuple(prefix), net.n_design, m, True,
+                                None)
+        for chunk in search._chunks(stream, search._Counters()):
+            info = ev._information_matrices(
+                chunk[ev._using_every_treatment(chunk)])
+            got, bound = _screen(info, spec, ev._complement)
+            expected, reference = _inverse_screen(info, spec, ev._complement)
+            assert np.array_equal(got, expected)
+            assert np.allclose(bound[got], reference[got], rtol=1e-11, atol=0)
+            certified += int(got.sum())
+    assert certified > 500
+
+
+# (network, m, whether its group prunes the stream): linked design nodes
+# without a group (z = 1) and under one (z = 384); unlinked ones under a
+# large group (rc 4x4, z = 1,152, tables 2 positions wide; blocks, z =
+# 31,104, no table at all); and a crossover layout
+_TABLE_NETWORKS = {
+    "ex2-m4": (nd.example_network(2), 4, False),
+    "ex4-m3": (nd.example_network(4), 3, True),
+    "rc4x4-m4": (nd.augment_row_column(4, 4, 4), 4, True),
+    "blocks3333-m3": (nd.augment_blocks([3, 3, 3, 3], 3), 3, True),
+    "crossover4x3-m3": (nd.augment_crossover(4, 3, 3), 3, False),
+}
+
+
+def _assert_table_grams(ev: DesignEvaluator, chunk: np.ndarray,
+                        stops) -> None:
+    """F'F of the chunk read off the tail tables at each of `stops` equals
+    the GEMM F'F byte for byte."""
+    gemm = ev._information_matrices(chunk)
+    for stop in stops:
+        got = ev._information_matrices(chunk, stop)
+        assert got.tobytes() == gemm.tobytes(), stop
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("name", sorted(_TABLE_NETWORKS))
+def test_table_information_matrices_equal_the_gemm_ones(name, symmetry):
+    # every chunk of the stream after two seeded prefixes, the second cut
+    # by a budget in the middle of a tail table: F'F read off the tail
+    # tables, at the stream's own table start and at tails 0-5 positions
+    # wide, equals the GEMM F'F byte for byte, and that equals the F'F of
+    # the oracle's model matrix on the chunk's first designs
+    net, m, grouped = _TABLE_NETWORKS[name]
+    group = nd.find_automorphisms(net) if grouped else None
+    n = net.n_design
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
+    rng = np.random.default_rng(n)
+    for trial in range(2):
+        segments = []
+        while not any(live is not None for _, live in segments):
+            # a prefix whose subtree the group does not close whole
+            prefix = [1]
+            while len(prefix) < n - 7:
+                top = min(max(prefix) + 1, m) if symmetry else m
+                prefix.append(int(rng.integers(1, top + 1)))
+            prefix = tuple(prefix)
+            segments = list(search._stream(group, prefix, n, m, symmetry,
+                                           None))
+        budget = None
+        if trial:
+            cut = next((j for j, (size, live) in enumerate(segments)
+                        if j and size >= 3 and live is not None), None)
+            if cut is not None:
+                budget = (sum(size for size, _ in segments[:cut])
+                          + segments[cut][0] // 2)
+        start = search._table_start(group, len(prefix), n, m, budget)
+        stream = search._stream(group, prefix, n, m, symmetry, budget)
+        chunks = list(search._chunks(stream, search._Counters()))
+        for chunk in chunks:
+            _assert_table_grams(ev, chunk, {start, *range(n - 5, n + 1)})
+        for x in chunks[0][:3]:
+            f = oracle_model_matrix(net, x, m)
+            assert (f.T @ f).tobytes() == \
+                ev._information_matrices(x[None])[0].tobytes()
+    # the last stream was cut mid-table, except where it has no table
+    assert (budget is None) == (start == n) == (name == "blocks3333-m3")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(screened_networks())
+def test_table_information_matrices_on_random_networks(case):
+    # the stream without label symmetry after all but the last 4 labels
+    # of a drawn design: F'F from tail tables 0-5 positions wide equals
+    # the GEMM F'F byte for byte
+    net, m, x, _ = case
+    n = net.n_design
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
+    stream = search._stream(None, x[:max(n - 4, 0)], n, m, False, None)
+    for chunk in search._chunks(stream, search._Counters()):
+        _assert_table_grams(ev, chunk, range(max(n - 5, 0), n + 1))
 
 
 _NULL_NETWORKS = {

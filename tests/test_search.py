@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import time
 from bisect import bisect_left
@@ -227,19 +228,22 @@ def test_pruning_never_increases_evals(report_cache):
         assert with_.num_eval <= without.num_eval
 
 
-@pytest.mark.parametrize("example,m,automorphisms,complete,screened", [
-    (1, 3, False, 9330, 665), (1, 3, True, 3761, 347),
-    (2, 4, True, 34105, 1524),
+@pytest.mark.parametrize("example,m,automorphisms,complete,screened,calls", [
+    (1, 3, False, 9330, 669, 3), (1, 3, True, 3761, 353, 2),
+    (2, 4, True, 34105, 1552, 6),
 ], ids=["ex1-m3-plain", "ex1-m3-group", "ex2-m4"])
 def test_only_designs_using_every_treatment_reach_eigh(
-        examples, monkeypatch, example, m, automorphisms, complete, screened):
+        examples, monkeypatch, example, m, automorphisms, complete, screened,
+        calls):
     # a design that leaves a treatment unused is INVALID without an
     # eigendecomposition: of example 1's 9,842 label-canonical designs at
     # m = 3, S2(10, 3) = 9,330 use all three treatments (3,761 of them
     # canonical under its group), and of example 2's 43,947 at m = 4,
     # S2(10, 4) = 34,105 use all four.  With the screen off all of those
     # reach eigh; with it on, only the designs it does not certify and the
-    # certified ones near a chunk's least bound or the best so far do
+    # certified ones near a chunk's least bound or the best the kernel has
+    # resolved so far do.  Those wait in a queue that the kernel values at
+    # least _CHUNK_DESIGNS at a time, so `calls` eigh calls value them all
     net = examples[example]
     matrices = []
     eigh = np.linalg.eigh
@@ -248,17 +252,19 @@ def test_only_designs_using_every_treatment_reach_eigh(
         matrices.append(len(a))
         return eigh(a, *args, **kwargs)
 
-    def search() -> str:
+    def run() -> str:
         del matrices[:]
         return nd.exhaustive_search(
             net, ModelSpec.for_network(net, m),
             cfg(use_automorphisms=automorphisms)).to_json(exclude_wall_time=True)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    report = search()
+    report = run()
     assert sum(matrices) == screened
+    assert len(matrices) == calls
+    assert min(matrices[:-1]) >= search._CHUNK_DESIGNS
     force_screen_off(monkeypatch)
-    assert search() == report
+    assert run() == report
     assert sum(matrices) == complete
 
 
@@ -268,54 +274,60 @@ def _stream_chunks(net: nd.Network, m: int):
     return list(search._chunks(stream, search._Counters()))
 
 
+def _screened_best(ev: DesignEvaluator, chunk: np.ndarray, best, stop=None):
+    """`_chunk_best` of a chunk, then the kernel on the designs it leaves
+    to it: the chunk's valid count and the index and value of the first
+    least kernel value among them (None, None if none is valid)."""
+    valid, rows, info = ev._chunk_best(chunk, best, stop)
+    values = ev._kernel_values(info)
+    ok = (~np.isnan(values)).nonzero()[0]
+    if not len(ok):
+        return valid, None, None
+    i = ok[values[ok].argmin()]
+    return valid + len(ok), int(rows[i]), float(values[i])
+
+
 @pytest.mark.parametrize("key,m,criterion", [
     (("ex", 1), 2, "As"), (("ex", 6), 2, "As"), (("ex", 2), 4, "As"),
     (("ex", 2), 4, "Ds"), (("blocks", (3, 3, 3), 3), 3, "As"),
     (("rowcol", 3, 3, 3), 3, "As"), (("rowcol", 3, 3, 3), 3, "Ds"),
 ], ids=["ex1-m2", "ex6-m2", "ex2-m4", "ex2-m4-Ds", "blocks333-m3",
         "rc3x3-m3", "rc3x3-m3-Ds"])
-def test_chunk_best_matches_first_argmin(report_cache, monkeypatch, key, m,
-                                         criterion):
+def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
     # on every chunk of the stream (example 6 at m = 2 has hundreds of
     # near-tied values; on the block networks F'F is singular for every
-    # design, and many designs tie): the screened kernel gives the valid
-    # count, first least index and value of `_value_array`, bit for bit,
-    # with no best so far and with a best just below, at and just above the
-    # chunk's least value; with no best, a certified design reaches eigh
-    # only if its value is within 2 SCREEN_WINDOW of the least
+    # design, and many designs tie): the designs `_chunk_best` leaves to
+    # the kernel, valued there, give the valid count, first least index
+    # and value of `_value_array`, bit for bit, with no best so far and
+    # with a best just below, at and just above the chunk's least value,
+    # whether F'F comes from the stream's tail tables or not; with no
+    # best, a certified design reaches the kernel only if its value is
+    # within 2 SCREEN_WINDOW of the least
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
-    kernel = lnem._criterion_values
-    reached = []
-
-    def counted(info, spec):
-        reached.append(len(info))
-        return kernel(info, spec)
-
-    monkeypatch.setattr(lnem, "_criterion_values", counted)
+    stop = search._table_start(None, 0, net.n_design, m, None)
+    assert stop < net.n_design
     window = 1 + 2 * lnem.SCREEN_WINDOW
     for chunk in _stream_chunks(net, m):
         values = ev._value_array(chunk)
         valid = (~np.isnan(values)).nonzero()[0]
         if not len(valid):
-            assert ev._chunk_best(chunk, None) == (0, None, None)
+            assert _screened_best(ev, chunk, None) == (0, None, None)
             continue
         i = int(valid[values[valid].argmin()])
         least = float(values[i])
         expected = (len(valid), i, least)
         for best in (None, np.nextafter(least, 0), least,
                      np.nextafter(least, np.inf)):
-            del reached[:]
-            got = ev._chunk_best(chunk, best)
-            assert got == expected and got[2].hex() == least.hex(), best
-            if best is None:
-                rows = ev._using_every_treatment(chunk)
-                certified, _ = lnem._screen(
-                    ev._information_matrices(chunk[rows]), spec,
-                    ev._complement)
-                near = int((values[rows][certified] <= least * window).sum())
-                assert sum(reached) <= (~certified).sum() + near
+            for tail in (None, stop):
+                got = _screened_best(ev, chunk, best, tail)
+                assert got == expected and got[2].hex() == least.hex(), best
+        rows = ev._using_every_treatment(chunk)
+        certified, _ = lnem._screen(
+            ev._information_matrices(chunk[rows]), spec, ev._complement)
+        near = int((values[rows][certified] <= least * window).sum())
+        assert len(ev._chunk_best(chunk, None)[1]) <= (~certified).sum() + near
 
 
 PARTIAL_BLOCKS = """n=8 directed=1
@@ -332,9 +344,10 @@ def test_chunk_best_of_a_chunk_with_no_design_using_every_treatment():
     net = nd.parse_network(PARTIAL_BLOCKS)
     ev = DesignEvaluator(net, ModelSpec.for_network(net, 3))
     chunk = np.array([[1] * 6, [1] * 5 + [2], [1, 2] * 3])
-    for best in (None, 1.0):
-        assert ev._chunk_best(chunk, best) == (0, None, None)
     p = ev.spec.n_params
+    for best in (None, 1.0):
+        valid, rows, info = ev._chunk_best(chunk, best)
+        assert valid == 0 and len(rows) == 0 and info.shape == (0, p, p)
     empty = np.empty((0, p, p))
     assert lnem._canonicalize_nuisance(empty, ev.spec).shape == (0, p, p)
 
@@ -384,6 +397,90 @@ def test_reports_identical_with_the_screen_off(report_cache, monkeypatch,
     assert _screened_runs(report_cache, criterion) == screened
 
 
+# runs whose reports the kernel queue must keep at any chunk size: example
+# 4 at m = 3, where the pruned best ties the unpruned one exactly and the
+# unpruned stream reaches that value 24 times (the budget keeps the first
+# ten and cuts a tail table); label symmetry off; and two workers, on a
+# network with a group and on one without
+_QUEUE_RUNS = {
+    "ex4-m3": (("ex", 4), 3, {}),
+    "ex4-m3-plain": (("ex", 4), 3, {"use_automorphisms": False,
+                                    "max_designs": 20_300}),
+    "ex1-m3-labels-off": (("ex", 1), 3, {"use_label_symmetry": False,
+                                         "max_designs": 3000}),
+    "rc3x3-m3-w2": (("rowcol", 3, 3, 3), 3, {"workers": 2}),
+    "ex2-m3-w2": (("ex", 2), 3, {"workers": 2}),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_reports_identical_at_any_chunk_size(report_cache, monkeypatch,
+                                             chunk):
+    # chunks of 1, 2 and 7 designs, and tail tables 0-2 positions wide:
+    # the queue then takes the kernel's values at least that many at a
+    # time, over many more chunks, and the reports stay byte for byte
+    # those at the default size
+    def reports() -> dict:
+        out = {}
+        for name, (key, m, options) in _QUEUE_RUNS.items():
+            net = report_cache.network(key)
+            out[name] = nd.exhaustive_search(
+                net, ModelSpec.for_network(net, m),
+                cfg(**options)).to_json(exclude_wall_time=True)
+        return out
+
+    default = reports()
+    ex4 = report_cache.network(("ex", 4))
+    assert json.loads(default["ex4-m3"])["best_value"] == \
+        json.loads(default["ex4-m3-plain"])["best_value"]
+    ends = itertools.accumulate(
+        size for size, _ in search._stream(None, (), ex4.n_design, 3, True,
+                                           None))
+    assert 20_300 not in set(ends)  # the budget cuts a table
+    monkeypatch.setattr(search, "_CHUNK_DESIGNS", chunk)
+    assert {search._table_start(group, 0, 12, m, None)
+            for group in (None, nd.find_automorphisms(ex4))
+            for m in (2, 3)} <= set(range(10, 13))
+    assert reports() == default
+
+
+def test_a_one_candidate_run_builds_no_table_and_screens_nothing(
+        examples, monkeypatch):
+    # a run cut to one design takes it from a walk to the leaf, not from a
+    # tail table, and values it with the kernel alone: no table, no table
+    # F'F and no screen, at one worker or two
+    calls = []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(search, "_tail_table",
+                        record("table", search._tail_table))
+    monkeypatch.setattr(lnem, "_screen", record("screen", lnem._screen))
+    monkeypatch.setattr(DesignEvaluator, "_tail_tables",
+                        record("grams", DesignEvaluator._tail_tables))
+    for net, m in ((examples[2], 4), (nd.augment_blocks([3, 3, 3, 3], 3), 3)):
+        for workers in (1, 2):
+            report = nd.exhaustive_search(net, ModelSpec.for_network(net, m),
+                                          cfg(max_designs=1, workers=workers))
+            assert report.num_considered == 1 and report.partial
+    assert calls == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: relabeling a "
+                   "design changes the last bits of its value, so the "
+                   "pruned best misses the unpruned one by an ulp or two")
+def test_pruned_best_ties_unpruned_at_ex4_m4(report_cache):
+    # the pruned best is 0.8333333333333321 and the unpruned best
+    # 0.8333333333333316; the fix of ROADMAP item 4 turns this test green
+    pruned = report_cache.exhaustive(("ex", 4), 4, True)
+    unpruned = report_cache.exhaustive(("ex", 4), 4, False)
+    assert pruned.best_value == unpruned.best_value
+
+
 def test_tie_break_earliest_design(path312):
     spec = ModelSpec.for_network(path312, 2)
     report = nd.exhaustive_search(path312, spec, cfg(use_label_symmetry=False,
@@ -427,7 +524,8 @@ def test_library_default_is_one_worker(examples, monkeypatch):
     net = examples[3]
     spec = ModelSpec.for_network(net, 2)
     for workers in (SearchConfig.workers, None):
-        nd.exhaustive_search(net, spec, cfg(max_designs=4096, workers=workers))
+        nd.exhaustive_search(net, spec, cfg(max_designs=16_384,
+                                            workers=workers))
         nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=2,
                                              workers=workers))
     assert seen == [1, 1, 4, 4]
@@ -513,10 +611,10 @@ def test_plan_covers_the_first_budget_designs(n, m, symmetry, monkeypatch):
         for budget in (None, *range(1, len(designs) + 1)):
             tasks, planned, partial = search._plan(n, m, symmetry, workers,
                                                    budget)
-            # None: one worker for a cut stream of fewer than 256 * 8
+            # None: one worker for a cut stream of fewer than 16,384
             # designs, else all cores
             cut = len(designs) if budget is None else budget
-            assert planned == (workers or (1 if cut < 2048 else 3))
+            assert planned == (workers or (1 if cut < 16_384 else 3))
             # the tasks' designs, concatenated, are designs[:budget]: each
             # subtree is a non-empty run of the sorted stream that starts
             # where the one before ended, and only the last one is cut
@@ -560,22 +658,29 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     # budgets 1..3281 cover every cut point of the stream, including cuts
     # inside subtrees closed by a prefix test, once as the one root task and
     # once as the subtree tasks planned for 4 workers (run in this process).
-    # The group and each chunk's `_chunk_best` answer are memoized across
-    # the runs; the unbudgeted comparison above checks their answers
-    # against the oracle.
+    # The group, each chunk's `_chunk_best` answer and the kernel's values
+    # of each queue are memoized across the runs; the unbudgeted comparison
+    # above checks their answers against the oracle.
     key = ("blocks", (3, 3, 3), 3)
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
     chunk_best = DesignEvaluator._chunk_best
+    kernel_values = DesignEvaluator._kernel_values
     run_tasks = search._run_tasks
     answers: dict = {}
 
-    def memo_chunk_best(self, chunk, best):
-        key = chunk.shape, chunk.tobytes(), best
+    def memo_chunk_best(self, chunk, best, stop=None):
+        key = chunk.shape, chunk.tobytes(), best, stop
         if key not in answers:
-            answers[key] = chunk_best(self, chunk, best)
+            answers[key] = chunk_best(self, chunk, best, stop)
+        return answers[key]
+
+    def memo_kernel_values(self, info):
+        key = info.shape, info.tobytes()
+        if key not in answers:
+            answers[key] = kernel_values(self, info)
         return answers[key]
 
     def in_process(state, fn, tasks, workers):
@@ -583,6 +688,7 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
 
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
     monkeypatch.setattr(DesignEvaluator, "_chunk_best", memo_chunk_best)
+    monkeypatch.setattr(DesignEvaluator, "_kernel_values", memo_kernel_values)
     monkeypatch.setattr(search, "_run_tasks", in_process)
     for budget in range(1, len(outcomes) + 1):
         expected = oracle_report(outcomes, budget)
