@@ -59,14 +59,11 @@ best: they count as valid, and so in `num_eval`, though no
 eigendecomposition valued them, and their nuisance coordinates are never
 put in canonical order.  The best value and design are the kernel's, bit
 for bit.
-F is linear in the one-hot labels (`_label_map`), and F'F holds whole
-numbers far below 2^53, exact in float64 in any order of summation.  So
-on the stream, where a table's designs share their walked head, F'F comes
-from tables of the tail's own part and the head's cross terms
-(`_information_matrices` with a `stop`), byte for byte equal to F'F from
-F itself.  Coordinate descent screens each orbit representative it plans
-to reach once (`_bounds`), and reads each certified bound as an interval,
-a factor 1 +- SCREEN_WINDOW wide, that holds the kernel's value.  It
+F is linear in the one-hot labels, so a batch's model matrices are one
+GEMM against a fixed map (`_label_map`).  Coordinate descent screens each
+orbit representative it plans to reach once (`_bounds`), and reads each
+certified bound as an interval, a factor 1 +- SCREEN_WINDOW wide, that
+holds the kernel's value.  It
 compares designs on those intervals and sends to the kernel only the
 uncertified orbits, both sides of a comparison whose intervals overlap,
 and each descent's final orbit (`search._restart_task`).
@@ -332,7 +329,6 @@ class DesignEvaluator:
         fixed = [net.roles[b].fixed_treatment - 1 for b in net.block_nodes]
         self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
                               @ np.eye(spec.total_treatments)[fixed])
-        self._tails: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def _label_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +338,7 @@ class DesignEvaluator:
         l, and A_d[i, k] in every row i's network column of l), and the
         flattened (d p) constant: the intercept and the block
         pseudo-treatments' network counts.  Every entry is a small whole
-        number."""
+        number, so the GEMM's sums are exact in any order."""
         m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
         changes = np.zeros((d, m, d, p))
         k = np.arange(d)[:, None]
@@ -421,12 +417,11 @@ class DesignEvaluator:
         return xs
 
     def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
-        """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p);
-        given only the first s < d labels of each design, (B, s), the
-        model matrices with positions s..d-1 left empty.  One GEMM of the
-        one-hot labels against `_label_map`, plus its constant."""
+        """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p):
+        one GEMM of the one-hot labels against `_label_map`, plus its
+        constant."""
         mapping, constant = self._label_map
-        f = _onehot(xs, self.spec.m) @ mapping[:xs.shape[1] * self.spec.m]
+        f = _onehot(xs, self.spec.m) @ mapping
         f += constant
         return f.reshape(len(xs), self.net.n_design, self.spec.n_params)
 
@@ -488,7 +483,7 @@ class DesignEvaluator:
                                 * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
         return out
 
-    def _chunk_best(self, chunk, best: float | None, stop: int | None = None
+    def _chunk_best(self, chunk, best: float | None
                     ) -> tuple[int, np.ndarray, np.ndarray]:
         """Screen a non-empty chunk: the number of designs certified valid
         that can hold neither the chunk's first least value nor one below
@@ -498,8 +493,7 @@ class DesignEvaluator:
         of the valid count and the chunk's first least value, as
         `_value_array` and a first argmin would, whenever that value is at
         most `best` (or `best` is None).  The other designs leave a
-        treatment unused and are INVALID.  `stop` is passed on to
-        `_information_matrices`.
+        treatment unused and are INVALID.
 
         Certify-then-eigh: the matrices of the designs that use every
         treatment go through `_screen`, on every network.  The uncertified
@@ -510,10 +504,14 @@ class DesignEvaluator:
         designs are valid but worse than the least bound's design or than
         `best`, so they count as valid with no canonicalization and no
         eigendecomposition.  The screen is not run where it could skip
-        nothing: on no design, or on one design with no best."""
+        nothing: on no design, or on one design with no best; where no
+        design uses every treatment no model matrix is built either."""
         xs = self._batch(chunk)
         rows = self._using_every_treatment(xs)
-        info = self._information_matrices(xs[rows], stop)
+        if not len(rows):
+            p = self.spec.n_params
+            return 0, rows, np.empty((0, p, p))
+        info = self._information_matrices(xs[rows])
         if len(rows) < (1 if best is not None else 2):
             return 0, rows, info
         certified, bound = _screen(info, self.spec, self._complement)
@@ -531,95 +529,12 @@ class DesignEvaluator:
         used[np.arange(len(xs))[:, None], xs] = True
         return used[:, 1:].all(axis=1).nonzero()[0]
 
-    def _information_matrices(self, xs: np.ndarray, stop: int | None = None
-                              ) -> np.ndarray:
+    def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
         """F'F of each design of the checked batch `xs`, in the order of
         F's columns: `_canonical_values` orders the nuisance coordinates of
-        those that go to the kernel.  Every entry is a whole number far
-        below 2^53, exact in float64 whatever the order of the sums, so
-        both routes below give the same bytes.
-
-        Without `stop` (or with stop = d), F'F of each `_model_matrices`.
-        With it, positions stop..d-1 are each design's tail: F = A + B,
-        with A the model matrix of the head x[:stop] alone (constant c
-        included) and B = sum_k K_k[x_k] over the tail.  Then F'F = A'A +
-        H'B + B'H + [B'B + c'B + B'c], H = A - c.  The bracket depends on
-        the tail alone and is read off `_tail_tables` by the tail's index
-        among all m^(d - stop) strings.  H'B only meets the rows of F that
-        depend on a head label and on a tail label, so it is the sum over
-        the tail positions k that touch those rows of (H'K_k)[x_k].
-        Consecutive designs with the same head share A'A and the
-        (H'K_k)[l], made for all of the batch's heads in a few stacked
-        calls, and each design gathers one block per such position.  A
-        stream segment's designs share their head, so a chunk of segments
-        pays per segment, not per design."""
-        d = self.net.n_design
-        if stop is None or stop >= d or not len(xs):
-            f = self._model_matrices(xs)
-            return f.transpose(0, 2, 1) @ f
-        m, p = self.spec.m, self.spec.n_params
-        grams, place, rows, positions, changes = self._tail_tables(stop)
-        heads, tails = xs[:, :stop], xs[:, stop:] - 1
-        first = np.ones(len(xs), dtype=bool)  # where a head starts
-        np.any(heads[1:] != heads[:-1], axis=1, out=first[1:])
-        segment = np.cumsum(first) - 1
-        f0 = self._model_matrices(heads[first])
-        f0t = f0.transpose(0, 2, 1)
-        out = grams[tails @ place]
-        if not len(positions):
-            out += (f0t @ f0)[segment]
-            return out
-        # H'K_k[l] of every head on the shared rows, with H'K + K'H
-        # symmetric and F0'F0 folded into the first position's blocks
-        width = len(positions)
-        head = f0[:, rows] - self._label_map[1].reshape(d, p)[rows]
-        cross = (head.transpose(0, 2, 1) @ changes).reshape(
-            len(f0), p, width * m, p).transpose(0, 2, 1, 3)
-        cross = cross + cross.transpose(0, 1, 3, 2)
-        cross[:, :m] += (f0t @ f0)[:, None]
-        cross = cross.reshape(-1, p, p)
-        slots = (segment[:, None] * (width * m) + np.arange(width) * m
-                 + tails[:, positions])
-        for k in range(width):
-            out += cross[slots[:, k]]
-        return out
-
-    def _tail_tables(self, stop: int) -> tuple[np.ndarray, ...]:
-        """The tables `_information_matrices` reads for tails at positions
-        stop..d-1, r of them, built once per `stop` (a stream's tails are
-        at most _CHUNK_DESIGNS strings).  With F = A + B, A the model
-        matrix of the head alone (the constant included) and B = sum_k
-        K_k[x_k] over the tail: B'B + c'B + B'c of every one of the m^r
-        tail strings (c the constant part of A), as an (m^r, p, p) stack
-        in lexicographic order, and the place values that give a tail's
-        index in it from its labels minus one; the rows of F that depend
-        on a head label and on a tail label; the tail positions (0..r-1)
-        whose K_k meets those rows; and those positions' K_k[l] on those
-        rows, side by side as an (n_rows, positions m p) array.  Where no
-        two design nodes are linked, no row depends on both."""
-        tables = self._tails.get(stop)
-        if tables is None:
-            m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
-            width = d - stop
-            mapping, constant = self._label_map
-            changes = mapping.reshape(d, m, d, p)
-            # touched[k, i]: label at position k can change row i of F
-            touched = changes.any(axis=(1, 3))
-            rows = (touched[:stop].any(axis=0)
-                    & touched[stop:].any(axis=0)).nonzero()[0]
-            positions = touched[stop:, rows].any(axis=1).nonzero()[0]
-            strings = np.indices((m,) * width).reshape(width, -1).T + 1
-            b = (_onehot(strings, m) @ mapping[stop * m:]).reshape(-1, d, p)
-            c = constant.reshape(d, p)
-            bc = b.transpose(0, 2, 1) @ c
-            grams = b.transpose(0, 2, 1) @ b + bc + bc.transpose(0, 2, 1)
-            place = m ** np.arange(width - 1, -1, -1)
-            shared = changes[stop + positions][:, :, rows]
-            tables = self._tails[stop] = (
-                grams, place, rows, positions,
-                np.ascontiguousarray(shared.transpose(2, 0, 1, 3)).reshape(
-                    len(rows), len(positions) * m * p))
-        return tables
+        those that go to the kernel."""
+        f = self._model_matrices(xs)
+        return f.transpose(0, 2, 1) @ f
 
 
 def _onehot(xs: np.ndarray, m: int) -> np.ndarray:

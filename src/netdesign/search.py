@@ -50,12 +50,12 @@ another with exact values.
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 or contiguous blocks of restarts, one per worker.  A subtree task joins
 its live rows into chunks of at least _CHUNK_DESIGNS designs and screens
-each in one `_chunk_best` call: F'F from the tail tables' exact integer
-parts (a table's designs share their walked head), one batched Cholesky
-certificate, and the count of designs found valid that cannot be the
-best.  The designs that can be the best or are not certified estimable
-wait in a queue, in stream order, which the eigh kernel values at least
-_CHUNK_DESIGNS at a time and once more at the task's end.  One worker runs
+each in one `_chunk_best` call: F'F from one GEMM of the one-hot labels,
+one batched Cholesky certificate, and the count of designs found valid
+that cannot be the best.  The designs that can be the best or are not
+certified estimable wait in a queue, in stream order, which the eigh
+kernel values at least _CHUNK_DESIGNS at a time and once more at the
+task's end.  One worker runs
 the tasks in this process, more run the same code on a process pool, and
 results merge in task order, so reports do not depend on the worker count.
 """
@@ -86,6 +86,9 @@ _LOOKAHEAD = _CHUNK_DESIGNS // 4
 # exhaustive subtree tasks planned per pool worker, so that uneven subtrees
 # even out across the pool
 _TASKS_PER_WORKER = 8
+# with workers=None, an exhaustive stream (cut to the budget) of fewer
+# designs runs at one worker; `_plan` gives the timings behind it
+_SERIAL_DESIGNS = 12_288
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -226,8 +229,8 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
 
     The last s positions (fewer if fewer are left) come from one
     `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS,
-    m^s z <= _CHUNK_DESIGNS^2 (z = 1 without a group) and m^s <= budget
-    (`_table_start`); the odometer walks
+    m^s z <= _CHUNK_DESIGNS^2 (z = 1 without a group) and m^s <= budget,
+    so that a short run builds no table it barely reads; the odometer walks
     the positions between the prefix and them, and each of its steps is one
     segment.  Without a group every row is live.  Under one the walk tests
     each prefix it reaches, the given one first, and a prefix that some
@@ -245,8 +248,14 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     least key is key 0.  With no position left for a table (s = 0, or a
     whole design as the prefix) the walk's test of the design is that gate,
     and a design that passes it is live."""
+    z = 1 if group is None else group.size
+    most = min(_CHUNK_DESIGNS, _CHUNK_DESIGNS ** 2 // z,
+               _CHUNK_DESIGNS if budget is None else budget)  # table rows
+    width = 0
+    while m ** (width + 1) <= most:
+        width += 1
     start = len(prefix)
-    stop = _table_start(group, start, n, m, budget)  # walked: start..stop-1
+    stop = max(n - width, start)  # the walked positions are start..stop-1
     x = list(prefix) + [1] * (stop - start)
     top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
     left = budget
@@ -255,7 +264,7 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
         sizes = _subtree_sizes(n, m, use_label_symmetry)
         w, unset, gates = group.weights(m), m + 1, {}
         fresh = max(start - 1, 0)
-        keys = np.empty((stop + 1, group.size), dtype=w.dtype)
+        keys = np.empty((stop + 1, z), dtype=w.dtype)
         keys[fresh] = np.array(x[:fresh] + [unset] * (n - fresh),
                                dtype=w.dtype) @ w
         if fresh < stop:
@@ -302,23 +311,6 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
             fresh = stop
         else:
             keys[fresh + 1] += w[fresh]  # x[fresh] grew by one
-
-
-def _table_start(group: AutomorphismGroup | None, start: int, n: int, m: int,
-                 budget: int | None) -> int:
-    """The first tail-table position of `_stream` after a prefix of
-    `start` labels: n - s, or `start` if that is later, with s the largest
-    for which a table of m^s rows holds at most _CHUNK_DESIGNS rows, at
-    most _CHUNK_DESIGNS^2 / z (z = 1 without a group) and at most the
-    budget.  The budget term keeps a short run from building a table it
-    barely reads."""
-    z = 1 if group is None else group.size
-    rows = min(_CHUNK_DESIGNS, _CHUNK_DESIGNS ** 2 // z,
-               _CHUNK_DESIGNS if budget is None else budget)
-    width = 0
-    while m ** (width + 1) <= rows:
-        width += 1
-    return max(n - width, start)
 
 
 def enumerate_designs(n_design_nodes: int, m: int,
@@ -445,15 +437,18 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     dropped.
 
     workers=None means all cores, except one for a stream (cut to the
-    budget) of fewer than 16,384 designs.  On a 2-core machine a pool
-    takes about 25 ms to start.  The costliest streams timed there,
-    row-column networks without a group, take about 5 us a design at one
-    worker, and two workers break even near 10,000-12,000 designs (rc 4x4
-    at m = 4: 43 against 62 ms at 8,192 designs, 103 against 86 ms at
-    16,384); examples 1 and 2, at about 2 us a design, near 20,000.  The
-    cut does not grow with the core count: a pool saves at most the
-    stream's serial time, about 80 ms at this size even for the costliest
-    streams."""
+    budget) of fewer than _SERIAL_DESIGNS designs.  On a 2-core machine
+    (medians of 9-15 alternating runs, two workers against one) the
+    costliest streams timed, rc 4x4 at m = 4 without a group at about
+    8 us a design, break even near 9,200 designs (65.6 against 57.0 ms at
+    8,192, 70.4 against 72.1 ms at 9,216, 92.6 against 103.5 ms at
+    12,288); example 2 at m = 4, at about 2.6 us a design, near 20,000
+    (42.0 against 31.7 ms at 12,288, 48.6 against 42.8 ms at 16,384,
+    55.7 against 55.1 ms at 20,480).  At 12,288 the wrong choice costs
+    either of them about 10 ms, the least worst loss of the cuts timed.
+    The cut does not grow with the core count: a pool saves at most the
+    stream's serial time, about 100 ms at this size even for the
+    costliest streams."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     sizes = _subtree_sizes(n, m, use_label_symmetry)
@@ -473,7 +468,8 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     partial = budget is not None and budget < size(())
     if workers is None:
         designs = budget if partial else size(())
-        workers = 1 if designs < 16_384 else os.cpu_count() or 1
+        workers = (1 if designs < _SERIAL_DESIGNS
+                   else os.cpu_count() or 1)
     tasks = cut([()], budget)
     while workers > 1 and len(tasks) < _TASKS_PER_WORKER * workers:
         open_ = [i for i, (prefix, _) in enumerate(tasks) if len(prefix) < n]
@@ -520,14 +516,13 @@ def _subtree_task(state, task: tuple[Design, int | None]):
     window, so more designs reach the kernel, never fewer."""
     ev, group, use_label_symmetry = state
     prefix, budget = task
-    n, m = ev.net.n_design, ev.spec.m
     counters = _Counters()
-    stream = _stream(group, prefix, n, m, use_label_symmetry, budget)
-    stop = _table_start(group, len(prefix), n, m, budget)
+    stream = _stream(group, prefix, ev.net.n_design, ev.spec.m,
+                     use_label_symmetry, budget)
     best = (None, None)
     queue, queued = [], 0
     for chunk in _chunks(stream, counters):
-        valid, rows, info = ev._chunk_best(chunk, best[0], stop)
+        valid, rows, info = ev._chunk_best(chunk, best[0])
         counters.evals += valid
         counters.invalid += len(chunk) - valid - len(rows)
         if len(rows):

@@ -309,11 +309,11 @@ def _record_workers(monkeypatch) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("argv,expected", [
     # path312 at m = 2: 4 label-canonical designs, so a pool would only cost
     (("search", "--network", "PATH", "-m", "2"), 1),
-    # example 3 at m = 2: 524,288 designs, over 16,384
+    # example 3 at m = 2: 524,288 designs, over 12,288
     (("search", "--example", "3", "-m", "2"), 4),
-    # a budget cuts the same stream; the cut is 16,384 whatever the cores
-    (("search", "--example", "3", "-m", "2", "--max-designs", "16383"), 1),
-    (("search", "--example", "3", "-m", "2", "--max-designs", "16384"), 4),
+    # a budget cuts the same stream; the cut is 12,288 whatever the cores
+    (("search", "--example", "3", "-m", "2", "--max-designs", "12287"), 1),
+    (("search", "--example", "3", "-m", "2", "--max-designs", "12288"), 4),
     # 14 units in blocks at m = 2: 8,192 label-canonical designs, 16,384
     # without label symmetry
     (("search", "--blocks", "4,4,3,3", "-m", "2"), 1),

@@ -759,85 +759,50 @@ def test_screen_certifies_as_the_inverse_route(example, m, criterion):
     assert certified > 500
 
 
-# (network, m, whether its group prunes the stream): linked design nodes
-# without a group (z = 1) and under one (z = 384); unlinked ones under a
-# large group (rc 4x4, z = 1,152, tables 2 positions wide; blocks, z =
-# 31,104, no table at all); and a crossover layout
-_TABLE_NETWORKS = {
-    "ex2-m4": (nd.example_network(2), 4, False),
-    "ex4-m3": (nd.example_network(4), 3, True),
-    "rc4x4-m4": (nd.augment_row_column(4, 4, 4), 4, True),
-    "blocks3333-m3": (nd.augment_blocks([3, 3, 3, 3], 3), 3, True),
-    "crossover4x3-m3": (nd.augment_crossover(4, 3, 3), 3, False),
+# linked design nodes (examples 2 and 4, a 40-node cycle), unlinked ones
+# with block pseudo-treatments (rc 4x4, blocks) and a crossover layout
+_GEMM_NETWORKS = {
+    "ex2-m4": (nd.example_network(2), 4),
+    "ex4-m3": (nd.example_network(4), 3),
+    "rc4x4-m4": (nd.augment_row_column(4, 4, 4), 4),
+    "blocks3333-m3": (nd.augment_blocks([3, 3, 3, 3], 3), 3),
+    "crossover4x3-m3": (nd.augment_crossover(4, 3, 3), 3),
+    "cycle40-m3": (cycle_network(40), 3),
 }
 
 
-def _assert_table_grams(ev: DesignEvaluator, chunk: np.ndarray,
-                        stops) -> None:
-    """F'F of the chunk read off the tail tables at each of `stops` equals
-    the GEMM F'F byte for byte."""
-    gemm = ev._information_matrices(chunk)
-    for stop in stops:
-        got = ev._information_matrices(chunk, stop)
-        assert got.tobytes() == gemm.tobytes(), stop
-
-
-@pytest.mark.parametrize("symmetry", [True, False])
-@pytest.mark.parametrize("name", sorted(_TABLE_NETWORKS))
-def test_table_information_matrices_equal_the_gemm_ones(name, symmetry):
-    # every chunk of the stream after two seeded prefixes, the second cut
-    # by a budget in the middle of a tail table: F'F read off the tail
-    # tables, at the stream's own table start and at tails 0-5 positions
-    # wide, equals the GEMM F'F byte for byte, and that equals the F'F of
-    # the oracle's model matrix on the chunk's first designs
-    net, m, grouped = _TABLE_NETWORKS[name]
-    group = nd.find_automorphisms(net) if grouped else None
-    n = net.n_design
+def _assert_oracle_grams(net: nd.Network, m: int, xs: np.ndarray) -> None:
+    """The GEMM model matrices and F'F of the batch equal the oracle's,
+    byte for byte."""
     ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
-    rng = np.random.default_rng(n)
-    for trial in range(2):
-        segments = []
-        while not any(live is not None for _, live in segments):
-            # a prefix whose subtree the group does not close whole
-            prefix = [1]
-            while len(prefix) < n - 7:
-                top = min(max(prefix) + 1, m) if symmetry else m
-                prefix.append(int(rng.integers(1, top + 1)))
-            prefix = tuple(prefix)
-            segments = list(search._stream(group, prefix, n, m, symmetry,
-                                           None))
-        budget = None
-        if trial:
-            cut = next((j for j, (size, live) in enumerate(segments)
-                        if j and size >= 3 and live is not None), None)
-            if cut is not None:
-                budget = (sum(size for size, _ in segments[:cut])
-                          + segments[cut][0] // 2)
-        start = search._table_start(group, len(prefix), n, m, budget)
-        stream = search._stream(group, prefix, n, m, symmetry, budget)
-        chunks = list(search._chunks(stream, search._Counters()))
-        for chunk in chunks:
-            _assert_table_grams(ev, chunk, {start, *range(n - 5, n + 1)})
-        for x in chunks[0][:3]:
-            f = oracle_model_matrix(net, x, m)
-            assert (f.T @ f).tobytes() == \
-                ev._information_matrices(x[None])[0].tobytes()
-    # the last stream was cut mid-table, except where it has no table
-    assert (budget is None) == (start == n) == (name == "blocks3333-m3")
+    f = ev._model_matrices(xs)
+    info = ev._information_matrices(xs)
+    for k, x in enumerate(xs):
+        expected = oracle_model_matrix(net, x, m)
+        assert f[k].tobytes() == expected.tobytes()
+        assert info[k].tobytes() == (expected.T @ expected).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_GEMM_NETWORKS))
+def test_information_matrices_equal_the_oracle_ones(name):
+    # seeded designs, with every label used or not, one at a time and as
+    # a batch of 64
+    net, m = _GEMM_NETWORKS[name]
+    xs = np.random.default_rng(net.n_design).integers(
+        1, m + 1, size=(64, net.n_design))
+    _assert_oracle_grams(net, m, xs)
+    _assert_oracle_grams(net, m, xs[:1])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(screened_networks())
-def test_table_information_matrices_on_random_networks(case):
-    # the stream without label symmetry after all but the last 4 labels
-    # of a drawn design: F'F from tail tables 0-5 positions wide equals
-    # the GEMM F'F byte for byte
+def test_information_matrices_on_random_networks(case):
+    # the drawn design and its neighbours at each position: the GEMM F'F
+    # equals the oracle's byte for byte
     net, m, x, _ = case
-    n = net.n_design
-    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
-    stream = search._stream(None, x[:max(n - 4, 0)], n, m, False, None)
-    for chunk in search._chunks(stream, search._Counters()):
-        _assert_table_grams(ev, chunk, range(max(n - 5, 0), n + 1))
+    xs = np.array([x] + [x[:k] + (x[k] % m + 1,) + x[k + 1:]
+                         for k in range(len(x))])
+    _assert_oracle_grams(net, m, xs)
 
 
 _NULL_NETWORKS = {

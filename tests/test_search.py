@@ -274,11 +274,11 @@ def _stream_chunks(net: nd.Network, m: int):
     return list(search._chunks(stream, search._Counters()))
 
 
-def _screened_best(ev: DesignEvaluator, chunk: np.ndarray, best, stop=None):
+def _screened_best(ev: DesignEvaluator, chunk: np.ndarray, best):
     """`_chunk_best` of a chunk, then the kernel on the designs it leaves
     to it: the chunk's valid count and the index and value of the first
     least kernel value among them (None, None if none is valid)."""
-    valid, rows, info = ev._chunk_best(chunk, best, stop)
+    valid, rows, info = ev._chunk_best(chunk, best)
     values = ev._kernel_values(info)
     ok = (~np.isnan(values)).nonzero()[0]
     if not len(ok):
@@ -299,15 +299,12 @@ def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
     # design, and many designs tie): the designs `_chunk_best` leaves to
     # the kernel, valued there, give the valid count, first least index
     # and value of `_value_array`, bit for bit, with no best so far and
-    # with a best just below, at and just above the chunk's least value,
-    # whether F'F comes from the stream's tail tables or not; with no
-    # best, a certified design reaches the kernel only if its value is
+    # with a best just below, at and just above the chunk's least value;
+    # with no best, a certified design reaches the kernel only if its value is
     # within 2 SCREEN_WINDOW of the least
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
-    stop = search._table_start(None, 0, net.n_design, m, None)
-    assert stop < net.n_design
     window = 1 + 2 * lnem.SCREEN_WINDOW
     for chunk in _stream_chunks(net, m):
         values = ev._value_array(chunk)
@@ -320,9 +317,8 @@ def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
         expected = (len(valid), i, least)
         for best in (None, np.nextafter(least, 0), least,
                      np.nextafter(least, np.inf)):
-            for tail in (None, stop):
-                got = _screened_best(ev, chunk, best, tail)
-                assert got == expected and got[2].hex() == least.hex(), best
+            got = _screened_best(ev, chunk, best)
+            assert got == expected and got[2].hex() == least.hex(), best
         rows = ev._using_every_treatment(chunk)
         certified, _ = lnem._screen(
             ev._information_matrices(chunk[rows]), spec, ev._complement)
@@ -438,17 +434,20 @@ def test_reports_identical_at_any_chunk_size(report_cache, monkeypatch,
                                            None))
     assert 20_300 not in set(ends)  # the budget cuts a table
     monkeypatch.setattr(search, "_CHUNK_DESIGNS", chunk)
-    assert {search._table_start(group, 0, 12, m, None)
-            for group in (None, nd.find_automorphisms(ex4))
-            for m in (2, 3)} <= set(range(10, 13))
+    for group in (None, nd.find_automorphisms(ex4)):
+        for m in (2, 3):
+            stream = search._stream(group, (), ex4.n_design, m, True, None)
+            assert all(len(live) <= chunk
+                       for _, live in itertools.islice(stream, 2000)
+                       if live is not None)
     assert reports() == default
 
 
 def test_a_one_candidate_run_builds_no_table_and_screens_nothing(
         examples, monkeypatch):
     # a run cut to one design takes it from a walk to the leaf, not from a
-    # tail table, and values it with the kernel alone: no table, no table
-    # F'F and no screen, at one worker or two
+    # tail table, and values it with the kernel alone: no table and no
+    # screen, at one worker or two
     calls = []
 
     def record(name, fn):
@@ -460,8 +459,6 @@ def test_a_one_candidate_run_builds_no_table_and_screens_nothing(
     monkeypatch.setattr(search, "_tail_table",
                         record("table", search._tail_table))
     monkeypatch.setattr(lnem, "_screen", record("screen", lnem._screen))
-    monkeypatch.setattr(DesignEvaluator, "_tail_tables",
-                        record("grams", DesignEvaluator._tail_tables))
     for net, m in ((examples[2], 4), (nd.augment_blocks([3, 3, 3, 3], 3), 3)):
         for workers in (1, 2):
             report = nd.exhaustive_search(net, ModelSpec.for_network(net, m),
@@ -611,10 +608,11 @@ def test_plan_covers_the_first_budget_designs(n, m, symmetry, monkeypatch):
         for budget in (None, *range(1, len(designs) + 1)):
             tasks, planned, partial = search._plan(n, m, symmetry, workers,
                                                    budget)
-            # None: one worker for a cut stream of fewer than 16,384
-            # designs, else all cores
+            # None: one worker for a cut stream of fewer than
+            # _SERIAL_DESIGNS designs, else all cores
             cut = len(designs) if budget is None else budget
-            assert planned == (workers or (1 if cut < 16_384 else 3))
+            assert planned == (workers or (
+                1 if cut < search._SERIAL_DESIGNS else 3))
             # the tasks' designs, concatenated, are designs[:budget]: each
             # subtree is a non-empty run of the sorted stream that starts
             # where the one before ended, and only the last one is cut
@@ -671,10 +669,10 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     run_tasks = search._run_tasks
     answers: dict = {}
 
-    def memo_chunk_best(self, chunk, best, stop=None):
-        key = chunk.shape, chunk.tobytes(), best, stop
+    def memo_chunk_best(self, chunk, best):
+        key = chunk.shape, chunk.tobytes(), best
         if key not in answers:
-            answers[key] = chunk_best(self, chunk, best, stop)
+            answers[key] = chunk_best(self, chunk, best)
         return answers[key]
 
     def memo_kernel_values(self, info):
