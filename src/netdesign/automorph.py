@@ -9,7 +9,11 @@ search over nodes of equal refined color, with adjacency checked by
 bitmasks: level t's transversal is the identity plus, for each other image
 of the t-th base node with the earlier ones fixed, the first leaf below it.
 z is the product of the transversal sizes, and each element is a product
-of one transversal element per level.
+of one transversal element per level, so the z products list each element
+exactly once.  That chain-product table, with the identity at row 0 since
+every transversal lists it first, is the one every search reads; only the
+public listing (`elements`, iteration, `design_images`) is in lexicographic
+order, sorted on first use from packed row keys.
 
 Designs related by an automorphism have equal criterion values, so a search
 only needs each orbit's lexicographically smallest member.  Every
@@ -27,12 +31,14 @@ its top digit (any such base orders images alike); below 2^53 its keys
 are one float64 BLAS product, since numpy's integer matmul does not use
 BLAS.  A representative is the image under the element with the least
 key, and images are x permuted through the group's elements, so no key is
-ever decoded.  Also here: a brute-force orbit counter used as a test
-oracle.
+ever decoded.  A least key names one image whichever element reaches it,
+so of the table's order only the identity's place, key 0, counts.  Also
+here: a brute-force orbit counter used as a test oracle.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -75,15 +81,39 @@ def _refined_colors(net: Network) -> list[int]:
         colors = new
 
 
+def _row_keys(perms: np.ndarray) -> np.ndarray:
+    """The rows of a (z, n) array of entries in 0..n-1 as packed keys, a
+    (w, z) uint64 array: each entry takes b = ceil(log2 n) bits, 64 // b
+    entries to a word and the first one highest, so rows compare as their
+    words do in turn (one word while n <= 16)."""
+    z, n = perms.shape
+    bits = max(1, (n - 1).bit_length())
+    per_word = 64 // bits
+    keys = np.zeros((-(-n // per_word), z), dtype=np.uint64)
+    for j in range(n):
+        word, slot = divmod(j, per_word)
+        keys[word] |= (perms[:, j].astype(np.uint64)
+                       << np.uint64(bits * (per_word - 1 - slot)))
+    return keys
+
+
+def _lex_order(keys: np.ndarray) -> np.ndarray:
+    """The order that sorts rows by their `_row_keys` words."""
+    return keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
 class AutomorphismGroup:
-    """The full automorphism group of a network, as one array of elements.
+    """The full automorphism group of a network, as one table of elements.
 
     Elements are node permutations in one-line notation (p[i] = image of
-    node i), kept as the rows of a read-only (z, n) array sorted
-    lexicographically, so the identity, which is always present, is row 0.
-    `elements` and iteration give them as tuples.  `weights(m)` is the
-    group's key table (see the module docstring), built on first use.
-    Instances are immutable and safe to share.
+    node i), kept as the rows of a read-only (z, n) int32 table with the
+    identity at row 0: `find_automorphisms`'s chain products as built, or,
+    from this constructor, the checked elements in lexicographic order.
+    Element k is row k of the table for `weights(m)` (see the module
+    docstring) and every canonicity and representative call.  `elements`,
+    iteration and `design_images` give the elements in lexicographic
+    order, from a listing built on first use and cached.  Instances are
+    immutable and safe to share.
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
@@ -91,22 +121,54 @@ class AutomorphismGroup:
         perms = np.asarray(elements, dtype=np.int32)
         if perms.ndim != 2 or perms.shape[1] != n or not len(perms):
             raise ValueError(f"elements of shape {perms.shape}, not (z, {n})")
-        perms = perms[np.lexsort(perms.T[::-1])]
-        perms.setflags(write=False)
-        if ((np.sort(perms, axis=1) != np.arange(n)).any()
-                or (perms[1:] == perms[:-1]).all(axis=1).any()):
+        seen = np.zeros(perms.shape, dtype=bool)
+        if perms.min() >= 0 and perms.max() < n:
+            seen[np.arange(len(perms))[:, None], perms] = True
+        if not seen.all():
             raise ValueError("the elements are not distinct permutations")
+        keys = _row_keys(perms)
+        order = _lex_order(keys)
+        keys = keys[:, order]
+        if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+            raise ValueError("the elements are not distinct permutations")
+        perms = perms[order]
         if not np.array_equal(perms[0], np.arange(n)):
             raise ValueError("the elements do not include the identity")
-        self._perms = perms
+        self._adopt(perms, network)
+        if (self._column[perms[:, list(network.block_nodes)]] >= 0).any():
+            raise ValueError("an element maps a block node to a design node")
+        self._perms = perms  # the table is its own listing
+
+    @classmethod
+    def _from_chain(cls, table: np.ndarray, network: Network
+                    ) -> "AutomorphismGroup":
+        """The group on `find_automorphisms`'s chain-product table, taken as
+        built: the chain lists each element once and the identity first,
+        and every element maps block nodes to block nodes, so nothing is
+        sorted or checked."""
+        group = cls.__new__(cls)
+        group._adopt(table, network)
+        return group
+
+    def _adopt(self, table: np.ndarray, network: Network) -> None:
+        """Keep `table`, read-only, as the group's table, with what every
+        key and image call reads of `network`."""
+        table.setflags(write=False)
+        self._table = table
         self.network = network
-        design, blocks = network.design_nodes, list(network.block_nodes)
+        design = network.design_nodes
         # each node's design column, -1 for block nodes
         self._column = np.full(network.n_total, -1, dtype=np.int64)
         self._column[list(design)] = np.arange(len(design))
-        if (self._column[perms[:, blocks]] >= 0).any():
-            raise ValueError("an element maps a block node to a design node")
         self._weights: dict[int, np.ndarray] = {}  # weights(m), per m
+
+    @cached_property
+    def _perms(self) -> np.ndarray:
+        """The elements as a read-only (z, n) array in lexicographic order:
+        the table sorted by its packed row keys."""
+        perms = self._table[_lex_order(_row_keys(self._table))]
+        perms.setflags(write=False)
+        return perms
 
     def weights(self, m: int) -> np.ndarray:
         """W in base m + 2, read-only, built on first use and cached per m:
@@ -133,9 +195,14 @@ class AutomorphismGroup:
         dtype = (np.int32 if span <= 2 ** 31 else np.float64 if span <= 2 ** 53
                  else np.int64 if span < 2 ** 63 else object)
         place = np.array([base ** e for e in range(d - 1, -1, -1)], dtype=dtype)
-        w = np.empty((d, len(self._perms)), dtype=dtype)
+        # each design node's column's place value (block nodes read one too,
+        # but no element takes a design position to a block node)
+        place = place[self._column]
+        w = np.empty((d, len(self._table)), dtype=dtype)
         for p, node in enumerate(self.network.design_nodes):
-            w[p] = place[self._column[self._perms[:, node]]]
+            # every index is a node, so "clip" clips nothing; it lets take
+            # write to `out` unbuffered
+            np.take(place, self._table[:, node], out=w[p], mode="clip")
         return w
 
     @property
@@ -143,14 +210,14 @@ class AutomorphismGroup:
         return tuple(map(tuple, self._perms.tolist()))
 
     def __len__(self) -> int:
-        return len(self._perms)
+        return len(self._table)
 
     def __iter__(self):
         return map(tuple, self._perms.tolist())
 
     @property
     def size(self) -> int:
-        return len(self._perms)
+        return len(self._table)
 
     def _batch(self, xs) -> np.ndarray:
         """xs as a (B, d) int64 batch of designs."""
@@ -178,20 +245,20 @@ class AutomorphismGroup:
             return (xs - low) @ w
         return (xs - low).astype(np.float64) @ w.astype(np.float64, copy=False)
 
-    def _images(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Row i: the image of design xs[i] under element ks[i], which puts
-        x[p] at the column it takes design position p to."""
-        nodes = list(self.network.design_nodes)
-        columns = self._column[self._perms[ks][:, nodes]]
+    def _images(self, xs: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        """Row i: the image of design xs[i] under the element perms[i],
+        which puts x[p] at the column it takes design position p to."""
+        columns = self._column[perms[:, list(self.network.design_nodes)]]
         out = np.empty_like(xs)
         out[np.arange(len(xs))[:, None], columns] = xs
         return out
 
     def design_images(self, x: Sequence[int]) -> np.ndarray:
-        """All z permuted copies of design x, one per group element."""
+        """All z permuted copies of design x, one per element, in the order
+        of `elements`."""
         xs = self._batch([x])
         return self._images(np.repeat(xs, len(self._perms), axis=0),
-                            np.arange(len(self._perms)))
+                            self._perms)
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
@@ -210,8 +277,8 @@ class AutomorphismGroup:
         d = self.network.n_design
         for start in range(0, len(xs), d):
             chunk = xs[start:start + d]
-            out[start:start + d] = self._images(chunk,
-                                                self._keys(chunk).argmin(axis=1))
+            least = self._keys(chunk).argmin(axis=1)
+            out[start:start + d] = self._images(chunk, self._table[least])
         return out
 
 
@@ -293,8 +360,11 @@ def find_automorphisms(net: Network, max_group_size: int = 1_000_000) -> Automor
     for images in reversed(transversals):
         u = np.empty((len(images), n), dtype=np.int32)
         u[:, order] = images
-        perms = u[:, perms].reshape(-1, n)  # row (a, b): u_a after perms_b
-    return AutomorphismGroup(perms, net)
+        product = np.empty((len(u), len(perms), n), dtype=np.int32)
+        for a, u_a in enumerate(u):  # row (a, b): u_a after perms_b
+            np.take(u_a, perms, out=product[a], mode="clip")  # see _weights_in
+        perms = product.reshape(-1, n)
+    return AutomorphismGroup._from_chain(perms, net)
 
 
 def count_orbits_bruteforce(net: Network, m: int,

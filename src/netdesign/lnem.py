@@ -524,8 +524,14 @@ class DesignEvaluator:
 
     def _using_every_treatment(self, xs: np.ndarray) -> np.ndarray:
         """Indices of the designs of the checked batch `xs` that use every
-        one of the m treatments; the others are INVALID (module docstring)."""
-        used = np.zeros((len(xs), self.spec.m + 1), dtype=bool)
+        one of the m treatments; the others are INVALID (module docstring).
+        While m <= 62 each row's labels are OR-ed as bits 1..m of one int64;
+        a wider m takes a (B, m + 1) table of the labels each row uses."""
+        m = self.spec.m
+        if m <= 62:
+            used = np.bitwise_or.reduce(1 << xs, axis=1)
+            return (used == (2 << m) - 2).nonzero()[0]
+        used = np.zeros((len(xs), m + 1), dtype=bool)
         used[np.arange(len(xs))[:, None], xs] = True
         return used[:, 1:].all(axis=1).nonzero()[0]
 

@@ -582,6 +582,26 @@ def test_designs_missing_a_treatment_are_invalid_by_the_oracles(name,
     assert unused == {1, 2, 3}
 
 
+@pytest.mark.parametrize("m", [2, 4, 62, 63, 70])
+def test_rows_using_every_treatment_match_a_set_oracle(m):
+    # while m <= 62 the labels are OR-ed as the bits of one int64, past that
+    # a table marks them; rows leave out nothing, label 1, label m or a
+    # random label in turn, so both ends of the bit range are reached
+    net = cycle_network(m + 3)
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
+    rng = np.random.default_rng(m)
+    designs = []
+    for i in range(40):
+        gone = (0, 1, m, int(rng.integers(1, m + 1)))[i % 4]
+        labels = [t for t in range(1, m + 1) if t != gone]
+        extra = rng.choice(labels, net.n_design - len(labels)).tolist()
+        designs.append(rng.permutation(labels + extra).tolist())
+    every = set(range(1, m + 1))
+    expected = [i for i, x in enumerate(designs) if set(x) == every]
+    assert len(expected) == 10
+    assert ev._using_every_treatment(ev._batch(designs)).tolist() == expected
+
+
 @st.composite
 def designs_missing_a_treatment(draw):
     """(network, m, design, criterion): a one-way block layout or a graph

@@ -587,6 +587,78 @@ def test_spawn_pool_matches_one_worker(report_cache, monkeypatch):
         assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
 
 
+_ORDER_CASES = {
+    "blocks3333-m3": (nd.augment_blocks([3, 3, 3, 3], 3), 3, None),
+    "rc4x4-m3": (nd.augment_row_column(4, 4, 3), 3, 20_000),
+    "ex4-m3": (nd.example_network(4), 3, None),
+    "crossover3x3-period-blocks": (
+        nd.augment_crossover(3, 3, 3, period_blocks=True), 3, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CASES))
+def test_reports_do_not_depend_on_the_element_order(monkeypatch, name):
+    # the chain-product table against two other orders of the same
+    # elements: the sorted table the public constructor keeps of a shuffled
+    # listing (on some networks the chain order is sorted already), and a
+    # random order with the identity first; the identity is key 0 of each,
+    # and a least key names one image whichever element reaches it
+    net, m, budget = _ORDER_CASES[name]
+    spec = ModelSpec.for_network(net, m)
+    chain = nd.find_automorphisms(net)
+    elements = chain.elements
+    order = np.random.default_rng(0).permutation(chain.size)
+    rebuilt = nd.AutomorphismGroup([elements[i] for i in order], net)
+    assert rebuilt.elements == elements
+    rows = np.concatenate([[0], order[order != 0]])
+    shuffled = nd.AutomorphismGroup._from_chain(chain._table[rows], net)
+    assert shuffled.elements == elements
+    assert not np.array_equal(shuffled._table, chain._table)
+    d = net.n_design
+    identity = [(m + 2) ** (d - 1 - p) for p in range(d)]
+    for group in (chain, rebuilt, shuffled):
+        assert group.weights(m)[:, 0].tolist() == identity
+
+    xs = np.random.default_rng(1).integers(1, m + 1, size=(200, d))
+    least = chain.canonical_representatives(xs)
+    for group in (rebuilt, shuffled):
+        assert np.array_equal(group.canonical_representatives(xs), least)
+        for x in [*xs[:50], *least[:50]]:
+            assert group.is_canonical(x) == chain.is_canonical(x)
+    assert all(chain.is_canonical(x) for x in least[:50])
+
+    def reports():
+        return [*(nd.exhaustive_search(net, spec,
+                                       cfg(workers=w, max_designs=budget))
+                  .to_json(exclude_wall_time=True) for w in (1, 2)),
+                nd.coordinate_descent(net, spec, cfg(restarts=6, seed=3))
+                .to_json(exclude_wall_time=True)]
+
+    expected = reports()
+    for group in (rebuilt, shuffled):
+        monkeypatch.setattr(search, "find_automorphisms",
+                            lambda *args, group=group: group)
+        assert reports() == expected
+
+
+def test_searches_never_build_the_sorted_listing(monkeypatch):
+    # the listing is for `elements`, iteration and `design_images`; every
+    # search reads the chain-product table
+    groups = []
+
+    def spy(*args):
+        groups.append(nd.find_automorphisms(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(search, "find_automorphisms", spy)
+    net = nd.augment_blocks([3, 3, 3, 3], 3)
+    spec = ModelSpec.for_network(net, 3)
+    assert nd.exhaustive_search(net, spec, cfg(max_designs=5_000)).partial
+    nd.coordinate_descent(net, spec, cfg(restarts=2, seed=0))
+    assert len(groups) == 2
+    assert not any("_perms" in vars(group) for group in groups)
+
+
 def _label_canonical(x) -> bool:
     top = 0
     for t in x:
