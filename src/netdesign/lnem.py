@@ -36,19 +36,20 @@ and the contrast e_j of (j, m) has e_j . v = 1.
 Exhaustive search keeps only each chunk's count of valid designs and its
 first least value, so it screens chunks with `_chunk_best` and runs the
 eigh kernel only where its bits matter (certify-then-eigh).  F has a
-null space N common to every design, worked out exactly once per
-evaluator (`DesignEvaluator._null_basis`).  It is zero where F can be
-nonsingular.  On one-way block, row-column, crossover and regular networks
-it holds the treatments' network columns when no two design nodes are
-linked, block columns that sum to the intercept, and on a regular network
-the treatments' network columns, which sum to the degree times the
-intercept.  No pairwise contrast meets N.
-One batched Cholesky factor L of R + s I, R = Q'(F'F)Q with Q an
-orthonormal basis of N's complement and s a tiny ridge, and X = L^-1 by
-forward substitution, certify R far from singular (`_screen`): then F'F's
-null space is N exactly, the design is valid, and the criterion read off
-G = X'X = inv(R + s I) is a lower bound on its value, within a relative
-(m - 1) 1e-8 of it.
+null space N common to every design: on one-way block, row-column,
+crossover and regular networks, block columns that sum to the intercept,
+say, or treatments' network columns that are zero when no two design
+nodes are linked.  No pairwise contrast meets N.  The screen works on the
+pivot columns S of F'F (`DesignEvaluator._kept`), the columns that are
+no combination of those before them, found once per evaluator by exact
+elimination on the label map's rows: every other column of F is the same
+combination of them for every design, so the principal submatrix M_SS of
+M = F'F has M's rank, and its inverse padded with zeros is a generalized
+inverse of M.  One batched Cholesky factor L of M_SS + s I, s a tiny
+ridge, and X = L^-1 by forward substitution, certify M_SS far from
+singular (`_screen`): then F'F's null space is N exactly, the design is
+valid, and the criterion read off G = X'X = inv(M_SS + s I) is a lower
+bound on its value, within a relative (m - 1) 1e-8 of it.
 Designs the screen does not certify go to the kernel, so every INVALID
 decision is the kernel's; so do the certified designs whose bound comes
 within a factor 1 + SCREEN_WINDOW of the chunk's least bound or of the
@@ -87,43 +88,50 @@ Design = tuple[int, ...]
 # contrast is estimable when its row-space residual is below the same
 # relative tolerance
 RANK_TOL = 1e-8
-# The screen (`_screen`) factors R + s I = L L' and takes X = L^-1, R = Q'MQ
-# the information matrix M on the complement of its design-independent
-# null space N (R = M when N = 0), with s = SCREEN_RIDGE * tr(R) > 0, so
-# that a singular R meets no zero pivot: the computed factor is exact for
-# R + s I + E, with |E| at most a small multiple of q eps tr(R) and in
-# practice far smaller (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, ch. 10), so a pivot rarely comes out not positive.
-# Where one does, np.linalg.cholesky raises for the whole stack, and the
-# screen certifies nothing in it: every design then goes to the kernel.
+# The screen (`_screen`) factors R + s I = L L' and takes X = L^-1, R = M_SS
+# the principal submatrix of the information matrix M on its pivot columns
+# S (R = M when every column is a pivot), with s = SCREEN_RIDGE * tr(M) > 0,
+# so that a singular R meets no zero pivot: the computed factor is exact for
+# R + s I + E, with |E| at most a small multiple of q eps tr(R) <= q eps
+# tr(M) and in practice far smaller (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, ch. 10), so a pivot rarely comes out not
+# positive.  Where one does, np.linalg.cholesky raises for the whole stack,
+# and the screen certifies nothing in it: every design then goes to the
+# kernel.
 SCREEN_RIDGE = 1e-14
-# R is certified when tr(R) tr(G) <= SCREEN_CERTIFY, G = X'X = inv(R + s I)
+# R is certified when tr(M) tr(G) <= SCREEN_CERTIFY, G = X'X = inv(R + s I)
 # and tr(G) = |X|_F^2 (diag(G) > 0 holds for any finite X, its entries
 # being X's squared column norms).  The computed X is the exact inverse of
-# a factor of R + s I plus a perturbation of order q eps tr(R) (ch. 10
-# and 14 of Higham), so a certified R has lmin / lmax >= 1 /
+# a factor of R + s I plus a perturbation of order q eps tr(M) (ch. 10 and
+# 14 of Higham), so a certified R has lmin(R) / lmax(M) >= 1 /
 # SCREEN_CERTIFY - SCREEN_RIDGE - O(q eps) ~ 1e-6, a hundred times
-# RANK_TOL; for a singular R, tr(R) tr(G) is of order 1 / (SCREEN_RIDGE +
-# O(q eps)), some 1e13, far from certified.  M's eigenvalues are R's and k =
-# dim N zeros, which eigh computes within a few eps * lmax of zero: it
-# drops exactly those k.  The eigenvectors it keeps span N's complement to
-# within an angle of about eps * lmax / lmin <= 2e-10 (Davis-Kahan), and
-# every contrast lies in that complement, so its residual is some 50 times
-# below the RANK_TOL estimability test: every contrast is estimable.  R's
-# condition is at most SCREEN_CERTIFY, so the forward error of G, and of
-# the treatment block read off X, is of order SCREEN_CERTIFY * eps ~
+# RANK_TOL; for a singular R, tr(M) tr(G) is of order 1 / (SCREEN_RIDGE +
+# O(q eps)), some 1e13, far from certified.  M has k = dim N zero
+# eigenvalues, and by interlacing R, a principal submatrix of order p - k,
+# has lmin(R) <= l_(k+1)(M), the least of M's other eigenvalues (Horn and
+# Johnson, Matrix Analysis, 2nd ed., 2013, Thm 4.3.28).  So eigh computes M's k
+# zeros within a few eps * lmax of zero and the others above 1e-6 lmax:
+# it drops exactly those k.  The eigenvectors it keeps span N's complement
+# to within an angle of about eps * lmax / l_(k+1) <= 2e-10 (Davis-Kahan),
+# and every contrast lies in that complement, so its residual is some 50
+# times below the RANK_TOL estimability test: every contrast is estimable.
+# R's condition is at most SCREEN_CERTIFY, so the forward error of G, and
+# of the treatment block read off X, is of order SCREEN_CERTIFY * eps ~
 # 2e-10, times a small dimension factor (Higham, ch. 14).
 SCREEN_CERTIFY = 1e6
+# R^-1 padded with zeros is a generalized inverse of M (the module
+# docstring), so the criterion reads the same off R^-1 as off any other;
 # (R + s I)^-1 <= R^-1, so the screen's value is a lower bound; per
 # eigenvalue 1/(l + s) >= (1 - s / (lmin + s)) / l and s / (lmin + s) <=
-# SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8 low and Ds
-# (a determinant of order m - 1) at most (m - 1) 1e-8, plus rounding.  A
-# certified design is evaluated exactly only when its bound lies within a
-# factor 1 + SCREEN_WINDOW of the least bound or of the best value so far;
-# SCREEN_WINDOW covers the gap with a factor ten to spare up to m = 10 and
-# still covers it up to m = 50.  So the kernel's value of a certified
-# design lies within a factor 1 +- SCREEN_WINDOW of its bound, the interval
-# that `DesignEvaluator._bounds` gives and coordinate descent compares on.
+# s tr(G) <= SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8
+# low and Ds (a determinant of order m - 1) at most (m - 1) 1e-8, plus
+# rounding.  A certified design is evaluated exactly only when its bound
+# lies within a factor 1 + SCREEN_WINDOW of the least bound or of the best
+# value so far; SCREEN_WINDOW covers the gap with a factor ten to spare up
+# to m = 10 and still covers it up to m = 50.  So the kernel's value of a
+# certified design lies within a factor 1 +- SCREEN_WINDOW of its bound,
+# the interval that `DesignEvaluator._bounds` gives and coordinate descent
+# compares on.
 SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")
@@ -271,40 +279,29 @@ def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, order
 
 
-def _integer_null_space(matrix: list[list[int]]) -> list[list[int]]:
-    """A basis of the integer vectors a with matrix @ a = 0, in exact
-    integer arithmetic: fraction-free Gauss-Jordan elimination (each other
-    row is cross-multiplied against the pivot row, then divided by the gcd
-    of its entries), then one vector per free column, scaled so that every
-    entry is a whole number, and divided by their gcd."""
+def _pivot_columns(matrix: list[list[int]]) -> list[int]:
+    """The pivot columns of an integer matrix, the columns that are no
+    combination of the columns before them, in order: left-to-right
+    fraction-free elimination in exact integers (the rows below each pivot
+    are cross-multiplied against it, then divided by the gcd of their
+    entries)."""
     rows = [list(row) for row in matrix]
-    width = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    for col in range(width):
+    for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                row = [a * top[col] - b * row[col] for a, b in zip(row, top)]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                row = [a * top[col] - b * rows[i][col]
+                       for a, b in zip(rows[i], top)]
                 divisor = math.gcd(*row) or 1
                 rows[i] = [v // divisor for v in row]
         pivots.append(col)
-    # row r is zero at every pivot column but its own, so a free column's
-    # vector is scale there and -scale * row[free] / row[pivot] at each pivot
-    scale = math.lcm(*(rows[r][col] for r, col in enumerate(pivots)))
-    basis = []
-    for free in sorted(set(range(width)) - set(pivots)):
-        v = [0] * width
-        v[free] = scale
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free] * scale // rows[r][col]
-        divisor = math.gcd(*v)
-        basis.append([x // divisor for x in v])
-    return basis
+    return pivots
 
 
 class DesignEvaluator:
@@ -324,11 +321,6 @@ class DesignEvaluator:
                              f"block treatments, network has {net.n_blocks}")
         self.net = net
         self.spec = spec
-        a_meas = net.adjacency[list(net.design_nodes), :].astype(np.float64)
-        self._a_design = a_meas[:, list(net.design_nodes)]
-        fixed = [net.roles[b].fixed_treatment - 1 for b in net.block_nodes]
-        self._gamma_blocks = (a_meas[:, list(net.block_nodes)]
-                              @ np.eye(spec.total_treatments)[fixed])
 
     @cached_property
     def _label_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -339,67 +331,54 @@ class DesignEvaluator:
         flattened (d p) constant: the intercept and the block
         pseudo-treatments' network counts.  Every entry is a small whole
         number, so the GEMM's sums are exact in any order."""
-        m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
+        net, spec = self.net, self.spec
+        m, d, p = spec.m, net.n_design, spec.n_params
+        a_meas = net.adjacency[list(net.design_nodes), :].astype(np.float64)
+        a_design = a_meas[:, list(net.design_nodes)]
+        fixed = [net.roles[b].fixed_treatment - 1 for b in net.block_nodes]
         changes = np.zeros((d, m, d, p))
         k = np.arange(d)[:, None]
         changes[k, np.arange(m - 1), k, np.arange(1, m)] = 1.0
         for label in range(m):
-            changes[:, label, :, m + label] = self._a_design.T
+            changes[:, label, :, m + label] = a_design.T
         constant = np.zeros((d, p))
         constant[:, 0] = 1.0
-        constant[:, m:] = self._gamma_blocks
+        constant[:, m:] = (a_meas[:, list(net.block_nodes)]
+                           @ np.eye(spec.total_treatments)[fixed])
         return changes.reshape(d * m, d * p), constant.ravel()
 
     @cached_property
-    def _null_basis(self) -> np.ndarray:
-        """The (p, k) integer basis of the vectors v with F(x) v = 0 for
-        every design x, exact.
+    def _kept(self) -> np.ndarray | None:
+        """The pivot columns S of F'F that `_screen` works on, in order; None
+        when every column is a pivot.
 
-        Row i of F(x) v is v_0, plus the indicator coefficient of x_i (zero
-        for treatment m), plus sum_k A_d[i, k] w_{x_k} over the design
-        nodes, plus (Gamma w)_i for the block nodes, where w holds the
-        network coefficients.  A_d has a zero diagonal, so changing x_k
-        alone changes row k by an indicator coefficient and row i by
-        A_d[i, k] w_{x_k}.  Hence the indicator coefficients are zero, and
-        w_1 = ... = w_m unless A_d = 0.  The rest does not depend on x: it
-        is the null space of the integer columns 1, A_d 1 for the common w
-        (when A_d != 0; otherwise w_1..w_m each bring their own Gamma
-        column) and Gamma's block columns (`_integer_null_space`).  Worked
+        The rows of F(1, ..., 1) and of each one-label change K_k[l] -
+        K_k[1] (`_label_map`) span the rows of F(x) for every design x,
+        F(x) being F(1, ..., 1) plus the changes of the positions not
+        labelled 1, and each of them is a row of some F(x) or a difference
+        of two.  So the null space N that every F(x) shares is null(A) for
+        the stack A of those integer rows, and null(A'A): the pivot columns
+        of the integer Gram A'A are F's (`_pivot_columns`), and each free
+        column of F is the same combination of them for every design.
+        A_d has a zero diagonal, so changing x_k alone changes row k by its
+        indicator coefficients only: N is zero on the indicators, and the
+        intercept and the m - 1 indicators are the first m pivots.  Worked
         out on first use, so that building an evaluator stays cheap."""
-        m, p = self.spec.m, self.spec.n_params
-        gamma = np.rint(self._gamma_blocks).astype(np.int64)
-        network = list(range(m, p))  # w_1..w_total
-        if self._a_design.any():
-            degrees = np.rint(self._a_design.sum(axis=1)).astype(np.int64)
-            groups = [[0], network[:m]] + [[j] for j in network[m:]]
-            columns = [np.ones_like(degrees),
-                       degrees + gamma[:, :m].sum(axis=1), *gamma[:, m:].T]
-        else:
-            groups = [[0]] + [[j] for j in network]
-            columns = [np.ones(len(gamma), dtype=np.int64), *gamma.T]
-        coefficients = np.column_stack(columns).tolist()
-        null = _integer_null_space(coefficients)
-        basis = np.zeros((p, len(null)), dtype=np.int64)
-        for j, a in enumerate(null):
-            for group, value in zip(groups, a):
-                basis[group, j] = value
-        basis.setflags(write=False)
-        return basis
-
-    @cached_property
-    def _complement(self) -> np.ndarray | None:
-        """An orthonormal (p, p - k) basis Q of the complement of
-        `_null_basis`, the coordinates `_screen` works in; None when k = 0,
-        where the screen works in F'F's own coordinates."""
-        null = self._null_basis.astype(np.float64)
-        p, k = null.shape
-        if not k:
+        m, d, p = self.spec.m, self.net.n_design, self.spec.n_params
+        mapping, constant = self._label_map
+        changes = mapping.reshape(d, m, d, p)
+        first = constant.reshape(d, p) + changes[:, 0].sum(axis=0)
+        gram = first.T @ first
+        # a position at a time, with no (d (m - 1) d, p) stack of rows
+        for change in changes:
+            steps = (change[1:] - change[:1]).reshape(-1, p)
+            gram += steps.T @ steps
+        pivots = _pivot_columns(np.rint(gram).astype(np.int64).tolist())
+        if len(pivots) == p:
             return None
-        # N N' has p - k zero eigenvalues, which eigh lists first, and k at
-        # least the least eigenvalue of the integer N'N: far from zero
-        q = np.ascontiguousarray(np.linalg.eigh(null @ null.T)[1][:, :p - k])
-        q.setflags(write=False)
-        return q
+        kept = np.array(pivots)
+        kept.setflags(write=False)
+        return kept
 
     def _batch(self, designs) -> np.ndarray:
         """The designs as a (B, d) int64 batch.  A design of the wrong
@@ -456,17 +435,17 @@ class DesignEvaluator:
         xs = self._batch(designs)
         rows = self._using_every_treatment(xs)
         if len(rows) == len(xs):
-            return _canonical_values(self._information_matrices(xs), self.spec)
+            return _criterion_values(self._information_matrices(xs), self.spec)
         out = np.full(len(xs), np.nan)
         if len(rows):
-            out[rows] = _canonical_values(self._information_matrices(xs[rows]),
+            out[rows] = _criterion_values(self._information_matrices(xs[rows]),
                                           self.spec)
         return out
 
     def _kernel_values(self, info: np.ndarray) -> np.ndarray:
         """`_value_array` of designs given by their information matrices (a
         (B, p, p) stack from `_information_matrices`)."""
-        return _canonical_values(info, self.spec)
+        return _criterion_values(info, self.spec)
 
     def _bounds(self, designs) -> np.ndarray:
         """The interval that holds the kernel's value of each design of a
@@ -477,7 +456,7 @@ class DesignEvaluator:
         xs = self._batch(designs)
         rows = self._using_every_treatment(xs)
         certified, bound = _screen(self._information_matrices(xs[rows]),
-                                   self.spec, self._complement)
+                                   self.spec, self._kept)
         out = np.full((len(xs), 2), np.nan)
         out[rows[certified]] = (bound[certified, None]
                                 * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
@@ -499,7 +478,7 @@ class DesignEvaluator:
         treatment go through `_screen`, on every network.  The uncertified
         ones, and the certified ones whose lower bound is within a factor
         1 + SCREEN_WINDOW of min(best, least bound), need the kernel
-        (`_canonical_values`), which gives their values and INVALID
+        (`_criterion_values`), which gives their values and INVALID
         decisions as `_value_array` does, bit for bit.  The other certified
         designs are valid but worse than the least bound's design or than
         `best`, so they count as valid with no canonicalization and no
@@ -514,7 +493,7 @@ class DesignEvaluator:
         info = self._information_matrices(xs[rows])
         if len(rows) < (1 if best is not None else 2):
             return 0, rows, info
-        certified, bound = _screen(info, self.spec, self._complement)
+        certified, bound = _screen(info, self.spec, self._kept)
         exact = ~certified
         if certified.any():
             least = bound[certified].min()
@@ -537,7 +516,7 @@ class DesignEvaluator:
 
     def _information_matrices(self, xs: np.ndarray) -> np.ndarray:
         """F'F of each design of the checked batch `xs`, in the order of
-        F's columns: `_canonical_values` orders the nuisance coordinates of
+        F's columns: `_criterion_values` orders the nuisance coordinates of
         those that go to the kernel."""
         f = self._model_matrices(xs)
         return f.transpose(0, 2, 1) @ f
@@ -586,41 +565,39 @@ def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:
         raise ValueError("information matrix entries must be finite")
     if not (info == info.T).all():
         raise ValueError("information matrix must be symmetric")
-    value = float(_canonical_values(info[None, :, :], spec)[0])
+    value = float(_criterion_values(info[None, :, :], spec)[0])
     return value if value == value else None
 
 
 def _screen(info: np.ndarray, spec: ModelSpec,
-            basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+            kept: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices M of a (B, p, p) stack of finite information matrices
     `_criterion_values` would find with every contrast estimable, certified
     from one batched Cholesky factor without an eigendecomposition, and for
     each a lower bound on its criterion value (meaningless where not
     certified).
 
-    `basis` is an orthonormal basis Q of the complement of a null space N
-    that every matrix of the stack has, and that no pairwise contrast
-    meets (`DesignEvaluator._complement`); None means N = 0, Q = I.  The
-    screen factors R + s I = L L', R = Q'MQ, and takes X = L^-1 by forward
-    substitution, so that G = inv(R + s I) = X'X and tr(G) = |X|_F^2.  A
-    certified R is far from singular, so null(M) is N exactly, every
-    contrast c (orthogonal to N) is estimable, and c'M^+c = (Q'c)' R^-1
-    (Q'c) (Rao and Mitra, Generalized Inverse of Matrices and its
-    Applications, 1971).  The bound is the criterion read off G in place
-    of R^-1, from the treatment block C = Q_t G Q_t' = Y'Y on the
-    coordinates t = 1..m-1, Y = X Q_t' (the columns t of X when Q = I):
-    As is the mean of C_jj + C_ll - 2 C_jl over the pairs, that is
-    (m |Y|_F^2 - |Y 1|^2) / (m(m-1)/2), and Ds is det(Y'Y); both times the
-    powers of sigma2 that `_criterion_values` applies.  A stack that
-    Cholesky cannot factor gets nothing certified.  SCREEN_RIDGE,
-    SCREEN_CERTIFY and SCREEN_WINDOW say why the certificate and the bound
-    hold."""
+    `kept` holds the pivot columns S of every matrix of the stack, among
+    them the intercept and the m - 1 indicators as its first m entries
+    (`DesignEvaluator._kept`); None means every column.  The screen factors
+    R + s I = L L', R = M_SS and s = SCREEN_RIDGE tr(M), and takes X = L^-1
+    by forward substitution, so that G = inv(R + s I) = X'X and tr(G) =
+    |X|_F^2.  A certified R is far from singular, so M has R's rank: its
+    null space is the one that every matrix of the stack shares, which no
+    pairwise contrast c meets, so c is estimable and c'M^-c = c_S' R^-1
+    c_S, R^-1 padded with zeros being a generalized inverse of M (Rao and
+    Mitra, Generalized Inverse of Matrices and its Applications, 1971).
+    The bound is the criterion read off G in place of R^-1, from the
+    treatment block C = Y'Y, Y = X[:, 1:m] the indicators' columns: As is
+    the mean of C_jj + C_ll - 2 C_jl over the pairs, that is (m |Y|_F^2 -
+    |Y 1|^2) / (m(m-1)/2), and Ds is det(Y'Y); both times the powers of
+    sigma2 that `_criterion_values` applies.  A stack that Cholesky cannot
+    factor gets nothing certified.  SCREEN_RIDGE, SCREEN_CERTIFY and
+    SCREEN_WINDOW say why the certificate and the bound hold."""
     m, batch = spec.m, len(info)
-    if basis is not None:
-        info = basis.T @ info @ basis
-    q = info.shape[-1]
     trace = np.trace(info, axis1=1, axis2=2)
-    shifted = info.copy()
+    shifted = info.copy() if kept is None else info[:, kept[:, None], kept]
+    q = shifted.shape[-1]
     shifted.reshape(batch, q * q)[:, ::q + 1] += (SCREEN_RIDGE * trace)[:, None]
     # a matrix certified far from singular has a finite, well-conditioned
     # G; the others may overflow or come out garbage, and are not certified
@@ -634,10 +611,7 @@ def _screen(info: np.ndarray, spec: ModelSpec,
         # NaN fails the test
         certified = (trace * np.add.reduce(x * x, axis=(0, 1))
                      <= SCREEN_CERTIFY)
-        if basis is None:
-            y = x[:, 1:m]
-        else:
-            y = np.einsum("ijb,tj->itb", x, basis[1:m])
+        y = x[:, 1:m]
         if spec.criterion == "As":
             sums = np.add.reduce(y, axis=1)
             bound = ((m * np.add.reduce(y * y, axis=(0, 1))
@@ -668,22 +642,16 @@ def _inverse_factor(low: np.ndarray) -> np.ndarray:
     return x
 
 
-def _canonical_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """`_criterion_values` of a (B, p, p) stack of finite matrices, its
-    nuisance coordinates first put in canonical order."""
-    return _criterion_values(_canonicalize_nuisance(info, spec), spec)
-
-
 def _criterion_values(info: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """`evaluate_criterion` of each matrix of a (B, p, p) stack of finite
-    matrices whose nuisance coordinates are already canonical, with one
-    batched eigh, as a float64 array with NaN for INVALID.  Eigenvalues
+    matrices, with one batched eigh after its nuisance coordinates are put
+    in canonical order, as a float64 array with NaN for INVALID.  Eigenvalues
     come back ascending, so the kept eigenvectors of a matrix are a suffix
     v[:, k:]; matrices are grouped by k and each group's estimability test
     and criterion run as stacked operations.  Every matrix gets the same
     floating-point operations whatever else is in the stack, so its value
     does not depend on the chunk it came in."""
-    w, v = np.linalg.eigh(info)
+    w, v = np.linalg.eigh(_canonicalize_nuisance(info, spec))
     contrasts, tol = _pair_contrasts(spec.m, spec.n_params)
     # k: the eigenvalues at or below RANK_TOL times the largest; all p of
     # them (INVALID) exactly when the largest is not positive

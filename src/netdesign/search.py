@@ -788,7 +788,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
 # pluggable loop
 
 def run_with_plugins(net: Network, spec: ModelSpec,
-                     next_fn: Callable[[list, list], Design | None],
+                     next_fn: Callable[[list, list], Sequence[int] | None],
                      stop_fn: Callable[[list, list, int], bool] | None,
                      config: SearchConfig | None = None) -> SearchReport:
     """The generic loop with user-supplied candidate and stopping rules.
@@ -801,7 +801,10 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     budget (max_designs, else 10^7) guards non-terminating rules; hitting it
     flags the report partial.  A candidate of the wrong length or with a
     label outside 1..m raises before the canonicity gate, so the outcome
-    does not depend on the group."""
+    does not depend on the group.  Each candidate is kept, in the histories
+    and as the best design, as the `Design` tuple of ints that its labels
+    name, whether next_fn gave a tuple, a list or an array, of ints or of
+    whole-number floats."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config, spec.m)
@@ -814,7 +817,7 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     partial = False
     x = next_fn(xs, ds)
     while x is not None:
-        ev._batch([x])
+        x = tuple(ev._batch([x])[0].tolist())
         counters.considered += 1
         if group is not None and not group.is_canonical(x):
             counters.skipped += 1

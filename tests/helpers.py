@@ -517,7 +517,7 @@ def force_screen_off(monkeypatch) -> None:
     `_chunk_best`, and in coordinate descent, which then values every new
     orbit representative exactly."""
 
-    def certify_nothing(info, spec, basis=None):
+    def certify_nothing(info, spec, kept=None):
         return np.zeros(len(info), dtype=bool), np.full(len(info), np.inf)
 
     monkeypatch.setattr(nd.lnem, "_screen", certify_nothing)

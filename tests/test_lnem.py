@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
@@ -12,7 +13,7 @@ from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_CERTIFY, SCREEN_RIDGE,
                             SCREEN_WINDOW, DesignEvaluator, ModelSpec,
                             _canonicalize_nuisance, _screen)
 
-from helpers import (cycle_network, exact_estimable, exact_rank,
+from helpers import (_echelon, cycle_network, exact_estimable, exact_rank,
                      frozen_canonicalize_nuisance, frozen_criterion,
                      oracle_model_matrix, oracle_value, pinv_criterion,
                      screened_networks)
@@ -635,17 +636,16 @@ def test_screened_designs_are_invalid_on_random_networks(case):
 # ------------------------------------------------------ the screen's oracles
 
 def _assert_screen_sound(info: np.ndarray, spec: ModelSpec, designs=None,
-                         net=None, basis=None) -> int:
-    """Every matrix `_screen` certifies on `basis` (an orthonormal basis of
-    the complement of a null space that every matrix of the stack shares,
-    of dimension k; None for k = 0) has rank p - k in exact integer
-    arithmetic, so that its null space is that one, and its bound is at
-    most the pseudoinverse's value times 1 + 1e-9 and at least that value
-    times 1 - SCREEN_WINDOW / 2.  With `designs` and `net` the certified
-    designs are also estimable by `exact_estimable`, so they are valid.
-    Returns the number certified."""
-    certified, bound = _screen(info, spec, basis)
-    rank = spec.n_params if basis is None else basis.shape[1]
+                         net=None, kept=None) -> int:
+    """Every matrix `_screen` certifies on `kept` (the pivot columns of
+    every matrix of the stack, p - k of them; None for k = 0) has rank
+    p - k in exact integer arithmetic, so that its null space is the one
+    they share, and its bound is at most the pseudoinverse's value times
+    1 + 1e-9 and at least that value times 1 - SCREEN_WINDOW / 2.  With
+    `designs` and `net` the certified designs are also estimable by
+    `exact_estimable`, so they are valid.  Returns the number certified."""
+    certified, bound = _screen(info, spec, kept)
+    rank = spec.n_params if kept is None else len(kept)
     for i in certified.nonzero()[0]:
         assert exact_rank(info[i]) == rank, i
         if designs is not None:
@@ -728,9 +728,46 @@ def test_screen_of_a_stack_that_cholesky_cannot_factor():
     assert _screen(info[:1], spec)[0].all()
 
 
+def _shared_rows(net: nd.Network, m: int) -> list[list[int]]:
+    """The distinct rows of the oracle's F(x) over the all-ones design and
+    each design one label away from it.  F(x) is F(1, ..., 1) plus, for
+    each position k not labelled 1, the change F(1, .., x_k, .., 1) -
+    F(1, ..., 1), so these rows span the rows of every F(x)."""
+    d = net.n_design
+    designs = [(1,) * d] + [(1,) * k + (l,) + (1,) * (d - k - 1)
+                            for k in range(d) for l in range(2, m + 1)]
+    rows = np.concatenate([oracle_model_matrix(net, x, m) for x in designs])
+    return np.unique(np.rint(rows).astype(np.int64), axis=0).tolist()
+
+
+def _oracle_complement(net: nd.Network, m: int) -> np.ndarray | None:
+    """An orthonormal (p, p - k) basis Q of the complement of the null
+    space N that every F(x) shares (None when k = 0): N from the exact
+    echelon form of `_shared_rows`, one vector per free column solved
+    row by row from the last, and Q the right singular vectors of N' past
+    its rank."""
+    rows = _shared_rows(net, m)
+    echelon = _echelon(rows)
+    p = 2 * m + net.n_blocks
+    free = sorted(set(range(p)) - {pivot for pivot, _ in echelon})
+    if not free:
+        return None
+    null = np.zeros((p, len(free)))
+    for j, f in enumerate(free):
+        v = [Fraction(0)] * p
+        v[f] = Fraction(1)
+        # each echelon row is zero at the pivots of the rows before it
+        for pivot, entries in reversed(echelon):
+            v[pivot] = -sum(value * v[c] for c, value in entries if c != pivot)
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in rows)
+        null[:, j] = [float(x) for x in v]
+    return np.linalg.svd(null.T)[2][len(free):].T
+
+
 def _inverse_screen(info: np.ndarray, spec: ModelSpec, basis=None):
-    """The screen's certificate and bound from a batched inverse of R + s I
-    in place of the Cholesky factor: diag(G) > 0 and tr(R) tr(G) <=
+    """The screen's certificate and bound from a batched inverse of R + s I,
+    R = Q'MQ on `basis` Q (M itself when None), in place of the Cholesky
+    factor on M's kept columns: diag(G) > 0 and tr(R) tr(G) <=
     SCREEN_CERTIFY, with the treatment block C = Q_t G Q_t' read directly."""
     m = spec.m
     if basis is not None:
@@ -751,16 +788,35 @@ def _inverse_screen(info: np.ndarray, spec: ModelSpec, basis=None):
                                               else m - 1)
 
 
+# networks with block nodes or a constant degree, whose F'F is singular for
+# every design, beside examples named by number
+_SINGULAR_NETWORKS = {
+    "rc4x4": nd.augment_row_column(4, 4, 4),
+    "blocks3333": nd.augment_blocks([3, 3, 3, 3], 3),
+    "crossover4x3-periods": nd.augment_crossover(4, 3, 3, period_blocks=True),
+    "cycle7": cycle_network(7),
+}
+
+
 @pytest.mark.parametrize("criterion", CRITERIA)
-@pytest.mark.parametrize("example,m", [(2, 4), (4, 4), (6, 3)])
+@pytest.mark.parametrize("example,m", [(2, 4), (4, 4), (6, 3), ("rc4x4", 4),
+                                       ("blocks3333", 3),
+                                       ("crossover4x3-periods", 3),
+                                       ("cycle7", 3)])
 def test_screen_certifies_as_the_inverse_route(example, m, criterion):
-    # on chunks of the stream after seeded prefixes, the Cholesky screen
-    # certifies exactly the designs that a batched inverse of R + s I
-    # certifies, with bounds that agree to 1e-11
-    net = nd.example_network(example)
+    # on chunks of the stream after seeded prefixes, the Cholesky screen on
+    # the kept columns certifies exactly the designs that a batched inverse
+    # of R + s I certifies, R = F'F on the complement of the null space
+    # that every design shares (F'F itself when that is zero), with bounds
+    # that agree to 1e-11 (1e-10 on a complement)
+    net = (nd.example_network(example) if isinstance(example, int)
+           else _SINGULAR_NETWORKS[example])
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
-    rng = np.random.default_rng(example)
+    basis = _oracle_complement(net, m)
+    assert (basis is None) == isinstance(example, int)
+    rtol = 1e-11 if basis is None else 1e-10
+    rng = np.random.default_rng(example if basis is None else net.n_design)
     certified = 0
     for _ in range(4):
         prefix = [1]
@@ -771,10 +827,10 @@ def test_screen_certifies_as_the_inverse_route(example, m, criterion):
         for chunk in search._chunks(stream, search._Counters()):
             info = ev._information_matrices(
                 chunk[ev._using_every_treatment(chunk)])
-            got, bound = _screen(info, spec, ev._complement)
-            expected, reference = _inverse_screen(info, spec, ev._complement)
+            got, bound = _screen(info, spec, ev._kept)
+            expected, reference = _inverse_screen(info, spec, basis)
             assert np.array_equal(got, expected)
-            assert np.allclose(bound[got], reference[got], rtol=1e-11, atol=0)
+            assert np.allclose(bound[got], reference[got], rtol=rtol, atol=0)
             certified += int(got.sum())
     assert certified > 500
 
@@ -825,48 +881,68 @@ def test_information_matrices_on_random_networks(case):
     _assert_oracle_grams(net, m, xs)
 
 
+# (network, m, k): k the dimension of the null space that F has whatever
+# the design
 _NULL_NETWORKS = {
-    "blocks333": (nd.augment_blocks([3, 3, 3], 3), 4),
-    "rc3x3": (nd.augment_row_column(3, 3, 3), 5),
-    "crossover4x3": (nd.augment_crossover(4, 3, 3), 1),
+    "blocks333": (nd.augment_blocks([3, 3, 3], 3), 3, 4),
+    "blocks444-m4": (nd.augment_blocks([4, 4, 4], 4), 4, 5),
+    "rc3x3": (nd.augment_row_column(3, 3, 3), 3, 5),
+    "rc4x4-m4": (nd.augment_row_column(4, 4, 4), 4, 6),
+    "crossover4x3": (nd.augment_crossover(4, 3, 3), 3, 1),
     "crossover4x3-periods": (nd.augment_crossover(4, 3, 3, period_blocks=True),
-                             3),
-    "cycle7": (cycle_network(7), 1),
-    "ex2": (nd.example_network(2), 0),
+                             3, 3),
+    "cycle7": (cycle_network(7), 3, 1),
+    "cycle40": (cycle_network(40), 3, 1),
+    "ex2": (nd.example_network(2), 3, 0),
 }
+
+
+def _assert_kept_columns(net: nd.Network, m: int, designs) -> np.ndarray:
+    """The evaluator's kept columns are the pivot columns of the oracle's
+    `_shared_rows` (None when that is every column), start with the
+    intercept and the m - 1 indicators, and carry the whole exact rank of
+    the oracle's F(x) for each design; returns those ranks."""
+    ev = DesignEvaluator(net, ModelSpec.for_network(net, m))
+    kept, p = ev._kept, ev.spec.n_params
+    pivots = sorted(pivot for pivot, _ in _echelon(_shared_rows(net, m)))
+    if kept is None:
+        assert pivots == list(range(p))
+        kept = np.arange(p)
+    else:
+        assert kept.tolist() == pivots and len(kept) < p
+    assert kept[:m].tolist() == list(range(m))
+    ranks = []
+    for x in designs:
+        f = np.rint(oracle_model_matrix(net, x, m)).astype(np.int64)
+        ranks.append(exact_rank(f))
+        assert exact_rank(f[:, kept]) == ranks[-1], x
+    return np.array(ranks)
 
 
 @pytest.mark.parametrize("name", sorted(_NULL_NETWORKS))
 def test_null_basis_is_the_null_space_every_design_shares(name):
     # block indicators that sum to the intercept, treatments' network
     # columns with no two design nodes linked, or a constant degree make F
-    # singular whatever the design.  The integer basis is exact: F(x) N = 0
-    # in integers for the oracle's F on seeded designs.  It is all of that
-    # shared null space: p minus the largest exact rank of F(x) over them
-    # is k.  It is zero on the treatment indicators, so no pairwise
-    # contrast meets it, and Q is an orthonormal basis of its complement.
-    # Neither is built with the evaluator.
-    net, k = _NULL_NETWORKS[name]
-    spec = ModelSpec.for_network(net, 3)
+    # singular whatever the design: its columns past the kept ones are
+    # combinations of those.  On seeded designs the kept columns carry
+    # F's exact rank, and the largest such rank is their number, p - k.
+    # They are not found when the evaluator is built or values designs.
+    net, m, k = _NULL_NETWORKS[name]
+    spec = ModelSpec.for_network(net, m)
     ev = DesignEvaluator(net, spec)
-    ev.values([((1, 2, 3) * net.n_design)[:net.n_design]])
-    assert "_null_basis" not in vars(ev) and "_complement" not in vars(ev)
-    null, p = ev._null_basis, spec.n_params
-    assert null.dtype == np.int64 and null.shape == (p, k)
-    assert not null[1:3].any()
-    ranks = []
-    for x in np.random.default_rng(5).integers(1, 4, (20, net.n_design)):
-        f = np.rint(oracle_model_matrix(net, x, 3)).astype(np.int64)
-        assert not (f @ null).any(), x
-        ranks.append(exact_rank(f))
-    assert p - max(ranks) == k
-    q = ev._complement
-    if k == 0:
-        assert q is None
-    else:
-        assert q.shape == (p, p - k)
-        assert np.allclose(q.T @ q, np.eye(p - k), atol=1e-13)
-        assert np.allclose(null.T @ q, 0, atol=1e-13)
+    ev.values([(tuple(range(1, m + 1)) * net.n_design)[:net.n_design]])
+    assert "_kept" not in vars(ev)
+    designs = np.random.default_rng(5).integers(1, m + 1, (20, net.n_design))
+    ranks = _assert_kept_columns(net, m, designs)
+    p = spec.n_params
+    assert ranks.max() == (p if ev._kept is None else len(ev._kept)) == p - k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(screened_networks())
+def test_kept_columns_on_random_networks(case):
+    net, m, x, _ = case
+    _assert_kept_columns(net, m, [x])
 
 
 _STREAM_NETWORKS = {
@@ -882,9 +958,9 @@ _STREAM_NETWORKS = {
 @pytest.mark.parametrize("name", sorted(_STREAM_NETWORKS))
 def test_screen_is_sound_on_stream_chunks_of_block_networks(name, criterion):
     # two chunks of the label-canonical stream after seeded prefixes: on
-    # the complement of the shared null space, every design the screen
-    # certifies is valid by exact arithmetic, with a tight bound, and
-    # most designs that use every treatment are certified
+    # the kept columns, every design the screen certifies is valid by
+    # exact arithmetic, with a tight bound, and most designs that use
+    # every treatment are certified
     net, m = _STREAM_NETWORKS[name]
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
@@ -899,6 +975,6 @@ def test_screen_is_sound_on_stream_chunks_of_block_networks(name, criterion):
         chunk = next(search._chunks(stream, search._Counters()))
         xs = chunk[ev._using_every_treatment(chunk)]
         certified += _assert_screen_sound(ev._information_matrices(xs), spec,
-                                          xs, net, ev._complement)
+                                          xs, net, ev._kept)
         screened += len(xs)
     assert certified > screened / 2

@@ -321,7 +321,7 @@ def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
             assert got == expected and got[2].hex() == least.hex(), best
         rows = ev._using_every_treatment(chunk)
         certified, _ = lnem._screen(
-            ev._information_matrices(chunk[rows]), spec, ev._complement)
+            ev._information_matrices(chunk[rows]), spec, ev._kept)
         near = int((values[rows][certified] <= least * window).sum())
         assert len(ev._chunk_best(chunk, None)[1]) <= (~certified).sum() + near
 
@@ -1148,6 +1148,26 @@ def test_plugin_random_next_deterministic(examples):
     a = nd.run_with_plugins(net, spec, random_next(99), stop, cfg())
     b = nd.run_with_plugins(net, spec, random_next(99), stop, cfg())
     assert a.to_json(exclude_wall_time=True) == b.to_json(exclude_wall_time=True)
+
+
+def test_plugin_reports_the_same_design_whatever_its_container(examples):
+    # the first 300 stream designs of example 1 at m = 2, handed back as
+    # int tuples, lists, int64 arrays and tuples of whole-number floats:
+    # one JSON report, with the best design an int tuple
+    net = examples[1]
+    spec = ModelSpec.for_network(net, 2)
+    designs = list(itertools.islice(nd.enumerate_designs(10, 2), 300))
+
+    def stream(convert):
+        it = map(convert, designs)
+        return lambda xs, ds: next(it, None)
+
+    reports = [nd.run_with_plugins(net, spec, stream(convert), None, cfg())
+               for convert in (tuple, list, np.array,
+                               lambda x: tuple(map(float, x)))]
+    assert type(reports[0].best_design) is tuple
+    assert all(type(v) is int for v in reports[0].best_design)
+    assert len({r.to_json(exclude_wall_time=True) for r in reports}) == 1
 
 
 def test_trivial_group_is_never_consulted(examples, monkeypatch):
