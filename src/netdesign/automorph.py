@@ -98,8 +98,9 @@ def _row_keys(perms: np.ndarray) -> np.ndarray:
 
 
 def _lex_order(keys: np.ndarray) -> np.ndarray:
-    """The order that sorts rows by their `_row_keys` words."""
-    return keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
+    """The order that sorts rows by their `_row_keys` words, first word
+    most significant."""
+    return np.lexsort(keys[::-1])
 
 
 class AutomorphismGroup:

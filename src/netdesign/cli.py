@@ -271,9 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=("As", "Ds"), default="As")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: all cores, or one for an "
-                        "exhaustive stream too small to split); results are "
-                        "identical for any value")
+                   help="worker processes (default: the cores this "
+                        "process may run on, or one for an exhaustive stream "
+                        "too small to split); results are identical for any "
+                        "value")
     p.add_argument("--max-designs", type=int, default=None,
                    help="candidate budget, exhaustive search only; "
                         "exceeding it flags the report partial and exits 3")

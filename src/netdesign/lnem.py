@@ -33,41 +33,45 @@ c_j != 0 lies in F's row space; if treatment m is unused, the indicators of
 1..m-1 sum to the intercept, so F v = 0 for v = (-1, 1, ..., 1, 0, ..., 0),
 and the contrast e_j of (j, m) has e_j . v = 1.
 
-Exhaustive search keeps only each chunk's count of valid designs and its
-first least value, so it screens chunks with `_chunk_best` and runs the
-eigh kernel only where its bits matter (certify-then-eigh).  F has a
-null space N common to every design: on one-way block, row-column,
-crossover and regular networks, block columns that sum to the intercept,
-say, or treatments' network columns that are zero when no two design
-nodes are linked.  No pairwise contrast meets N.  The screen works on the
-pivot columns S of F'F (`DesignEvaluator._kept`), the columns that are
-no combination of those before them, found once per evaluator by exact
-elimination on the label map's rows: every other column of F is the same
-combination of them for every design, so the principal submatrix M_SS of
-M = F'F has M's rank, and its inverse padded with zeros is a generalized
-inverse of M.  One batched Cholesky factor L of M_SS + s I, s a tiny
-ridge, and X = L^-1 by forward substitution, certify M_SS far from
-singular (`_screen`): then F'F's null space is N exactly, the design is
-valid, and the criterion read off G = X'X = inv(M_SS + s I) is a lower
-bound on its value, within a relative (m - 1) 1e-8 of it.
-Designs the screen does not certify go to the kernel, so every INVALID
-decision is the kernel's; so do the certified designs whose bound comes
-within a factor 1 + SCREEN_WINDOW of the chunk's least bound or of the
-best value the kernel has resolved so far.  The search queues them with
-their information matrices and values them at least _CHUNK_DESIGNS at a
-time (`search._subtree_task`).  The other certified designs cannot be the
-best: they count as valid, and so in `num_eval`, though no
-eigendecomposition valued them, and their nuisance coordinates are never
-put in canonical order.  The best value and design are the kernel's, bit
-for bit.
-F is linear in the one-hot labels, so a batch's model matrices are one
-GEMM against a fixed map (`_label_map`).  Coordinate descent screens each
-orbit representative it plans to reach once (`_bounds`), and reads each
-certified bound as an interval, a factor 1 +- SCREEN_WINDOW wide, that
-holds the kernel's value.  It
-compares designs on those intervals and sends to the kernel only the
+Every search reaches the evaluator through two calls on checked (B, d)
+int64 batches: the screen, `_bounds`, and the kernel, `_value_array`.
+The screen certifies designs valid and bounds their values without an
+eigendecomposition, so that the kernel runs only where its bits matter
+(certify-then-eigh).  F has a null space N common to every design: on
+one-way block, row-column, crossover and regular networks, block columns
+that sum to the intercept, say, or treatments' network columns that are
+zero when no two design nodes are linked.  No pairwise contrast meets N.
+The screen works on the pivot columns S of F'F (`DesignEvaluator._kept`),
+the columns that are no combination of those before them, found once per
+evaluator by exact elimination on the label map's rows: every other
+column of F is the same combination of them for every design, so the
+principal submatrix M_SS of M = F'F has M's rank, and its inverse padded
+with zeros is a generalized inverse of M.  One batched Cholesky factor L
+of M_SS + s I, s a tiny ridge, and X = L^-1 by forward substitution,
+certify M_SS far from singular (`_screen`): then F'F's null space is N
+exactly, the design is valid, and the criterion read off G = X'X =
+inv(M_SS + s I) is a lower bound on its value, within a relative (m - 1)
+1e-8 of it.  `_bounds` gives each design that uses every treatment an
+interval (lo, hi), a factor 1 +- SCREEN_WINDOW about that bound, that
+holds the kernel's value, or NaN where the screen does not certify it.
+The searches decide on those intervals and send to `_value_array` only
+the designs they cannot decide: every uncertified design, so that every
+INVALID decision is the kernel's, and the designs whose intervals leave a
+comparison open.  Exhaustive search keeps only each chunk's count of
+valid designs and its first least value, so a certified design goes to
+the kernel only when its lo is at most min(best, least hi), the best
+value the kernel has resolved so far and the least hi of its chunk
+(`search._needs_kernel`); the others cannot be the best, count as valid,
+and so in `num_eval`, though no eigendecomposition valued them, and their
+nuisance coordinates are never put in canonical order.  Coordinate
+descent compares orbits on their intervals and sends to the kernel the
 uncertified orbits, both sides of a comparison whose intervals overlap,
-and each descent's final orbit (`search._restart_task`).
+and each descent's final orbit (`search._restart_task`).  So the best
+value and design of every search are the kernel's, bit for bit, as
+`values` gives them.
+F is linear in the one-hot labels, so a batch's model matrices are one
+GEMM against a fixed map (`_label_map`).  `values`, `value` and
+`model_matrix` check their designs' labels (`_batch`) before any of it.
 `values`, `value` and `evaluate_criterion` use the kernel alone.
 """
 
@@ -125,13 +129,11 @@ SCREEN_CERTIFY = 1e6
 # eigenvalue 1/(l + s) >= (1 - s / (lmin + s)) / l and s / (lmin + s) <=
 # s tr(G) <= SCREEN_RIDGE * SCREEN_CERTIFY = 1e-8, so As is at most 1e-8
 # low and Ds (a determinant of order m - 1) at most (m - 1) 1e-8, plus
-# rounding.  A certified design is evaluated exactly only when its bound
-# lies within a factor 1 + SCREEN_WINDOW of the least bound or of the best
-# value so far; SCREEN_WINDOW covers the gap with a factor ten to spare up
+# rounding.  SCREEN_WINDOW covers that gap with a factor ten to spare up
 # to m = 10 and still covers it up to m = 50.  So the kernel's value of a
-# certified design lies within a factor 1 +- SCREEN_WINDOW of its bound,
-# the interval that `DesignEvaluator._bounds` gives and coordinate descent
-# compares on.
+# certified design lies within a factor 1 +- SCREEN_WINDOW of its bound:
+# the interval that `DesignEvaluator._bounds` gives, and that every search
+# decides on.
 SCREEN_WINDOW = 1e-6
 
 CRITERIA = ("As", "Ds")
@@ -423,16 +425,17 @@ class DesignEvaluator:
         """Criterion values of a chunk of designs (a sequence of designs or
         a (B, d) integer array), each equal bit for bit to the value of that
         design in any other chunk; None for INVALID."""
-        return [v if v == v else None for v in self._value_array(designs).tolist()]
-
-    def _value_array(self, designs) -> np.ndarray:
-        """`values` as a float64 array, NaN for INVALID.  A design that
-        leaves a treatment unused is INVALID without a model matrix or an
-        eigendecomposition (see the module docstring); the others go to the
-        kernel as one stack, and their values come back in chunk order."""
         if not len(designs):
-            return np.empty(0)
-        xs = self._batch(designs)
+            return []
+        values = self._value_array(self._batch(designs))
+        return [v if v == v else None for v in values.tolist()]
+
+    def _value_array(self, xs: np.ndarray) -> np.ndarray:
+        """`values` of the checked (B, d) batch `xs` as a float64 array, NaN
+        for INVALID.  A design that leaves a treatment unused is INVALID
+        without a model matrix or an eigendecomposition (see the module
+        docstring); the others go to the kernel as one stack, and their
+        values come back in batch order."""
         rows = self._using_every_treatment(xs)
         if len(rows) == len(xs):
             return _criterion_values(self._information_matrices(xs), self.spec)
@@ -442,64 +445,22 @@ class DesignEvaluator:
                                           self.spec)
         return out
 
-    def _kernel_values(self, info: np.ndarray) -> np.ndarray:
-        """`_value_array` of designs given by their information matrices (a
-        (B, p, p) stack from `_information_matrices`)."""
-        return _criterion_values(info, self.spec)
-
-    def _bounds(self, designs) -> np.ndarray:
-        """The interval that holds the kernel's value of each design of a
-        non-empty chunk, as a (B, 2) float64 array of rows (lo, hi): the
-        factor 1 +- SCREEN_WINDOW about `_screen`'s lower bound, NaN where
-        the screen does not certify the design valid (those that leave a
-        treatment unused among them)."""
-        xs = self._batch(designs)
+    def _bounds(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The screen of the checked (B, d) batch `xs`: the indices `rows`
+        of the designs that use every treatment (the others are INVALID),
+        and for each of them, as a (len(rows), 2) float64 array of rows
+        (lo, hi), an interval that holds its kernel value: the factor 1 +-
+        SCREEN_WINDOW about `_screen`'s lower bound, NaN where the screen
+        does not certify the design valid.  Where no design uses every
+        treatment no model matrix is built."""
         rows = self._using_every_treatment(xs)
-        certified, bound = _screen(self._information_matrices(xs[rows]),
-                                   self.spec, self._kept)
-        out = np.full((len(xs), 2), np.nan)
-        out[rows[certified]] = (bound[certified, None]
-                                * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
-        return out
-
-    def _chunk_best(self, chunk, best: float | None
-                    ) -> tuple[int, np.ndarray, np.ndarray]:
-        """Screen a non-empty chunk: the number of designs certified valid
-        that can hold neither the chunk's first least value nor one below
-        `best`, and the indices and information matrices (nuisance
-        coordinates not yet canonical) of the designs that need the
-        kernel, in chunk order.  `_kernel_values` of those gives the rest
-        of the valid count and the chunk's first least value, as
-        `_value_array` and a first argmin would, whenever that value is at
-        most `best` (or `best` is None).  The other designs leave a
-        treatment unused and are INVALID.
-
-        Certify-then-eigh: the matrices of the designs that use every
-        treatment go through `_screen`, on every network.  The uncertified
-        ones, and the certified ones whose lower bound is within a factor
-        1 + SCREEN_WINDOW of min(best, least bound), need the kernel
-        (`_criterion_values`), which gives their values and INVALID
-        decisions as `_value_array` does, bit for bit.  The other certified
-        designs are valid but worse than the least bound's design or than
-        `best`, so they count as valid with no canonicalization and no
-        eigendecomposition.  The screen is not run where it could skip
-        nothing: on no design, or on one design with no best; where no
-        design uses every treatment no model matrix is built either."""
-        xs = self._batch(chunk)
-        rows = self._using_every_treatment(xs)
-        if not len(rows):
-            p = self.spec.n_params
-            return 0, rows, np.empty((0, p, p))
-        info = self._information_matrices(xs[rows])
-        if len(rows) < (1 if best is not None else 2):
-            return 0, rows, info
-        certified, bound = _screen(info, self.spec, self._kept)
-        exact = ~certified
-        if certified.any():
-            least = bound[certified].min()
-            window = least if best is None else min(best, least)
-            exact |= bound <= window * (1 + SCREEN_WINDOW)
-        return int((certified & ~exact).sum()), rows[exact], info[exact]
+        out = np.full((len(rows), 2), np.nan)
+        if len(rows):
+            certified, bound = _screen(self._information_matrices(xs[rows]),
+                                       self.spec, self._kept)
+            out[certified] = (bound[certified, None]
+                              * (1 - SCREEN_WINDOW, 1 + SCREEN_WINDOW))
+        return rows, out
 
     def _using_every_treatment(self, xs: np.ndarray) -> np.ndarray:
         """Indices of the designs of the checked batch `xs` that use every

@@ -48,14 +48,16 @@ not counted, so the counters equal those of running the restarts one after
 another with exact values.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
-or contiguous blocks of restarts, one per worker.  A subtree task joins
-its live rows into chunks of at least _CHUNK_DESIGNS designs and screens
-each in one `_chunk_best` call: F'F from one GEMM of the one-hot labels,
-one batched Cholesky certificate, and the count of designs found valid
-that cannot be the best.  The designs that can be the best or are not
-certified estimable wait in a queue, in stream order, which the eigh
-kernel values at least _CHUNK_DESIGNS at a time and once more at the
-task's end.  One worker runs
+or contiguous blocks of restarts, one per worker.  Both reach the
+evaluator through the same two calls: the screen, `_bounds`, whose
+intervals hold each certified design's kernel value, and the kernel,
+`_value_array`.  A subtree task joins its live rows into chunks of at
+least _CHUNK_DESIGNS designs and screens each in one `_bounds` call: F'F
+from one GEMM of the one-hot labels and one batched Cholesky certificate.
+`_needs_kernel` decides on the intervals which designs can be the best or
+are not certified estimable; the others count as valid.  Those designs
+wait in a queue, in stream order, which `_value_array` values at least
+_CHUNK_DESIGNS at a time and once more at the task's end.  One worker runs
 the tasks in this process, more run the same code on a process pool, and
 results merge in task order, so reports do not depend on the worker count.
 """
@@ -99,9 +101,10 @@ class SearchConfig:
     max_designs bounds the number of candidates drawn from an enumeration
     stream: exhaustive search only, plus the plugin loop's safety budget.
     Coordinate descent ends on its own and raises ValueError when it is
-    set.  workers=None lets the search choose: all cores, except one for
-    an exhaustive stream too small to split (`_plan`).  reference_value,
-    when set, fills the report's efficiency field (reference / best found).
+    set.  workers=None lets the search choose: all the cores this process
+    may run on (`_usable_cores`), except one for an exhaustive stream too
+    small to split (`_plan`).  reference_value, when set, fills the
+    report's efficiency field (reference / best found).
     """
 
     algorithm: str = "exhaustive"
@@ -407,6 +410,15 @@ def _pool_call(fn: Callable, task):
     return fn(_pool_state, task)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, which a cpuset or `taskset` narrows below the
+    machine's CPU count, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(state, fn: Callable, tasks: Sequence, workers: int) -> Iterator:
     """fn(state, task) of every task, yielded in task order.  With one
     worker (or one task) they run in this process on the caller's state;
@@ -436,19 +448,18 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     task it cuts (None elsewhere), and the tasks after that one are
     dropped.
 
-    workers=None means all cores, except one for a stream (cut to the
-    budget) of fewer than _SERIAL_DESIGNS designs.  On a 2-core machine
-    (medians of 9-15 alternating runs, two workers against one) the
-    costliest streams timed, rc 4x4 at m = 4 without a group at about
-    8 us a design, break even near 9,200 designs (65.6 against 57.0 ms at
-    8,192, 70.4 against 72.1 ms at 9,216, 92.6 against 103.5 ms at
+    workers=None means all usable cores (`_usable_cores`), except one for
+    a stream (cut to the budget) of fewer than _SERIAL_DESIGNS designs.  On
+    a 2-core machine (medians of 9-15 alternating runs, two workers against
+    one) the costliest streams timed, rc 4x4 at m = 4 without a group at
+    about 8 us a design, break even near 9,200 designs (65.6 against 57.0
+    ms at 8,192, 70.4 against 72.1 ms at 9,216, 92.6 against 103.5 ms at
     12,288); example 2 at m = 4, at about 2.6 us a design, near 20,000
-    (42.0 against 31.7 ms at 12,288, 48.6 against 42.8 ms at 16,384,
-    55.7 against 55.1 ms at 20,480).  At 12,288 the wrong choice costs
-    either of them about 10 ms, the least worst loss of the cuts timed.
-    The cut does not grow with the core count: a pool saves at most the
-    stream's serial time, about 100 ms at this size even for the
-    costliest streams."""
+    (42.0 against 31.7 ms at 12,288, 48.6 against 42.8 ms at 16,384, 55.7
+    against 55.1 ms at 20,480).  At 12,288 the wrong choice costs either of
+    them about 10 ms, the least worst loss of the cuts timed.  The cut does
+    not grow with the core count: a pool saves at most the stream's serial
+    time, about 100 ms at this size even for the costliest streams."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
     sizes = _subtree_sizes(n, m, use_label_symmetry)
@@ -468,8 +479,7 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     partial = budget is not None and budget < size(())
     if workers is None:
         designs = budget if partial else size(())
-        workers = (1 if designs < _SERIAL_DESIGNS
-                   else os.cpu_count() or 1)
+        workers = 1 if designs < _SERIAL_DESIGNS else _usable_cores()
     tasks = cut([()], budget)
     while workers > 1 and len(tasks) < _TASKS_PER_WORKER * workers:
         open_ = [i for i, (prefix, _) in enumerate(tasks) if len(prefix) < n]
@@ -502,18 +512,37 @@ def _chunks(stream: Iterable[tuple[int, np.ndarray | None]],
         yield np.concatenate(pending)
 
 
+def _needs_kernel(bounds: np.ndarray, best: float | None) -> np.ndarray:
+    """Which designs of a chunk the kernel must value, given their (k, 2)
+    screen intervals (lo, hi) from `DesignEvaluator._bounds`, NaN where not
+    certified, and the best value the kernel has resolved so far: the
+    uncertified ones, and the certified ones whose lo is at most min(best,
+    least hi).  Any other design's value lies above that of the design
+    with the least hi, or above `best`, so it can be neither the chunk's
+    first least value nor an improvement on `best`: it counts as valid
+    with no kernel call (the interval reasoning of `_better_by`)."""
+    lo, hi = bounds.T
+    certified = hi[hi == hi]
+    window = certified.min() if len(certified) else np.inf
+    if best is not None:
+        window = min(best, window)
+    return ~(lo > window)
+
+
 def _subtree_task(state, task: tuple[Design, int | None]):
     """Evaluate one subtree task in chunks of its `_stream`'s live rows;
     returns its counters and its best (value, design), the earliest design
     that reaches the best value.  The serial path and every pool worker,
     with a group or without, run this same loop.
 
-    Each chunk goes through `_chunk_best`, whose window uses the best value
-    the kernel has resolved so far; the designs it leaves to the kernel
-    wait in a queue, in stream order, and are valued at least
-    _CHUNK_DESIGNS at a time, and once more at the task's end
-    (`_kernel_best`).  A best that is not yet resolved only widens the
-    window, so more designs reach the kernel, never fewer."""
+    Each chunk goes through one `_bounds` call, and `_needs_kernel` decides
+    on its intervals with the best value the kernel has resolved so far;
+    the designs it leaves to the kernel wait in a queue, in stream order,
+    and `_value_array` values them at least _CHUNK_DESIGNS at a time, and
+    once more at the task's end (`_kernel_best`).  A best that is not yet
+    resolved only widens the window, so more designs reach the kernel,
+    never fewer.  A lone design with no best yet goes to the kernel
+    unscreened: the screen could skip nothing."""
     ev, group, use_label_symmetry = state
     prefix, budget = task
     counters = _Counters()
@@ -522,12 +551,17 @@ def _subtree_task(state, task: tuple[Design, int | None]):
     best = (None, None)
     queue, queued = [], 0
     for chunk in _chunks(stream, counters):
-        valid, rows, info = ev._chunk_best(chunk, best[0])
-        counters.evals += valid
-        counters.invalid += len(chunk) - valid - len(rows)
-        if len(rows):
-            queue.append((chunk[rows], info))
-            queued += len(rows)
+        if best[0] is None and len(chunk) == 1:
+            exact = chunk
+        else:
+            rows, bounds = ev._bounds(chunk)
+            needed = _needs_kernel(bounds, best[0])
+            exact = chunk[rows[needed]]
+            counters.evals += len(rows) - len(exact)
+            counters.invalid += len(chunk) - len(rows)
+        if len(exact):
+            queue.append(exact)
+            queued += len(exact)
         if queued >= _CHUNK_DESIGNS:
             best = _kernel_best(ev, queue, counters, best)
             queue, queued = [], 0
@@ -536,16 +570,16 @@ def _subtree_task(state, task: tuple[Design, int | None]):
     return counters, best
 
 
-def _kernel_best(ev: DesignEvaluator, queue: list, counters: _Counters,
-                 best: tuple[float | None, Design | None]
+def _kernel_best(ev: DesignEvaluator, queue: list[np.ndarray],
+                 counters: _Counters, best: tuple[float | None, Design | None]
                  ) -> tuple[float | None, Design | None]:
-    """Value the queued (designs, information matrices) pairs, in stream
-    order, with one kernel call; count them as valid or INVALID, and
-    return the best (value, design): the queue's first least value if it
-    is strictly better (`_better`) than `best`, else `best`, so a tie keeps
-    the earlier design."""
-    designs = np.concatenate([xs for xs, _ in queue])
-    values = ev._kernel_values(np.concatenate([info for _, info in queue]))
+    """Value the queued designs, in stream order, with one `_value_array`
+    call; count them as valid or INVALID, and return the best (value,
+    design): the queue's first least value if it is strictly better
+    (`_better`) than `best`, else `best`, so a tie keeps the earlier
+    design."""
+    designs = np.concatenate(queue)
+    values = ev._value_array(designs)
     valid = (~np.isnan(values)).nonzero()[0]
     counters.evals += len(valid)
     counters.invalid += len(values) - len(valid)
@@ -691,10 +725,12 @@ def _restart_task(state, starts: Sequence[Design]):
         rows = np.fromiter(fresh.values(), dtype=np.int64, count=len(fresh))
         for i in range(0, len(rows), _CHUNK_DESIGNS):
             chunk = rows[i:i + _CHUNK_DESIGNS]
+            used, bounds = ev._bounds(plan[chunk])
+            known.update((keys[row], None) for row in chunk.tolist())
             known.update(
                 (keys[row], None if lo != lo else (lo, hi))
-                for row, (lo, hi) in zip(chunk.tolist(),
-                                         ev._bounds(plan[chunk]).tolist()))
+                for row, (lo, hi) in zip(chunk[used].tolist(),
+                                         bounds.tolist()))
         end = 0
         for i, count in zip(walking.tolist(), counts.tolist()):
             j, start = int(cursors[i]), end
@@ -752,8 +788,8 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     design is the evaluated representative.  The restarts run as one
     contiguous block per worker; a trajectory depends only on (seed,
     restart index), so results are identical for any worker count;
-    workers=None means all cores.  max_designs is refused: a descent has no
-    stream to cut."""
+    workers=None means all usable cores.  max_designs is refused: a descent
+    has no stream to cut."""
     config = config or SearchConfig(algorithm="coordinate_descent")
     if config.max_designs is not None:
         raise ValueError("max_designs applies to exhaustive search only; "
@@ -762,7 +798,7 @@ def coordinate_descent(net: Network, spec: ModelSpec,
     group = _group_for(net, config, spec.m)
     starts = [_start_design(config.seed, r, net.n_design, spec.m)
               for r in range(config.restarts)]
-    workers = (os.cpu_count() or 1) if config.workers is None else config.workers
+    workers = _usable_cores() if config.workers is None else config.workers
     blocks = min(workers, config.restarts)
     tasks = [starts[len(starts) * i // blocks:len(starts) * (i + 1) // blocks]
              for i in range(blocks)]

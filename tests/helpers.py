@@ -513,9 +513,10 @@ def pinv_criterion(info: np.ndarray, spec: nd.ModelSpec,
 
 def force_screen_off(monkeypatch) -> None:
     """Make the screen certify nothing, so that every design that uses all
-    treatments reaches the eigh kernel: in exhaustive search through
-    `_chunk_best`, and in coordinate descent, which then values every new
-    orbit representative exactly."""
+    treatments reaches the eigh kernel: `DesignEvaluator._bounds` gives
+    each of them a NaN interval, so exhaustive search sends it to
+    `_value_array`, and coordinate descent values every new orbit
+    representative exactly."""
 
     def certify_nothing(info, spec, kept=None):
         return np.zeros(len(info), dtype=bool), np.full(len(info), np.inf)

@@ -295,10 +295,10 @@ def test_reproduce_t4_default_rows(capsys):
 
 
 def _record_workers(monkeypatch) -> list[tuple[int, int]]:
-    """Patch `os.cpu_count` to 4 and the search's task runner to record
-    (design nodes, the worker count it is handed) and run no task."""
+    """Patch the search's usable core count to 4 and its task runner to
+    record (design nodes, the worker count it is handed) and run no task."""
     seen = []
-    monkeypatch.setattr("netdesign.search.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("netdesign.search._usable_cores", lambda: 4)
     monkeypatch.setattr(
         "netdesign.search._run_tasks",
         lambda state, fn, tasks, workers:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -275,16 +276,19 @@ def _stream_chunks(net: nd.Network, m: int):
 
 
 def _screened_best(ev: DesignEvaluator, chunk: np.ndarray, best):
-    """`_chunk_best` of a chunk, then the kernel on the designs it leaves
-    to it: the chunk's valid count and the index and value of the first
-    least kernel value among them (None, None if none is valid)."""
-    valid, rows, info = ev._chunk_best(chunk, best)
-    values = ev._kernel_values(info)
+    """`_bounds` of a chunk and `_needs_kernel` on its intervals, then
+    `_value_array` on the designs the rule sends to the kernel: the chunk's
+    valid count and the index and value of the first least kernel value
+    among them (None, None if none is valid)."""
+    rows, bounds = ev._bounds(chunk)
+    sent = rows[search._needs_kernel(bounds, best)]
+    values = ev._value_array(chunk[sent])
+    valid = len(rows) - len(sent)
     ok = (~np.isnan(values)).nonzero()[0]
     if not len(ok):
         return valid, None, None
     i = ok[values[ok].argmin()]
-    return valid + len(ok), int(rows[i]), float(values[i])
+    return valid + len(ok), int(sent[i]), float(values[i])
 
 
 @pytest.mark.parametrize("key,m,criterion", [
@@ -296,16 +300,19 @@ def _screened_best(ev: DesignEvaluator, chunk: np.ndarray, best):
 def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
     # on every chunk of the stream (example 6 at m = 2 has hundreds of
     # near-tied values; on the block networks F'F is singular for every
-    # design, and many designs tie): the designs `_chunk_best` leaves to
-    # the kernel, valued there, give the valid count, first least index
-    # and value of `_value_array`, bit for bit, with no best so far and
-    # with a best just below, at and just above the chunk's least value;
-    # with no best, a certified design reaches the kernel only if its value is
-    # within 2 SCREEN_WINDOW of the least
+    # design, and many designs tie): the designs `_needs_kernel` sends to
+    # the kernel on `_bounds`'s intervals, valued there, give the valid
+    # count, first least index and value of `_value_array`, bit for bit,
+    # with no best so far and with a best one ulp below, at and one ulp
+    # above the chunk's least value.  With no best, a certified design with
+    # bound b reaches the kernel only if b (1 - W) <= b* (1 + W), W =
+    # SCREEN_WINDOW and b* the least bound; its value is at most b (1 + W),
+    # and b* is at most the least value (a lower bound), so its value is
+    # within a factor (1 + W)^2 / (1 - W), about 1 + 3 W, of the least
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, m, criterion=criterion)
     ev = DesignEvaluator(net, spec)
-    window = 1 + 2 * lnem.SCREEN_WINDOW
+    window = (1 + lnem.SCREEN_WINDOW) ** 2 / (1 - lnem.SCREEN_WINDOW)
     for chunk in _stream_chunks(net, m):
         values = ev._value_array(chunk)
         valid = (~np.isnan(values)).nonzero()[0]
@@ -319,11 +326,11 @@ def test_chunk_best_matches_first_argmin(report_cache, key, m, criterion):
                      np.nextafter(least, np.inf)):
             got = _screened_best(ev, chunk, best)
             assert got == expected and got[2].hex() == least.hex(), best
-        rows = ev._using_every_treatment(chunk)
-        certified, _ = lnem._screen(
-            ev._information_matrices(chunk[rows]), spec, ev._kept)
+        rows, bounds = ev._bounds(chunk)
+        certified = bounds[:, 0] == bounds[:, 0]
         near = int((values[rows][certified] <= least * window).sum())
-        assert len(ev._chunk_best(chunk, None)[1]) <= (~certified).sum() + near
+        assert (search._needs_kernel(bounds, None).sum()
+                <= (~certified).sum() + near)
 
 
 PARTIAL_BLOCKS = """n=8 directed=1
@@ -333,17 +340,25 @@ B8: class=0 fixed=5 units=4,5
 """
 
 
-def test_chunk_best_of_a_chunk_with_no_design_using_every_treatment():
-    # two block nodes that do not cover every unit: a chunk in which no
-    # design uses all three treatments sends an empty stack on, and gets no
-    # valid design, whatever the best so far
+def test_chunk_best_of_a_chunk_with_no_design_using_every_treatment(
+        monkeypatch):
+    # two block nodes that do not cover every unit: in a chunk in which no
+    # design uses all three treatments `_bounds` returns no rows and builds
+    # no model matrix, and the chunk holds no valid design, whatever the
+    # best so far
     net = nd.parse_network(PARTIAL_BLOCKS)
     ev = DesignEvaluator(net, ModelSpec.for_network(net, 3))
     chunk = np.array([[1] * 6, [1] * 5 + [2], [1, 2] * 3])
     p = ev.spec.n_params
+    built = []
+    monkeypatch.setattr(DesignEvaluator, "_model_matrices",
+                        lambda self, xs: built.append(len(xs)))
+    rows, bounds = ev._bounds(chunk)
+    assert len(rows) == 0 and bounds.shape == (0, 2) and built == []
+    assert np.isnan(ev._value_array(chunk)).all() and built == []
+    monkeypatch.undo()
     for best in (None, 1.0):
-        valid, rows, info = ev._chunk_best(chunk, best)
-        assert valid == 0 and len(rows) == 0 and info.shape == (0, p, p)
+        assert _screened_best(ev, chunk, best) == (0, None, None)
     empty = np.empty((0, p, p))
     assert lnem._canonicalize_nuisance(empty, ev.spec).shape == (0, p, p)
 
@@ -488,11 +503,31 @@ def test_tie_break_earliest_design(path312):
     assert report.best_design == min(minima)
 
 
-def test_best_value_matches_direct_evaluation(report_cache):
+def test_best_value_matches_direct_evaluation(report_cache, path312):
+    # every search reports the value that `values` gives its best design,
+    # bit for bit: exhaustive search on example 1 at m = 2, on example 6 at
+    # m = 2 (hundreds of near-ties) and on blocks [3,3,3,3] at m = 3 (F'F
+    # singular for every design), each at one worker and two; coordinate
+    # descent on rc 4x4 at m = 4; and the plugin loop on path312
     report = report_cache.exhaustive(("ex", 1), 2, True)
     net = report_cache.network(("ex", 1))
     spec = ModelSpec.for_network(net, 2)
     assert nd.criterion_for_design(net, report.best_design, spec) == report.best_value
+    runs = [(net, 2, nd.exhaustive_search, cfg())]
+    for net, m in ((report_cache.network(("ex", 6)), 2),
+                   (nd.augment_blocks([3, 3, 3, 3], 3), 3)):
+        runs += [(net, m, nd.exhaustive_search, cfg(workers=w))
+                 for w in (1, 2)]
+    runs.append((nd.augment_row_column(4, 4, 4), 4, nd.coordinate_descent,
+                 cfg(algorithm="coordinate_descent", restarts=20)))
+    plugin = functools.partial(nd.run_with_plugins,
+                               next_fn=lex_stream_next(3, 2), stop_fn=None)
+    runs.append((path312, 2, plugin, cfg(use_label_symmetry=False)))
+    for net, m, run, config in runs:
+        spec = ModelSpec.for_network(net, m)
+        report = run(net, spec, config=config)
+        direct = DesignEvaluator(net, spec).values([report.best_design])[0]
+        assert report.best_value.hex() == direct.hex(), (run, net.n_design)
 
 
 def test_budget_flags_partial(examples):
@@ -517,7 +552,7 @@ def test_library_default_is_one_worker(examples, monkeypatch):
         return run_tasks(state, fn, tasks, 1)
 
     monkeypatch.setattr(search, "_run_tasks", record)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "_usable_cores", lambda: 4)
     net = examples[3]
     spec = ModelSpec.for_network(net, 2)
     for workers in (SearchConfig.workers, None):
@@ -526,6 +561,36 @@ def test_library_default_is_one_worker(examples, monkeypatch):
         nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=2,
                                              workers=workers))
     assert seen == [1, 1, 4, 4]
+
+
+def test_default_workers_count_the_cores_this_process_may_use(examples,
+                                                             monkeypatch):
+    # four CPUs on the machine but an affinity of one: workers=None hands
+    # one worker to the runner, from `_plan` and from coordinate descent;
+    # where the platform reports no affinity, every CPU counts.  The runner
+    # only records, so no process starts and no task runs
+    seen = []
+    monkeypatch.setattr(search, "_run_tasks",
+                        lambda state, fn, tasks, workers:
+                            seen.append(workers) or iter(()))
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    net = examples[3]  # 524,288 designs at m = 2, over _SERIAL_DESIGNS
+    spec = ModelSpec.for_network(net, 2)
+
+    def both() -> list[int]:
+        del seen[:]
+        nd.exhaustive_search(net, spec, cfg(workers=None))
+        nd.coordinate_descent(net, spec, cfg(algorithm="cd", restarts=4,
+                                             workers=None))
+        return seen
+
+    assert search._plan(net.n_design, 2, True, None, None)[1] == 1
+    assert both() == [1, 1]
+    monkeypatch.delattr(search.os, "sched_getaffinity")
+    assert search._usable_cores() == 4
+    assert both() == [4, 4]
 
 
 def test_workers_bit_identical_exhaustive(examples):
@@ -675,7 +740,7 @@ def test_plan_covers_the_first_budget_designs(n, m, symmetry, monkeypatch):
     # and of path312 without label symmetry, rebuilt from itertools.product
     designs = [x for x in product(range(1, m + 1), repeat=n)
                if not symmetry or _label_canonical(x)]
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "_usable_cores", lambda: 3)
     for workers in (1, 2, 3, 4, None):
         for budget in (None, *range(1, len(designs) + 1)):
             tasks, planned, partial = search._plan(n, m, symmetry, workers,
@@ -728,37 +793,33 @@ def test_pruned_search_every_budget_matches_oracle(report_cache, monkeypatch):
     # budgets 1..3281 cover every cut point of the stream, including cuts
     # inside subtrees closed by a prefix test, once as the one root task and
     # once as the subtree tasks planned for 4 workers (run in this process).
-    # The group, each chunk's `_chunk_best` answer and the kernel's values
-    # of each queue are memoized across the runs; the unbudgeted comparison
+    # The group, each chunk's `_bounds` answer and the kernel's values of
+    # each queue are memoized across the runs; the unbudgeted comparison
     # above checks their answers against the oracle.
     key = ("blocks", (3, 3, 3), 3)
     net = report_cache.network(key)
     spec = ModelSpec.for_network(net, 3)
     outcomes = oracle_outcomes(net, 3, True)
     group = nd.find_automorphisms(net)
-    chunk_best = DesignEvaluator._chunk_best
-    kernel_values = DesignEvaluator._kernel_values
     run_tasks = search._run_tasks
     answers: dict = {}
 
-    def memo_chunk_best(self, chunk, best):
-        key = chunk.shape, chunk.tobytes(), best
-        if key not in answers:
-            answers[key] = chunk_best(self, chunk, best)
-        return answers[key]
+    def memoized(name):
+        real = getattr(DesignEvaluator, name)
 
-    def memo_kernel_values(self, info):
-        key = info.shape, info.tobytes()
-        if key not in answers:
-            answers[key] = kernel_values(self, info)
-        return answers[key]
+        def memo(self, xs):
+            key = name, xs.shape, xs.tobytes()
+            if key not in answers:
+                answers[key] = real(self, xs)
+            return answers[key]
+        return memo
 
     def in_process(state, fn, tasks, workers):
         return run_tasks(state, fn, tasks, 1)
 
     monkeypatch.setattr(search, "find_automorphisms", lambda net, cap: group)
-    monkeypatch.setattr(DesignEvaluator, "_chunk_best", memo_chunk_best)
-    monkeypatch.setattr(DesignEvaluator, "_kernel_values", memo_kernel_values)
+    for name in ("_bounds", "_value_array"):
+        monkeypatch.setattr(DesignEvaluator, name, memoized(name))
     monkeypatch.setattr(search, "_run_tasks", in_process)
     for budget in range(1, len(outcomes) + 1):
         expected = oracle_report(outcomes, budget)
@@ -1020,10 +1081,13 @@ def _assert_interval_rule_matches_kernel(ev: DesignEvaluator, designs) -> int:
     xs = np.array(designs, dtype=np.int64)
     values = ev._value_array(xs).tolist()
     held = [[(v, v)] for v in values]
-    for options, (lo, hi) in zip(held, ev._bounds(xs).tolist()):
+    rows, bounds = ev._bounds(xs)
+    # the designs `_bounds` leaves out leave a treatment unused: INVALID
+    assert all(v != v for i, v in enumerate(values) if i not in set(rows))
+    for row, (lo, hi) in zip(rows.tolist(), bounds.tolist()):
         if lo == lo:  # certified
-            assert lo <= options[0][0] <= hi
-            options.append((lo, hi))
+            assert lo <= held[row][0][0] <= hi
+            held[row].append((lo, hi))
     decided = 0
     for vy, ys in zip(values, held):
         for vx, xs_ in zip(values, held):
@@ -1072,7 +1136,8 @@ def test_interval_rule_matches_kernel_on_rc4x4(criterion):
     ev = DesignEvaluator(net, ModelSpec.for_network(net, 4, criterion=criterion))
     group = nd.find_automorphisms(net)
     # certified, so that each tie meets the rule as two bound intervals
-    assert not np.isnan(ev._bounds(np.array(_RC4X4_TIES))).any()
+    rows, bounds = ev._bounds(np.array(_RC4X4_TIES))
+    assert rows.tolist() == [0, 1, 2] and not np.isnan(bounds).any()
     if criterion == "As":
         values = ev._value_array(np.array(_RC4X4_TIES)).tolist()
         assert values == [0.5555555555555557] * 3
