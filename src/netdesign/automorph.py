@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lnem import _label_array
+from .lnem import _design_batch
 from .network import Network
 
 
@@ -118,15 +118,33 @@ class AutomorphismGroup:
     """
 
     def __init__(self, elements: Sequence[Sequence[int]], network: Network):
+        """The group of the given elements, checked to be distinct
+        permutations of whole numbers, the identity among them, each an
+        automorphism of `network`: it keeps edges, their direction and the
+        class of every block node.  That they are closed under composition,
+        so that they are the whole group, is the caller's promise: it is not
+        checked."""
         n = network.n_total
-        perms = np.asarray(elements, dtype=np.int32)
+        perms = np.asarray(elements)
         if perms.ndim != 2 or perms.shape[1] != n or not len(perms):
             raise ValueError(f"elements of shape {perms.shape}, not (z, {n})")
+        kind = perms.dtype.kind
+        if kind not in "iuf" or kind == "f" and (perms != np.trunc(perms)).any():
+            raise ValueError("element entries must be whole numbers")
         seen = np.zeros(perms.shape, dtype=bool)
         if perms.min() >= 0 and perms.max() < n:
+            perms = perms.astype(np.int32)
             seen[np.arange(len(perms))[:, None], perms] = True
         if not seen.all():
             raise ValueError("the elements are not distinct permutations")
+        roles = [(0,) if r is None else (1, r.class_id) for r in network.roles]
+        classes = np.array(_rank(roles))
+        if (classes[perms] != classes).any():
+            raise ValueError("an element maps a block node to a design node "
+                             "or to a block node of another class")
+        a = network.adjacency.astype(bool)
+        if (a[perms[:, :, None], perms[:, None, :]] != a).any():  # A[p][:, p]
+            raise ValueError("an element does not keep the network's edges")
         keys = _row_keys(perms)
         order = _lex_order(keys)
         keys = keys[:, order]
@@ -136,8 +154,6 @@ class AutomorphismGroup:
         if not np.array_equal(perms[0], np.arange(n)):
             raise ValueError("the elements do not include the identity")
         self._adopt(perms, network)
-        if (self._column[perms[:, list(network.block_nodes)]] >= 0).any():
-            raise ValueError("an element maps a block node to a design node")
         self._perms = perms  # the table is its own listing
 
     @classmethod
@@ -220,24 +236,14 @@ class AutomorphismGroup:
     def size(self) -> int:
         return len(self._table)
 
-    def _batch(self, xs) -> np.ndarray:
-        """xs as a (B, d) int64 batch of designs."""
-        xs = _label_array(xs)
-        d = self.network.n_design
-        if xs.ndim != 2 or xs.shape[1] != d:
-            raise ValueError(f"design length {xs.shape[-1]} does not match "
-                             f"{d} design nodes")
-        return xs
-
-    def _keys(self, xs) -> np.ndarray:
-        """Keys of the (B, d) batch xs: row b packs the z images of xs[b]
-        from the digits xs - xs.min(), read against the narrowest cached
+    def _keys(self, xs: np.ndarray) -> np.ndarray:
+        """Keys of the checked (B, d) batch xs: row b packs the z images of
+        xs[b] from the digits xs - xs.min(), read against the narrowest cached
         `weights` table whose base exceeds the top digit (`weights(top)`
         when none does).  Keys below 2^53 are one float64 BLAS product (an
         int32 table is cast for it), exact since every partial sum is an
         integer below 2^53; wider tables take one exact product in their
         own dtype."""
-        xs = self._batch(xs)
         low = int(xs.min())
         top = int(xs.max()) - low
         w = self.weights(min((m for m in self._weights if m + 2 > top),
@@ -257,14 +263,15 @@ class AutomorphismGroup:
     def design_images(self, x: Sequence[int]) -> np.ndarray:
         """All z permuted copies of design x, one per element, in the order
         of `elements`."""
-        xs = self._batch([x])
+        xs = _design_batch([x], self.network.n_design)
         return self._images(np.repeat(xs, len(self._perms), axis=0),
                             self._perms)
 
     def is_canonical(self, x: Sequence[int]) -> bool:
         """True iff x is lexicographically smallest in its orbit: no group
         element maps it to a strictly smaller design vector."""
-        return not self._keys([x])[0].argmin()  # the identity's key is least
+        xs = _design_batch([x], self.network.n_design)
+        return not self._keys(xs)[0].argmin()  # the identity's key is least
 
     def canonical_representative(self, x: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically smallest design in x's orbit."""
@@ -272,10 +279,11 @@ class AutomorphismGroup:
 
     def canonical_representatives(self, xs) -> np.ndarray:
         """The smallest design in the orbit of each row of the (B, d) batch
-        `xs`, as int64.  Keys are made d rows at a time: no larger than W."""
-        xs = _label_array(xs)
-        out = np.empty_like(xs)
+        `xs`, as int64.  The batch is checked once; keys are made d rows at
+        a time: no larger than W."""
         d = self.network.n_design
+        xs = _design_batch(xs, d)
+        out = np.empty_like(xs)
         for start in range(0, len(xs), d):
             chunk = xs[start:start + d]
             least = self._keys(chunk).argmin(axis=1)

@@ -71,7 +71,8 @@ value and design of every search are the kernel's, bit for bit, as
 `values` gives them.
 F is linear in the one-hot labels, so a batch's model matrices are one
 GEMM against a fixed map (`_label_map`).  `values`, `value` and
-`model_matrix` check their designs' labels (`_batch`) before any of it.
+`model_matrix` check their designs once, with the check the group uses
+too (`_design_batch`), before any of it.
 `values`, `value` and `evaluate_criterion` use the kernel alone.
 """
 
@@ -382,21 +383,6 @@ class DesignEvaluator:
         kept.setflags(write=False)
         return kept
 
-    def _batch(self, designs) -> np.ndarray:
-        """The designs as a (B, d) int64 batch.  A design of the wrong
-        length, or with a label that is not a whole number in 1..m, is an
-        error."""
-        if not isinstance(designs, np.ndarray):
-            for x in designs:  # before stacking, which fails on a ragged chunk
-                self._check_length(len(x))
-        xs = _label_array(designs)
-        if xs.ndim != 2:
-            raise ValueError(f"designs of shape {xs.shape}, not a (B, d) batch")
-        self._check_length(xs.shape[1])
-        if xs.min() < 1 or xs.max() > self.spec.m:
-            raise ValueError(f"treatments must lie in 1..{self.spec.m}")
-        return xs
-
     def _model_matrices(self, xs: np.ndarray) -> np.ndarray:
         """Model matrices of the checked (B, d) batch `xs`, shape (B, d, p):
         one GEMM of the one-hot labels against `_label_map`, plus its
@@ -406,16 +392,12 @@ class DesignEvaluator:
         f += constant
         return f.reshape(len(xs), self.net.n_design, self.spec.n_params)
 
-    def _check_length(self, length: int) -> None:
-        if length != self.net.n_design:
-            raise ValueError(f"design length {length} does not match "
-                             f"{self.net.n_design} design nodes")
-
     def model_matrix(self, x: Sequence[int]) -> np.ndarray:
         """Rows: measurable nodes in ascending node order.  Columns:
         intercept, treatment indicators 1..m-1, then network-effect counts
         for every treatment 1..total_treatments."""
-        return self._model_matrices(self._batch([x]))[0]
+        xs = _design_batch([x], self.net.n_design, self.spec.m)
+        return self._model_matrices(xs)[0]
 
     def value(self, x: Sequence[int]) -> float | None:
         return self.values([x])[0]
@@ -425,9 +407,10 @@ class DesignEvaluator:
         """Criterion values of a chunk of designs (a sequence of designs or
         a (B, d) integer array), each equal bit for bit to the value of that
         design in any other chunk; None for INVALID."""
-        if not len(designs):
+        xs = _design_batch(designs, self.net.n_design, self.spec.m)
+        if not len(xs):
             return []
-        values = self._value_array(self._batch(designs))
+        values = self._value_array(xs)
         return [v if v == v else None for v in values.tolist()]
 
     def _value_array(self, xs: np.ndarray) -> np.ndarray:
@@ -492,17 +475,40 @@ def _onehot(xs: np.ndarray, m: int) -> np.ndarray:
     return onehot
 
 
-def _label_array(designs) -> np.ndarray:
-    """`designs` as an int64 array.  A label that is not a whole number is
-    an error, not truncated or parsed; whole-number floats such as 2.0 are
-    labels."""
-    xs = np.asarray(designs)
-    if xs.dtype.kind in "biu":
-        return xs.astype(np.int64, copy=False)
-    if xs.dtype.kind != "f" or not (np.isfinite(xs)
-                                    & (xs == np.trunc(xs))).all():
-        raise ValueError("treatments must be whole numbers")
-    return xs.astype(np.int64)
+def _design_batch(designs, d: int, m: int | None = None) -> np.ndarray:
+    """`designs`, a sequence of designs or an array, as a checked (B, d)
+    int64 batch, (0, d) when there are none: the one check of the designs
+    given to the evaluator, the group and the plugin loop.  Each design
+    must hold d labels, checked before stacking so that a ragged batch
+    gets this error, not numpy's.  Each label must be a whole number that
+    int64 holds: 2.0 is label 2, and 1.5, NaN, 1e20 or a uint64 2^63 + 5
+    is an error, never truncated or wrapped.  With m (the evaluator's
+    rule) labels must lie in 1..m; without it (the group's), the span
+    max - min must fit in int64, as the keys read the digits x - min(x)."""
+    if not isinstance(designs, np.ndarray):
+        for x in designs:  # before stacking, which fails on a ragged batch
+            if np.ndim(x) != 1:
+                raise ValueError(f"design {x!r} is not a sequence of labels")
+            if len(x) != d:
+                raise ValueError(f"design length {len(x)} does not match "
+                                 f"{d} design nodes")
+    xs = np.asarray(designs) if len(designs) else np.empty((0, d), np.int64)
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"designs of shape {xs.shape}, not a (B, {d}) batch")
+    whole = "treatments must be whole numbers that int64 holds"
+    kind = xs.dtype.kind
+    if kind not in "biuf" or kind == "f" and (xs != np.trunc(xs)).any():
+        raise ValueError(whole)
+    if len(xs):
+        # as Python numbers, which compare with 2^63 exactly
+        low, high = xs.min().item(), xs.max().item()
+        if low < -2 ** 63 or high >= 2 ** 63:
+            raise ValueError(whole)
+        if m is not None and (low < 1 or high > m):
+            raise ValueError(f"treatments must lie in 1..{m}")
+        if high - low >= 2 ** 63:
+            raise ValueError("the labels' span max - min must fit in int64")
+    return xs.astype(np.int64, copy=False)
 
 
 def evaluate_criterion(info: np.ndarray, spec: ModelSpec) -> float | None:

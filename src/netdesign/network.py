@@ -62,14 +62,16 @@ class Network:
 
     def __init__(self, adjacency, directed: bool,
                  roles: Sequence[BlockRole | None] | None = None):
-        a = np.array(adjacency, dtype=np.int64)  # own copy, frozen below
+        a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NetworkError(f"adjacency must be square, got shape {a.shape}")
         n = a.shape[0]
         if n == 0:
             raise NetworkError("network needs at least one node")
+        # tested before the cast, which would truncate 0.5 to 0 and 1.7 to 1
         if not np.isin(a, (0, 1)).all():
             raise NetworkError("adjacency entries must be 0 or 1")
+        a = a.astype(np.int64)  # own copy, frozen below
         if np.diagonal(a).any():
             raise NetworkError("adjacency diagonal must be zero (no self-loops)")
         if not directed and not np.array_equal(a, a.T):

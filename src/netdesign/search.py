@@ -68,6 +68,7 @@ import functools
 import itertools
 import json
 import multiprocessing
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -76,7 +77,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .automorph import AutomorphismGroup, find_automorphisms
-from .lnem import Design, DesignEvaluator, ModelSpec
+from .lnem import Design, DesignEvaluator, ModelSpec, _design_batch
 from .network import Network
 
 _SAFETY_BUDGET = 10_000_000
@@ -118,6 +119,17 @@ class SearchConfig:
     reference_value: float | None = None
 
     def __post_init__(self):
+        # whole counts only: 2.5 or True would fail deep in a run, or run
+        # with a budget of 1; numpy integers are kept as Python ints, which
+        # the seed's mask and the JSON report take
+        for name in ("restarts", "seed", "max_designs", "workers",
+                     "max_group_size"):
+            value = getattr(self, name)
+            if value is None and name in ("max_designs", "workers"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.workers is not None and self.workers < 1:
@@ -835,12 +847,12 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     with empty histories to supply the initial design.  stop_fn(xs, ds,
     num_eval) is consulted after each candidate is processed.  A safety
     budget (max_designs, else 10^7) guards non-terminating rules; hitting it
-    flags the report partial.  A candidate of the wrong length or with a
-    label outside 1..m raises before the canonicity gate, so the outcome
-    does not depend on the group.  Each candidate is kept, in the histories
-    and as the best design, as the `Design` tuple of ints that its labels
-    name, whether next_fn gave a tuple, a list or an array, of ints or of
-    whole-number floats."""
+    flags the report partial.  Each candidate is checked once, by the rule
+    of `DesignEvaluator.values`, before the canonicity gate: one of the
+    wrong length or with a label outside 1..m raises whatever the group.
+    Each candidate is kept, in the histories and as the best design, as the
+    `Design` tuple of ints that its labels name, whether next_fn gave a
+    tuple, a list or an array, of ints or of whole-number floats."""
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config, spec.m)
@@ -853,13 +865,15 @@ def run_with_plugins(net: Network, spec: ModelSpec,
     partial = False
     x = next_fn(xs, ds)
     while x is not None:
-        x = tuple(ev._batch([x])[0].tolist())
+        checked = _design_batch([x], net.n_design, spec.m)
+        x = tuple(checked[0].tolist())
         counters.considered += 1
-        if group is not None and not group.is_canonical(x):
-            counters.skipped += 1
+        if group is not None and group._keys(checked)[0].argmin():
+            counters.skipped += 1  # the identity's key is not the least
             value = None
         else:
-            value = ev.value(x)
+            value = ev._value_array(checked).item()
+            value = value if value == value else None
             counters.invalid += value is None
             counters.evals += value is not None
         if _better(value, best_value):

@@ -13,6 +13,7 @@ from networkx.algorithms.isomorphism import DiGraphMatcher, GraphMatcher
 
 import netdesign as nd
 from netdesign.automorph import GroupSizeLimitError, cycle_notation
+from netdesign.lnem import _design_batch
 
 from helpers import (burnside_orbit_count, cycle_network,
                      frozen_find_automorphisms, oracle_orbit_minima)
@@ -247,7 +248,8 @@ def test_keys_stay_exact_at_and_past_the_int64_edge(n, labels, base, dtype):
     designs += [(labels,) * n, (labels,) * (n - 1) + (1,),
                 (1,) + (labels,) * (n - 1)]
     read = base if labels <= base else labels + 1
-    assert group._keys(designs).tolist() == python_keys(group, designs, read)
+    keys = group._keys(_design_batch(designs, n))  # _keys takes checked batches
+    assert keys.tolist() == python_keys(group, designs, read)
     assert sorted(group._weights) == sorted({base - 2, read - 2})
     assert group.weights(read - 2).dtype == dtype
     minima = oracle_orbit_minima(group, designs)
@@ -412,16 +414,50 @@ def test_group_rejects_elements_without_the_identity():
         nd.AutomorphismGroup([(0, 2, 1)], net)
 
 
-@pytest.mark.parametrize("elements,match", [
-    ([], "shape"),
-    ([0, 1, 2, 0, 2, 1], "shape"),  # two elements flattened into one row
-    ([(0, 1, 2), (0, 2, 1), (0, 2, 1)], "distinct permutations"),
-    ([(0, 1, 2), (1, 1, 2)], "distinct permutations"),
-], ids=["empty", "flattened", "repeated", "not-a-permutation"])
-def test_group_rejects_malformed_elements(elements, match):
-    net = nd.parse_edge_list("1-2, 1-3", 3)
+_ELEMENT_NETWORKS = {
+    "star": nd.parse_edge_list("1-2, 1-3", 3),
+    "path": nd.parse_edge_list("1-2, 2-3", 3),
+    "directed-path": nd.parse_edge_list("1->2, 2->3", 3, directed=True),
+    # a design node linked to two block nodes of different classes
+    "two-classes": nd.Network([[0, 1, 1], [1, 0, 0], [1, 0, 0]], False,
+                              [None, nd.BlockRole(0, 3), nd.BlockRole(1, 4)]),
+}
+
+
+@pytest.mark.parametrize("name,elements,match", [
+    ("star", [], "shape"),
+    ("star", [0, 1, 2, 0, 2, 1], "shape"),  # two elements flattened into one row
+    ("star", [(0, 1, 2), (0, 2, 1), (0, 2, 1)], "distinct permutations"),
+    ("star", [(0, 1, 2), (1, 1, 2)], "distinct permutations"),
+    # 2.5 would be truncated to the permutation (2, 1, 0)
+    ("path", [(0, 1, 2), (2.5, 1, 0)], "whole numbers"),
+    ("path", [(0, 1, 2), (2, 1, float("nan"))], "whole numbers"),
+    ("path", [(0, 1, 2), (2, 1, float("inf"))], "distinct permutations"),
+    ("path", [("0", "1", "2")], "whole numbers"),
+    # maps edge 2-3 to 1-3
+    ("path", [(0, 1, 2), (1, 0, 2)], "edges"),
+    # the reversal keeps the undirected path, not the directed one
+    ("directed-path", [(0, 1, 2), (2, 1, 0)], "edges"),
+    # swaps two block nodes with the same links but different classes
+    ("two-classes", [(0, 1, 2), (0, 2, 1)], "another class"),
+], ids=["empty", "flattened", "repeated", "not-a-permutation", "fractional",
+        "nan", "infinite", "text", "not-an-automorphism", "reversed-direction",
+        "block-class"])
+def test_group_rejects_malformed_elements(name, elements, match):
+    net = _ELEMENT_NETWORKS[name]
     with pytest.raises(ValueError, match=match):
         nd.AutomorphismGroup(elements, net)
+
+
+def test_group_keeps_whole_number_automorphisms():
+    # the reversal of the undirected path, given as floats, is an
+    # automorphism, and the two classes' block nodes may be fixed
+    path = nd.AutomorphismGroup([(2.0, 1.0, 0.0), (0, 1, 2)],
+                                _ELEMENT_NETWORKS["path"])
+    assert path.elements == ((0, 1, 2), (2, 1, 0))
+    assert path._table.dtype == np.int32
+    assert nd.AutomorphismGroup([(0, 1, 2)],
+                                _ELEMENT_NETWORKS["two-classes"]).size == 1
 
 
 @pytest.mark.parametrize("net", [

@@ -11,7 +11,7 @@ import netdesign as nd
 from netdesign import search
 from netdesign.lnem import (CRITERIA, RANK_TOL, SCREEN_CERTIFY, SCREEN_RIDGE,
                             SCREEN_WINDOW, DesignEvaluator, ModelSpec,
-                            _canonicalize_nuisance, _screen)
+                            _canonicalize_nuisance, _design_batch, _screen)
 
 from helpers import (_echelon, cycle_network, exact_estimable, exact_rank,
                      frozen_canonicalize_nuisance, frozen_criterion,
@@ -600,7 +600,8 @@ def test_rows_using_every_treatment_match_a_set_oracle(m):
     every = set(range(1, m + 1))
     expected = [i for i, x in enumerate(designs) if set(x) == every]
     assert len(expected) == 10
-    assert ev._using_every_treatment(ev._batch(designs)).tolist() == expected
+    xs = _design_batch(designs, net.n_design, m)
+    assert ev._using_every_treatment(xs).tolist() == expected
 
 
 @st.composite

@@ -124,6 +124,10 @@ def test_network_invariants_rejected():
         nd.Network(np.array([[0, 1], [0, 0]]), False)  # asymmetric undirected
     with pytest.raises(NetworkError):
         nd.Network(np.array([[0, 2], [2, 0]]), False)  # non 0/1
+    with pytest.raises(NetworkError, match="0 or 1"):  # not truncated to 0
+        nd.Network([[0, 0.5], [0.5, 0]], False)
+    with pytest.raises(NetworkError, match="0 or 1"):  # not truncated to 1
+        nd.Network([[0, 1.7], [1.7, 0]], False)
     with pytest.raises(NetworkError):
         nd.Network(np.zeros((2, 3), dtype=int), False)
     roles = [None, nd.BlockRole(0, 3), nd.BlockRole(0, 3)]

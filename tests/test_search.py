@@ -1369,4 +1369,18 @@ def test_config_validation():
                 {"max_group_size": -1}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
+    # non-integer counts are refused up front, not deep in the run; True
+    # would otherwise be a budget of 1
+    for bad in ({"max_designs": 2.5}, {"restarts": 2.5}, {"workers": 1.5},
+                {"seed": 1.5}, {"max_group_size": 10.0}, {"max_designs": True},
+                {"workers": True}, {"restarts": True}, {"seed": False},
+                {"max_group_size": np.True_}, {"seed": None}, {"restarts": "3"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchConfig(**bad)
     SearchConfig(max_designs=1, max_group_size=1)
+    config = SearchConfig(restarts=np.int64(2), seed=np.int64(3),
+                          max_designs=np.int64(5), workers=np.int32(1),
+                          max_group_size=np.uint8(9))
+    assert [type(getattr(config, f)) for f in ("restarts", "seed", "max_designs",
+                                              "workers", "max_group_size")] \
+        == [int] * 5
