@@ -125,6 +125,10 @@ class AutomorphismGroup:
         so that they are the whole group, is the caller's promise: it is not
         checked."""
         n = network.n_total
+        # before stacking, so that a ragged listing gets this error, not numpy's
+        if (isinstance(elements, Sequence)
+                and len({np.shape(e) for e in elements}) > 1):
+            raise ValueError(f"elements of different shapes, not (z, {n})")
         perms = np.asarray(elements)
         if perms.ndim != 2 or perms.shape[1] != n or not len(perms):
             raise ValueError(f"elements of shape {perms.shape}, not (z, {n})")

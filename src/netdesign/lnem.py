@@ -16,7 +16,7 @@ There is one criterion kernel: it takes a stack of information matrices,
 runs one batched eigendecomposition and evaluates the whole stack with
 stacked array operations, returning a float array with NaN for INVALID.
 `DesignEvaluator.values` feeds it a chunk of designs (exhaustive search's
-batch, or one lockstep step of coordinate descent) and turns NaN into
+batch, or one lockstep round of coordinate descent) and turns NaN into
 None; the searches read the array itself.  `DesignEvaluator.value` and
 `evaluate_criterion` are its one-matrix calls, with the same result bit
 for bit; `evaluate_criterion` rejects a matrix that is not finite or not
@@ -64,10 +64,12 @@ value the kernel has resolved so far and the least hi of its chunk
 (`search._needs_kernel`); the others cannot be the best, count as valid,
 and so in `num_eval`, though no eigendecomposition valued them, and their
 nuisance coordinates are never put in canonical order.  Coordinate
-descent compares orbits on their intervals and sends to the kernel the
-uncertified orbits, both sides of a comparison whose intervals overlap,
-and each descent's final orbit (`search._restart_task`).  So the best
-value and design of every search are the kernel's, bit for bit, as
+descent compares orbits on their intervals, in rounds, and at the end of
+each round sends to the kernel the orbits that the round met and could
+not decide on: the uncertified ones, each side of a comparison whose
+intervals overlap that is not yet a kernel value, and the final orbit of
+each descent that ended in the round (`search._restart_task`).  So the
+best value and design of every search are the kernel's, bit for bit, as
 `values` gives them.
 F is linear in the one-hot labels, so a batch's model matrices are one
 GEMM against a fixed map (`_label_map`).  `values`, `value` and
@@ -308,7 +310,8 @@ def _pivot_columns(matrix: list[list[int]]) -> list[int]:
 
 
 class DesignEvaluator:
-    """Reusable criterion evaluator for one (network, spec) pair.
+    """Reusable criterion evaluator for one (network, spec) pair, where the
+    spec has the network's block classes (`ModelSpec.for_network`).
 
     Precomputes the design-node columns of the measurable rows of the
     adjacency matrix and the network-effect counts contributed by the fixed
@@ -322,6 +325,15 @@ class DesignEvaluator:
         if spec.total_treatments != spec.m + net.n_blocks:
             raise ValueError(f"spec expects {spec.total_treatments - spec.m} "
                              f"block treatments, network has {net.n_blocks}")
+        # the network's own spec, which raises unless its blocks are pinned
+        # to m+1, m+2, ...: a block pinned past them has no column of F, and
+        # other block classes would let automorphic designs' nuisance
+        # coordinates sort apart (`_canonicalize_nuisance`), so that their
+        # values could differ in the last bits
+        own = ModelSpec.for_network(net, spec.m).block_classes
+        if tuple(spec.block_classes) != own:
+            raise ValueError(f"spec block classes {spec.block_classes} are "
+                             f"not the network's {own}")
         self.net = net
         self.spec = spec
 
@@ -478,16 +490,24 @@ def _onehot(xs: np.ndarray, m: int) -> np.ndarray:
 def _design_batch(designs, d: int, m: int | None = None) -> np.ndarray:
     """`designs`, a sequence of designs or an array, as a checked (B, d)
     int64 batch, (0, d) when there are none: the one check of the designs
-    given to the evaluator, the group and the plugin loop.  Each design
-    must hold d labels, checked before stacking so that a ragged batch
-    gets this error, not numpy's.  Each label must be a whole number that
+    given to the evaluator, the group and the plugin loop.  A batch that is
+    neither an array nor a sequence, a bare label say, is an error.  Each
+    design must be a flat sequence of d labels, checked before stacking so
+    that a ragged batch, or a design that holds a sequence, gets this
+    error, not numpy's.  Each label must be a whole number that
     int64 holds: 2.0 is label 2, and 1.5, NaN, 1e20 or a uint64 2^63 + 5
     is an error, never truncated or wrapped.  With m (the evaluator's
     rule) labels must lie in 1..m; without it (the group's), the span
     max - min must fit in int64, as the keys read the digits x - min(x)."""
     if not isinstance(designs, np.ndarray):
+        if not isinstance(designs, Sequence):
+            raise ValueError(f"designs {designs!r} is not a sequence of designs")
         for x in designs:  # before stacking, which fails on a ragged batch
-            if np.ndim(x) != 1:
+            try:
+                ndim = np.ndim(x)
+            except ValueError:  # numpy's: x holds sequences of other lengths
+                ndim = None
+            if ndim != 1:
                 raise ValueError(f"design {x!r} is not a sequence of labels")
             if len(x) != d:
                 raise ValueError(f"design length {len(x)} does not match "

@@ -62,6 +62,10 @@ class Network:
 
     def __init__(self, adjacency, directed: bool,
                  roles: Sequence[BlockRole | None] | None = None):
+        # before stacking, so that ragged rows get this error, not numpy's
+        if (isinstance(adjacency, Sequence)
+                and len({np.shape(row) for row in adjacency}) > 1):
+            raise NetworkError("adjacency rows must be of one length")
         a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NetworkError(f"adjacency must be square, got shape {a.shape}")

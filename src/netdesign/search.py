@@ -33,19 +33,20 @@ treatment unused as INVALID without an eigendecomposition.
 Coordinate descent never skips; its cache is keyed by orbit representative
 instead.  Its restarts run in lockstep rounds, and compare on intervals
 that hold each orbit's kernel value: a certified orbit's screen interval
-(`DesignEvaluator._bounds`), and a kernel value as a point.  Each round
-plans every walking descent's next candidates as if none improves,
-_LOOKAHEAD of them in all, finds their representatives in one call and
-screens the new ones in one batch.  Each descent then walks its
-plan until it improves, runs out of plan, or needs the kernel: for an
-orbit the screen does not certify, so that every INVALID decision is the
-kernel's, or for both sides of a comparison whose intervals overlap, which
-covers every tie.  It then waits, and once half the live descents wait,
-the kernel values what they need in one batch.  Each descent's final orbit
-is valued at the end, so reported values are the kernel's.  The decisions
-are those of exact values, and planned orbits that no descent reached are
-not counted, so the counters equal those of running the restarts one after
-another with exact values.
+(`DesignEvaluator._bounds`), and a kernel value as a point.  Each round is
+self-contained.  It plans every live descent's next candidates as if none
+improves, _LOOKAHEAD of them in all, finds their representatives in one
+call and screens the new ones in one batch.  Each descent then walks its
+plan until it improves, runs out of plan, or meets what only the kernel
+can decide: an orbit the screen does not certify, so that every INVALID
+decision is the kernel's, or a comparison whose intervals overlap, which
+covers every tie.  At the round's end the kernel values, in one batch,
+those orbits and the final orbit of each descent that ended its last sweep
+in the round, so every comparison the round met is decided and reported
+values are the kernel's; a descent that stopped resumes where it stopped
+in the next round.  The decisions are those of exact values, and planned
+orbits that no descent reached are not counted, so the counters equal
+those of running the restarts one after another with exact values.
 
 Both run as tasks on one runner (`_run_tasks`): subtrees of the stream,
 or contiguous blocks of restarts, one per worker.  Both reach the
@@ -67,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import numbers
 import os
@@ -84,7 +86,7 @@ _SAFETY_BUDGET = 10_000_000
 # designs per batched criterion call
 _CHUNK_DESIGNS = 256
 # coordinate-descent candidates planned per lockstep round, shared among the
-# walking descents
+# live descents
 _LOOKAHEAD = _CHUNK_DESIGNS // 4
 # exhaustive subtree tasks planned per pool worker, so that uneven subtrees
 # even out across the pool
@@ -129,15 +131,24 @@ class SearchConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.max_designs is not None and self.max_designs < 1:
-            raise ValueError("max_designs must be at least 1")
-        if self.max_group_size < 1:
-            raise ValueError("max_group_size must be at least 1")
+        # "no" would run as True; a numpy bool is kept as a Python bool
+        for name in ("use_automorphisms", "use_label_symmetry"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        # NaN or inf would put NaN or Infinity, which is not JSON, in the
+        # report, and "0.5" would fail only after the whole search
+        ref = self.reference_value
+        if ref is not None:
+            if isinstance(ref, bool) or not (isinstance(ref, numbers.Real)
+                                             and 0 < ref < math.inf):
+                raise ValueError(f"reference_value must be a finite positive "
+                                 f"number, got {ref!r}")
+            object.__setattr__(self, "reference_value", float(ref))
 
 
 @dataclass
@@ -684,21 +695,24 @@ def _restart_task(state, starts: Sequence[Design]):
 
     Comparisons run on intervals that hold each orbit's kernel value
     (`_better_by`): a certified orbit's interval from
-    `DesignEvaluator._bounds`, or the kernel's value as a point.  Each
-    round plans every walking descent's next max(1, _LOOKAHEAD // walking)
-    candidates (`_sweep_plan`), finds their representatives in one call
-    and screens the new ones, in calls of at most _CHUNK_DESIGNS.  Then it
-    walks each descent along its plan until it improves, runs out of
-    plan, or needs the kernel: for an uncertified orbit, so that every
-    INVALID decision is the kernel's, or for each side of a comparison
-    whose intervals overlap, which covers every tie.  That descent waits
-    at the candidate until at least half the live descents wait; then
-    `_value_array` values every orbit they need, at most _CHUNK_DESIGNS a
-    call, and they walk again.  A start design is adopted on its bound
-    alone.  Each descent's final orbit is valued once at the end, so
-    reported values are the kernel's bit for bit.  The decisions are those
-    of exact values, so the counters equal those of running the restarts
-    one after another with exact values.
+    `DesignEvaluator._bounds`, or the kernel's value as a point.  The
+    descents advance in self-contained rounds.  A round plans every live
+    descent's next max(1, _LOOKAHEAD // live) candidates (`_sweep_plan`),
+    finds their representatives in one call and screens the new ones, in
+    calls of at most _CHUNK_DESIGNS.  Then it walks each descent along its
+    plan until it improves, runs out of plan, or meets what only the
+    kernel can decide: an orbit the screen did not certify, so that every
+    INVALID decision is the kernel's, or a comparison whose intervals
+    overlap, which covers every tie.  Such an orbit, and each side of such
+    a comparison that is not yet a point, is needed, and so is the orbit
+    of each descent that ends its last sweep in the round, unless it is a
+    point.  At the round's end `_value_array` values every needed orbit,
+    at most _CHUNK_DESIGNS a call, so each comparison the round met is
+    decided; a descent that stopped resumes at the same cursor in the next
+    round.  A start design is adopted on its bound alone.  So reported
+    values are the kernel's bit for bit, and the decisions are those of
+    exact values: the counters equal those of running the restarts one
+    after another with exact values.
 
     Returns the orbits the descents reached (planned ones no descent
     reached are left out), each with whether it is valid; the candidates
@@ -717,17 +731,10 @@ def _restart_task(state, starts: Sequence[Design]):
     cursors = np.full(len(starts), -1)
     current: list = [None] * len(starts)  # each descent's orbit
     live = np.arange(len(starts))
-    waiting = np.zeros(len(starts), dtype=bool)  # for the kernel
-    needed: dict[bytes, None] = {}
     considered = 0
     while len(live):
-        if 2 * waiting[live].sum() >= len(live):
-            _kernel_values(ev, known, list(needed), dtype)
-            needed.clear()
-            waiting[:] = False
-        walking = live[~waiting[live]]
-        plan, counts = _sweep_plan(xs[walking], cursors[walking],
-                                   max(1, _LOOKAHEAD // len(walking)), m)
+        plan, counts = _sweep_plan(xs[live], cursors[live],
+                                   max(1, _LOOKAHEAD // len(live)), m)
         if group is not None:
             plan = group.canonical_representatives(plan)
         raw = plan.astype(dtype).tobytes()
@@ -743,22 +750,20 @@ def _restart_task(state, starts: Sequence[Design]):
                 (keys[row], None if lo != lo else (lo, hi))
                 for row, (lo, hi) in zip(chunk[used].tolist(),
                                          bounds.tolist()))
+        needed: list[bytes] = []
         end = 0
-        for i, count in zip(walking.tolist(), counts.tolist()):
+        for i, count in zip(live.tolist(), counts.tolist()):
             j, start = int(cursors[i]), end
             end += count
             for key in keys[start:end]:
                 y = known[key]
                 if y is None:
-                    needed[key] = None
-                    waiting[i] = True
+                    needed.append(key)
                     break
                 better = j < 0 or _better_by(y, known[current[i]])
-                if better is None:
-                    for k in (key, current[i]):
-                        if known[k][0] < known[k][1]:
-                            needed[k] = None
-                    waiting[i] = True
+                if better is None:  # each side that is not yet a point
+                    needed += [k for k in (key, current[i])
+                               if known[k][0] < known[k][1]]
                     break
                 considered += 1
                 reached[key] = y[0] == y[0]
@@ -772,24 +777,18 @@ def _restart_task(state, starts: Sequence[Design]):
                     break  # the rest of the plan is stale
                 j += 1
             cursors[i] = j
+            if j == steps and known[current[i]][0] < known[current[i]][1]:
+                needed.append(current[i])  # its final orbit
+        needed = list(dict.fromkeys(needed))
+        for i in range(0, len(needed), _CHUNK_DESIGNS):
+            chunk = needed[i:i + _CHUNK_DESIGNS]
+            designs = np.frombuffer(b"".join(chunk), dtype=dtype)
+            values = ev._value_array(designs.reshape(-1, n).astype(np.int64))
+            known.update((k, (v, v)) for k, v in zip(chunk, values.tolist()))
         live = live[cursors[live] < steps]
-    bounded = [k for k in dict.fromkeys(current) if known[k][0] < known[k][1]]
-    _kernel_values(ev, known, bounded, dtype)
     return reached, considered, [
         (known[k][0], tuple(np.frombuffer(k, dtype=dtype).tolist()))
         for k in current]
-
-
-def _kernel_values(ev: DesignEvaluator, known: dict, keys: list[bytes],
-                   dtype: np.dtype) -> None:
-    """Put the kernel's value of each orbit of `keys` (labels as bytes of
-    `dtype`) into `known`, as the point (v, v), in calls of at most
-    _CHUNK_DESIGNS."""
-    for i in range(0, len(keys), _CHUNK_DESIGNS):
-        chunk = keys[i:i + _CHUNK_DESIGNS]
-        xs = np.frombuffer(b"".join(chunk), dtype=dtype).reshape(len(chunk), -1)
-        values = ev._value_array(xs.astype(np.int64))
-        known.update((k, (v, v)) for k, v in zip(chunk, values.tolist()))
 
 
 def coordinate_descent(net: Network, spec: ModelSpec,

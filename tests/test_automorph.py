@@ -427,6 +427,7 @@ _ELEMENT_NETWORKS = {
 @pytest.mark.parametrize("name,elements,match", [
     ("star", [], "shape"),
     ("star", [0, 1, 2, 0, 2, 1], "shape"),  # two elements flattened into one row
+    ("path", [(0, 1, 2), (0, 1)], "different shapes"),
     ("star", [(0, 1, 2), (0, 2, 1), (0, 2, 1)], "distinct permutations"),
     ("star", [(0, 1, 2), (1, 1, 2)], "distinct permutations"),
     # 2.5 would be truncated to the permutation (2, 1, 0)
@@ -440,7 +441,7 @@ _ELEMENT_NETWORKS = {
     ("directed-path", [(0, 1, 2), (2, 1, 0)], "edges"),
     # swaps two block nodes with the same links but different classes
     ("two-classes", [(0, 1, 2), (0, 2, 1)], "another class"),
-], ids=["empty", "flattened", "repeated", "not-a-permutation", "fractional",
+], ids=["empty", "flattened", "ragged", "repeated", "not-a-permutation", "fractional",
         "nan", "infinite", "text", "not-an-automorphism", "reversed-direction",
         "block-class"])
 def test_group_rejects_malformed_elements(name, elements, match):

@@ -45,6 +45,9 @@ CASES = {
     "plus-minus-2^62": ([(-2 ** 62, 2, 1, 2, 1, 2 ** 62)],
                         (-2 ** 62, 2, 1, 2, 1, 2 ** 62), (RANGE, SPAN)),
     "empty": ([], (), "design length 0 does not match 6 design nodes"),
+    "scalar": (5, 5, r"is not a sequence of (designs|labels)"),
+    "nested": ([[(1, 2), 1, 2, 1, 2, 1]], [(1, 2), 1, 2, 1, 2, 1],
+               NOT_A_SEQUENCE),
     "tuple": ([X], X, None),
     "list": ([list(X)], list(X), None),
     "int64-array": (np.array([X]), np.array(X), None),

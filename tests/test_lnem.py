@@ -398,6 +398,34 @@ def test_model_spec_validation(path312):
         nd.criterion_for_design(path312, (1, 2, 5), spec)
 
 
+def test_evaluator_rejects_a_spec_that_contradicts_its_network():
+    # other block classes than the network's would let automorphic designs'
+    # nuisance coordinates sort apart, so their values could differ in the
+    # last bits; a block pinned past m + 1, m + 2, ... has no column of F.
+    # Both are errors when the evaluator is built, not wrong bits or an
+    # IndexError at the first value
+    net = nd.augment_blocks([2, 2, 2], 2)
+    own = ModelSpec.for_network(net, 2)
+    ev = DesignEvaluator(net, own)
+    images = nd.find_automorphisms(net).design_images((1, 2, 1, 1, 2, 2))
+    assert len({ev.value(x).hex() for x in images.tolist()}) == 1
+    for classes in [(0, 1, 2), (0, 0, 1)]:
+        with pytest.raises(ValueError, match="block classes"):
+            DesignEvaluator(net, ModelSpec(m=2, total_treatments=5,
+                                           block_classes=classes))
+    roles = [None, None, nd.BlockRole(0, 7)]
+    pinned = nd.Network([[0, 0, 1], [0, 0, 1], [1, 1, 0]], False, roles)
+    with pytest.raises(ValueError, match="fixed treatments"):
+        DesignEvaluator(pinned, ModelSpec(m=2, total_treatments=3,
+                                          block_classes=(0,)))
+    roles[2] = nd.BlockRole(0, 3)
+    net = nd.Network([[0, 0, 1], [0, 0, 1], [1, 1, 0]], False, roles)
+    # pinned to m + 1, the same network evaluates
+    assert DesignEvaluator(net, ModelSpec(m=2, total_treatments=3,
+                                          block_classes=(0,))).value((1, 2)) \
+        is not None
+
+
 def _bits(value):
     return None if value is None else value.hex()
 

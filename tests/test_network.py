@@ -130,6 +130,8 @@ def test_network_invariants_rejected():
         nd.Network([[0, 1.7], [1.7, 0]], False)
     with pytest.raises(NetworkError):
         nd.Network(np.zeros((2, 3), dtype=int), False)
+    with pytest.raises(NetworkError, match="one length"):  # not numpy's
+        nd.Network([[0, 1], [1]], False)
     roles = [None, nd.BlockRole(0, 3), nd.BlockRole(0, 3)]
     with pytest.raises(NetworkError):  # repeated fixed treatment
         nd.Network(np.zeros((3, 3), dtype=int), False, roles)

@@ -1034,6 +1034,8 @@ def test_cd_lockstep_matches_sequential_oracle(report_cache, monkeypatch,
             assert len(valued) == len(set(valued))
             assert len(orbits) == report.num_eval + report.num_invalid
             assert orbits <= set(screened) | set(valued)
+            # a round values only orbits that a descent reaches
+            assert set(valued) <= orbits
 
 
 def test_cd_lockstep_evaluates_in_chunks(examples, monkeypatch):
@@ -1384,3 +1386,17 @@ def test_config_validation():
     assert [type(getattr(config, f)) for f in ("restarts", "seed", "max_designs",
                                               "workers", "max_group_size")] \
         == [int] * 5
+    # a reference value must be a finite positive number: NaN or inf would
+    # put NaN or Infinity, which is not JSON, in the report, and "0.5"
+    # would fail only after the whole search
+    for bad in (np.nan, np.inf, -np.inf, 0, -1.0, "0.5", True, np.True_):
+        with pytest.raises(ValueError, match="reference_value"):
+            SearchConfig(reference_value=bad)
+    config = SearchConfig(reference_value=np.float32(0.5))
+    assert type(config.reference_value) is float and config.reference_value == 0.5
+    # a switch must be a bool: "no" would run as True
+    for name in ("use_automorphisms", "use_label_symmetry"):
+        for bad in ("no", 0, 1, 1.0, None):
+            with pytest.raises(ValueError, match=f"{name} must be a bool"):
+                SearchConfig(**{name: bad})
+        assert getattr(SearchConfig(**{name: np.False_}), name) is False
