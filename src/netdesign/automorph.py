@@ -84,23 +84,19 @@ def _refined_colors(net: Network) -> list[int]:
 def _row_keys(perms: np.ndarray) -> np.ndarray:
     """The rows of a (z, n) array of entries in 0..n-1 as packed keys, a
     (w, z) uint64 array: each entry takes b = ceil(log2 n) bits, 64 // b
-    entries to a word and the first one highest, so rows compare as their
-    words do in turn (one word while n <= 16)."""
+    entries to a word and the first one highest, the row's last word
+    first, so `np.lexsort(keys)` sorts rows lexicographically (one word
+    while n <= 16)."""
     z, n = perms.shape
     bits = max(1, (n - 1).bit_length())
     per_word = 64 // bits
-    keys = np.zeros((-(-n // per_word), z), dtype=np.uint64)
+    words = -(-n // per_word)
+    keys = np.zeros((words, z), dtype=np.uint64)
     for j in range(n):
         word, slot = divmod(j, per_word)
-        keys[word] |= (perms[:, j].astype(np.uint64)
-                       << np.uint64(bits * (per_word - 1 - slot)))
+        keys[words - 1 - word] |= (perms[:, j].astype(np.uint64)
+                                   << np.uint64(bits * (per_word - 1 - slot)))
     return keys
-
-
-def _lex_order(keys: np.ndarray) -> np.ndarray:
-    """The order that sorts rows by their `_row_keys` words, first word
-    most significant."""
-    return np.lexsort(keys[::-1])
 
 
 class AutomorphismGroup:
@@ -150,7 +146,7 @@ class AutomorphismGroup:
         if (a[perms[:, :, None], perms[:, None, :]] != a).any():  # A[p][:, p]
             raise ValueError("an element does not keep the network's edges")
         keys = _row_keys(perms)
-        order = _lex_order(keys)
+        order = np.lexsort(keys)
         keys = keys[:, order]
         if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
             raise ValueError("the elements are not distinct permutations")
@@ -187,7 +183,7 @@ class AutomorphismGroup:
     def _perms(self) -> np.ndarray:
         """The elements as a read-only (z, n) array in lexicographic order:
         the table sorted by its packed row keys."""
-        perms = self._table[_lex_order(_row_keys(self._table))]
+        perms = self._table[np.lexsort(_row_keys(self._table))]
         perms.setflags(write=False)
         return perms
 

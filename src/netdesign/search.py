@@ -4,12 +4,15 @@ The generic loop is: pick a candidate design, evaluate the criterion only if
 the candidate is the lexicographically first member of its automorphism
 orbit, then let a `next` rule pick the following candidate until a `stop`
 rule fires.  Two instantiations ship here: exhaustive lexicographic search
-(optionally restricted to label-canonical designs, where the first occurrence
-of treatment j precedes the first occurrence of j+1) and cyclic coordinate
-descent with seeded random restarts.
+and cyclic coordinate descent with seeded random restarts.
 
 Exhaustive search takes its stream as label arrays from one generator
-(`_stream`): the last s positions of every design come from one cached
+(`_stream`), under one label rule: each label is at most one above the
+largest before it, which starts at `top`.  top = 0 gives the
+label-canonical designs, where the first occurrence of treatment j
+precedes the first occurrence of j+1; top = m, as if every label were
+already used, gives every string over 1..m (`use_label_symmetry=False`).
+The last s positions of every design come from one cached
 tail table, the lexicographic completions of those positions after a
 prefix with a given largest label, and only the positions above them are
 walked in Python.  s shrinks as the group grows, so that a table's keys
@@ -110,7 +113,7 @@ class SearchConfig:
     report's efficiency field (reference / best found).
     """
 
-    algorithm: str = "exhaustive"
+    algorithm: str = "exhaustive"  # or "cd", "coordinate_descent"
     use_automorphisms: bool = True
     use_label_symmetry: bool = True
     restarts: int = 100
@@ -121,6 +124,9 @@ class SearchConfig:
     reference_value: float | None = None
 
     def __post_init__(self):
+        # an unknown name would otherwise run as exhaustive search
+        if self.algorithm not in ("exhaustive", "cd", "coordinate_descent"):
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         # whole counts only: 2.5 or True would fail deep in a run, or run
         # with a budget of 1; numpy integers are kept as Python ints, which
         # the seed's mask and the JSON report take
@@ -189,31 +195,29 @@ class SearchReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def _subtree_sizes(n: int, m: int, use_label_symmetry: bool) -> list[list[int]]:
+def _subtree_sizes(n: int, m: int) -> list[list[int]]:
     """sizes[r][k]: the number of stream designs that complete a prefix with
-    r positions left to fill and largest label k so far.  Label-canonical
-    completions follow N(r, k) = k N(r-1, k) + N(r-1, k+1), with no label
-    past m; without label symmetry every prefix has m^r completions."""
+    r positions left to fill and largest label k so far, each label at most
+    one above the largest before it and none past m: N(r, k) = k N(r-1, k)
+    + N(r-1, k+1).  sizes[r][0] is the label-canonical count, sum_k S2(r, k)
+    (k = 1..m), and sizes[r][m] is m^r, every string."""
     sizes = [[1] * (m + 1)]
-    for r in range(1, n + 1):
+    for _ in range(n):
         prev = sizes[-1]
-        if use_label_symmetry:
-            sizes.append([k * prev[k] + (prev[k + 1] if k < m else 0)
-                          for k in range(m + 1)])
-        else:
-            sizes.append([m ** r] * (m + 1))
+        sizes.append([k * prev[k] + (prev[k + 1] if k < m else 0)
+                      for k in range(m + 1)])
     return sizes
 
 
-def _advance(x: list[int], top: list[int], q: int, start: int, m: int,
-             use_label_symmetry: bool) -> int:
-    """Step the odometer x, with top[i] the largest label of x[:i], to the
-    next stream string: advance the deepest position at or above q (and not
-    before `start`) that can still grow, and reset the positions after it
-    to 1.  Returns that position, or -1 when the walk is done."""
+def _advance(x: list[int], top: list[int], q: int, start: int, m: int) -> int:
+    """Step the odometer x, with top[i] the largest label before x[i], to
+    the next stream string: advance the deepest position at or above q (and
+    not before `start`) that can still grow, within m and at most one above
+    top[q], and reset the positions after it to 1.  Returns that position,
+    or -1 when the walk is done."""
     while q >= start:
         v = x[q]
-        if v < m and (not use_label_symmetry or v <= top[q]):
+        if v < m and v <= top[q]:
             break
         q -= 1
     else:
@@ -228,30 +232,31 @@ def _advance(x: list[int], top: list[int], q: int, start: int, m: int,
 
 
 @functools.lru_cache(maxsize=128)
-def _tail_table(r: int, top: int, m: int, use_label_symmetry: bool
-                ) -> np.ndarray:
+def _tail_table(r: int, top: int, m: int) -> np.ndarray:
     """The read-only (N, r) int64 table of the stream's completions of r
     positions after a prefix whose largest label is `top`, in lexicographic
-    order: every string over 1..m, or with label symmetry those whose every
-    label is at most one above the largest before it.  One index grid,
+    order: the strings over 1..m whose every label is at most one above
+    the largest before it, all of them when top = m.  One index grid,
     filtered by its running maximum."""
     grid = np.indices((m,) * r).reshape(r, m ** r).T + 1
-    if use_label_symmetry:
-        before = np.maximum.accumulate(
-            np.hstack([np.full((len(grid), 1), top), grid[:, :-1]]), axis=1)
-        grid = grid[(grid <= before + 1).all(axis=1)]
+    before = np.maximum.accumulate(
+        np.hstack([np.full((len(grid), 1), top), grid[:, :-1]]), axis=1)
+    grid = grid[(grid <= before + 1).all(axis=1)]
     table = np.ascontiguousarray(grid, dtype=np.int64)
     table.setflags(write=False)
     return table
 
 
 def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
-            m: int, use_label_symmetry: bool, budget: int | None
+            m: int, top: int, budget: int | None
             ) -> Iterator[tuple[int, np.ndarray | None]]:
     """The first `budget` (all if None) stream designs that start with
     `prefix`, in lexicographic order, as segments (size, live): `size`
     consecutive designs, of which the (k, n) int64 array `live` holds the
-    k >= 1 to evaluate, or None when none is.
+    k >= 1 to evaluate, or None when none is.  The stream's strings over
+    1..m are those whose every label is at most one above the largest
+    before it, the design's own labels and `top`: top = 0 gives the
+    label-canonical stream, top = m every string.
 
     The last s positions (fewer if fewer are left) come from one
     `_tail_table`, s the largest with m^s <= _CHUNK_DESIGNS,
@@ -283,11 +288,11 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
     start = len(prefix)
     stop = max(n - width, start)  # the walked positions are start..stop-1
     x = list(prefix) + [1] * (stop - start)
-    top = list(itertools.accumulate([0] + x, max))  # top[i]: max of x[:i]
+    top = list(itertools.accumulate([top] + x, max))  # top[i]: max before x[i]
     left = budget
     fresh = stop  # the first position to test; none without a group
     if group is not None:
-        sizes = _subtree_sizes(n, m, use_label_symmetry)
+        sizes = _subtree_sizes(n, m)
         w, unset, gates = group.weights(m), m + 1, {}
         fresh = max(start - 1, 0)
         keys = np.empty((stop + 1, z), dtype=w.dtype)
@@ -309,13 +314,12 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
             if stop == n:  # no table: x is a design, tested under a group
                 size, live = 1, np.array([x], dtype=np.int64)
             else:
-                label = top[stop] if use_label_symmetry else 0
-                table = _tail_table(n - stop, label, m, use_label_symmetry)
+                table = _tail_table(n - stop, top[stop], m)
                 rows = table[:left]  # the whole table when left is None
                 if group is not None:
-                    gate = gates.get(label)
+                    gate = gates.get(top[stop])
                     if gate is None:
-                        gate = gates[label] = (
+                        gate = gates[top[stop]] = (
                             (table - unset).astype(w.dtype) @ w[stop:])
                     keyed = gate[:len(rows)] + keys[stop]
                     rows = rows[keyed.argmin(axis=1) == 0]
@@ -330,7 +334,7 @@ def _stream(group: AutomorphismGroup | None, prefix: Sequence[int], n: int,
         yield size, live
         if left == 0:
             return
-        fresh = _advance(x, top, q, start, m, use_label_symmetry)
+        fresh = _advance(x, top, q, start, m)
         if fresh < 0:
             return
         if group is None:
@@ -343,17 +347,21 @@ def enumerate_designs(n_design_nodes: int, m: int,
                       use_label_symmetry: bool = True) -> Iterator[Design]:
     """All designs on `n_design_nodes` nodes in lexicographic order.
 
-    With label symmetry only label-canonical designs are produced: treatment
-    labels appear in first-occurrence order, so node 1 always receives
-    treatment 1 and the stream has sum_k S2(n, k) members (k = 1..m) instead
-    of m^n.  These are the rows, as tuples, of the group-free `_stream`
-    that exhaustive search evaluates: the last positions from a cached
-    table of lexicographic completions, the ones above them walked in
-    order.  Bad sizes raise at the call, not at the first design.
+    Every design's labels are each at most one above the largest before
+    it, that largest starting at 0 with label symmetry and at m without.
+    So with label symmetry only label-canonical designs are produced:
+    treatment labels appear in first-occurrence order, node 1 always
+    receives treatment 1, and the stream has sum_k S2(n, k) members
+    (k = 1..m); without it, all m^n.  These are the rows, as tuples, of
+    the group-free `_stream` that exhaustive search evaluates: the last
+    positions from a cached table of lexicographic completions, the ones
+    above them walked in order.  Bad sizes raise at the call, not at the
+    first design.
     """
     if m < 2 or n_design_nodes < 1:
         raise ValueError("need at least two treatments and one design node")
-    stream = _stream(None, (), n_design_nodes, m, use_label_symmetry, None)
+    stream = _stream(None, (), n_design_nodes, m,
+                     0 if use_label_symmetry else m, None)
     return (x for _, live in stream for x in map(tuple, live.tolist()))
 
 
@@ -460,14 +468,15 @@ def _run_tasks(state, fn: Callable, tasks: Sequence, workers: int) -> Iterator:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
+def _plan(n: int, m: int, top: int, workers: int | None,
           budget: int | None
           ) -> tuple[list[tuple[Design, int | None]], int, bool]:
     """Subtree tasks (prefix, local budget) in stream order, the worker
-    count, and whether the budget cuts the stream short.  One worker gets
-    the root alone; for a pool, the subtree with the most designs within
-    the budget is split until each worker has _TASKS_PER_WORKER tasks or
-    only full designs are left.  The budget is the local budget of the
+    count, and whether the budget cuts the stream short, for the `_stream`
+    that starts from a largest label of `top`.  One worker gets the root
+    alone; for a pool, the subtree with the most designs within the budget
+    is split until each worker has _TASKS_PER_WORKER tasks or only full
+    designs are left.  The budget is the local budget of the
     task it cuts (None elsewhere), and the tasks after that one are
     dropped.
 
@@ -485,10 +494,10 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
     time, about 100 ms at this size even for the costliest streams."""
     if m < 2 or n < 1:
         raise ValueError("need at least two treatments and one design node")
-    sizes = _subtree_sizes(n, m, use_label_symmetry)
+    sizes = _subtree_sizes(n, m)
 
     def size(prefix: Design) -> int:
-        return sizes[n - len(prefix)][max(prefix, default=0)]
+        return sizes[n - len(prefix)][max((top, *prefix))]
 
     def cut(prefixes: list[Design], left: int | None):
         tasks = []
@@ -510,7 +519,7 @@ def _plan(n: int, m: int, use_label_symmetry: bool, workers: int | None,
             break
         i = max(open_, key=lambda i: tasks[i][1] or size(tasks[i][0]))
         prefix, local = tasks[i]
-        last = min(max(prefix, default=0) + 1, m) if use_label_symmetry else m
+        last = min(max((top, *prefix)) + 1, m)
         tasks[i:i + 1] = cut([prefix + (label,) for label in range(1, last + 1)],
                              local)
     return tasks, workers, partial
@@ -566,11 +575,10 @@ def _subtree_task(state, task: tuple[Design, int | None]):
     resolved only widens the window, so more designs reach the kernel,
     never fewer.  A lone design with no best yet goes to the kernel
     unscreened: the screen could skip nothing."""
-    ev, group, use_label_symmetry = state
+    ev, group, top = state
     prefix, budget = task
     counters = _Counters()
-    stream = _stream(group, prefix, ev.net.n_design, ev.spec.m,
-                     use_label_symmetry, budget)
+    stream = _stream(group, prefix, ev.net.n_design, ev.spec.m, top, budget)
     best = (None, None)
     queue, queued = [], 0
     for chunk in _chunks(stream, counters):
@@ -623,10 +631,10 @@ def exhaustive_search(net: Network, spec: ModelSpec,
     config = config or SearchConfig()
     t0 = time.perf_counter()
     group = _group_for(net, config, spec.m)
-    tasks, workers, partial = _plan(net.n_design, spec.m,
-                                    config.use_label_symmetry,
-                                    config.workers, config.max_designs)
-    state = (DesignEvaluator(net, spec), group, config.use_label_symmetry)
+    top = 0 if config.use_label_symmetry else spec.m  # see `_stream`
+    tasks, workers, partial = _plan(net.n_design, spec.m, top, config.workers,
+                                    config.max_designs)
+    state = (DesignEvaluator(net, spec), group, top)
     counters = _Counters()
     best_value = best_design = None
     # tasks come back in stream order, so keeping the first strict
@@ -893,8 +901,6 @@ def run_search(net: Network, spec: ModelSpec,
                config: SearchConfig | None = None) -> SearchReport:
     """Dispatch on config.algorithm."""
     config = config or SearchConfig()
-    if config.algorithm in ("exhaustive",):
+    if config.algorithm == "exhaustive":
         return exhaustive_search(net, spec, config)
-    if config.algorithm in ("cd", "coordinate_descent"):
-        return coordinate_descent(net, spec, config)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return coordinate_descent(net, spec, config)

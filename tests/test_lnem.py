@@ -851,8 +851,7 @@ def test_screen_certifies_as_the_inverse_route(example, m, criterion):
         prefix = [1]
         while len(prefix) < net.n_design - 5:
             prefix.append(int(rng.integers(1, min(max(prefix) + 1, m) + 1)))
-        stream = search._stream(None, tuple(prefix), net.n_design, m, True,
-                                None)
+        stream = search._stream(None, tuple(prefix), net.n_design, m, 0, None)
         for chunk in search._chunks(stream, search._Counters()):
             info = ev._information_matrices(
                 chunk[ev._using_every_treatment(chunk)])
@@ -999,8 +998,7 @@ def test_screen_is_sound_on_stream_chunks_of_block_networks(name, criterion):
         prefix = [1]
         while len(prefix) < net.n_design - 4:
             prefix.append(int(rng.integers(1, min(max(prefix) + 1, m) + 1)))
-        stream = search._stream(None, tuple(prefix), net.n_design, m, True,
-                                None)
+        stream = search._stream(None, tuple(prefix), net.n_design, m, 0, None)
         chunk = next(search._chunks(stream, search._Counters()))
         xs = chunk[ev._using_every_treatment(chunk)]
         certified += _assert_screen_sound(ev._information_matrices(xs), spec,

@@ -18,9 +18,9 @@ from netdesign.lnem import DesignEvaluator, ModelSpec
 from netdesign.search import SearchConfig, _start_design
 
 from helpers import (cycle_network, force_screen_off,
-                     oracle_coordinate_descent, oracle_outcomes,
-                     oracle_report, report_fields, screened_networks,
-                     stirling2)
+                     oracle_coordinate_descent, oracle_orbit_minima,
+                     oracle_outcomes, oracle_report, report_fields,
+                     screened_networks, stirling2)
 
 
 def cfg(**kw) -> SearchConfig:
@@ -63,6 +63,17 @@ def test_enumerate_count_is_stirling_sum(n, m):
     assert count == sum(stirling2(n, k) for k in range(1, m + 1))
 
 
+def test_subtree_sizes_count_both_streams():
+    # from a largest label of 0, the label-canonical count sum_k S2(r, k);
+    # from m, every string; both from the one recurrence
+    from sympy.functions.combinatorial.numbers import stirling
+    for m in range(1, 5):
+        sizes = search._subtree_sizes(8, m)
+        for r in range(9):
+            assert sizes[r][m] == m ** r
+            assert sizes[r][0] == sum(stirling(r, k) for k in range(m + 1))
+
+
 def _stream_budgets(total: int, blocks: list[int]) -> list[int | None]:
     """Every budget of a short stream; of a long one, the ends, the first
     block boundaries and the rows either side of them, and a spread of
@@ -84,21 +95,21 @@ def test_block_stream_matches_product_oracle(m, symmetry):
     # all of them live; each task's chunks hold at least _CHUNK_DESIGNS
     # rows but its last, and enumerate_designs yields the same designs as
     # tuples
-    full_prefixes = 0
+    full_prefixes, top = 0, 0 if symmetry else m
     for n in range(1, 9):
         designs = [x for x in product(range(1, m + 1), repeat=n)
                    if not symmetry or _label_canonical(x)]
         assert list(nd.enumerate_designs(n, m, symmetry)) == designs
         expected = np.array(designs, dtype=np.int64)
         blocks = [size for size, _ in
-                  search._stream(None, (), n, m, symmetry, None)]
+                  search._stream(None, (), n, m, top, None)]
         for budget in _stream_budgets(len(designs), blocks):
             for workers in (1, 2, 3):
-                tasks, _, _ = search._plan(n, m, symmetry, workers, budget)
+                tasks, _, _ = search._plan(n, m, top, workers, budget)
                 got, counters = [], search._Counters()
                 for prefix, local in tasks:
                     chunks = list(search._chunks(search._stream(
-                        None, prefix, n, m, symmetry, local), counters))
+                        None, prefix, n, m, top, local), counters))
                     assert all(len(c) >= search._CHUNK_DESIGNS
                                for c in chunks[:-1])
                     got += chunks
@@ -118,13 +129,16 @@ _GATED_CASES = {
 }
 
 
+@pytest.mark.parametrize("symmetry", [True, False])
 @pytest.mark.parametrize("case", sorted(_GATED_CASES))
 def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
-                                     case):
+                                     case, symmetry):
     # under a group, the live rows of every `_plan` task's `_stream`, joined
-    # in task order, are the designs among the first `budget` that no
-    # element maps to a smaller one (images applied in pure Python), and
-    # the counters tell considered and skipped designs as the oracle does.
+    # in task order, are the designs among the first `budget` of the stream
+    # rebuilt from itertools.product that no element maps to a smaller one
+    # (images applied in pure Python), and the counters tell considered and
+    # skipped designs as the oracle does, from a largest label of 0 (label
+    # symmetry) and of m (every string).
     # At 8 designs per chunk the root stream of rc 3x3 (z = 72) takes s = 0
     # and walks to the leaves, with no table; every other root stream gates
     # tables of s >= 1 positions, and some budget cuts a gated table
@@ -133,7 +147,7 @@ def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
     net = {"path312": path312, "cycle7": cycle_network(7)}.get(key) \
         or report_cache.network(key)
     group = nd.find_automorphisms(net)
-    n = net.n_design
+    n, top = net.n_design, 0 if symmetry else m
     tail_table, fetched = search._tail_table, []
 
     def fetch(*args):
@@ -144,10 +158,13 @@ def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
 
     def segments(prefix, budget):
         # (size, live, the tail table the segment came from, else None)
-        for size, live in search._stream(group, prefix, n, m, True, budget):
+        for size, live in search._stream(group, prefix, n, m, top, budget):
             yield size, live, fetched.pop() if fetched else None
 
-    outcomes = oracle_outcomes(net, m, True)
+    designs = [x for x in product(range(1, m + 1), repeat=n)
+               if not symmetry or _label_canonical(x)]
+    kept = [low == x for x, low in zip(designs,
+                                       oracle_orbit_minima(group, designs))]
     widths, gated_cut = [], False
     for chunk in (256, 8):
         monkeypatch.setattr(search, "_CHUNK_DESIGNS", chunk)
@@ -156,11 +173,11 @@ def test_gated_stream_matches_oracle(report_cache, path312, monkeypatch,
         # the width of the root stream's tables, 0 when it has none (s = 0)
         widths.append(max((table.shape[1] for _, _, table in root
                            if table is not None), default=0))
-        for budget in _stream_budgets(len(outcomes), blocks):
-            cut = outcomes[:budget]
-            expected = [x for x, value in cut if value != "skipped"]
+        for budget in _stream_budgets(len(designs), blocks):
+            cut = designs[:budget]
+            expected = list(itertools.compress(cut, kept))
             for workers in (1, 2, 3):
-                tasks, _, _ = search._plan(n, m, True, workers, budget)
+                tasks, _, _ = search._plan(n, m, top, workers, budget)
                 got, counters = [], search._Counters()
                 for prefix, local in tasks:
                     parts = list(segments(prefix, local))
@@ -271,7 +288,7 @@ def test_only_designs_using_every_treatment_reach_eigh(
 
 def _stream_chunks(net: nd.Network, m: int):
     """The chunks exhaustive search evaluates on `net` without a group."""
-    stream = search._stream(None, (), net.n_design, m, True, None)
+    stream = search._stream(None, (), net.n_design, m, 0, None)
     return list(search._chunks(stream, search._Counters()))
 
 
@@ -445,13 +462,12 @@ def test_reports_identical_at_any_chunk_size(report_cache, monkeypatch,
     assert json.loads(default["ex4-m3"])["best_value"] == \
         json.loads(default["ex4-m3-plain"])["best_value"]
     ends = itertools.accumulate(
-        size for size, _ in search._stream(None, (), ex4.n_design, 3, True,
-                                           None))
+        size for size, _ in search._stream(None, (), ex4.n_design, 3, 0, None))
     assert 20_300 not in set(ends)  # the budget cuts a table
     monkeypatch.setattr(search, "_CHUNK_DESIGNS", chunk)
     for group in (None, nd.find_automorphisms(ex4)):
         for m in (2, 3):
-            stream = search._stream(group, (), ex4.n_design, m, True, None)
+            stream = search._stream(group, (), ex4.n_design, m, 0, None)
             assert all(len(live) <= chunk
                        for _, live in itertools.islice(stream, 2000)
                        if live is not None)
@@ -586,7 +602,7 @@ def test_default_workers_count_the_cores_this_process_may_use(examples,
                                              workers=None))
         return seen
 
-    assert search._plan(net.n_design, 2, True, None, None)[1] == 1
+    assert search._plan(net.n_design, 2, 0, None, None)[1] == 1
     assert both() == [1, 1]
     monkeypatch.delattr(search.os, "sched_getaffinity")
     assert search._usable_cores() == 4
@@ -743,8 +759,8 @@ def test_plan_covers_the_first_budget_designs(n, m, symmetry, monkeypatch):
     monkeypatch.setattr(search, "_usable_cores", lambda: 3)
     for workers in (1, 2, 3, 4, None):
         for budget in (None, *range(1, len(designs) + 1)):
-            tasks, planned, partial = search._plan(n, m, symmetry, workers,
-                                                   budget)
+            tasks, planned, partial = search._plan(n, m, 0 if symmetry else m,
+                                                   workers, budget)
             # None: one worker for a cut stream of fewer than
             # _SERIAL_DESIGNS designs, else all cores
             cut = len(designs) if budget is None else budget
@@ -1380,6 +1396,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             SearchConfig(**bad)
     SearchConfig(max_designs=1, max_group_size=1)
+    # an unknown algorithm is refused at construction, not run as
+    # exhaustive search by `exhaustive_search`
+    for bad in ("bogus", "annealing", "Exhaustive", "", "plugin", None):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            SearchConfig(algorithm=bad)
+    for name in ("exhaustive", "cd", "coordinate_descent"):
+        assert SearchConfig(algorithm=name).algorithm == name
     config = SearchConfig(restarts=np.int64(2), seed=np.int64(3),
                           max_designs=np.int64(5), workers=np.int32(1),
                           max_group_size=np.uint8(9))
